@@ -16,10 +16,6 @@ from .errors import AlignmentError
 from .formants import FormantConfig, track_formants
 from .pitch import PitchConfig, track_pitch
 
-F0_MIN_HZ = 60.0
-F0_MAX_HZ = 400.0
-
-
 @dataclass
 class FrameAnnotation:
     """Per-frame supervision targets for one utterance.
@@ -58,7 +54,6 @@ def annotate_waveform(
 ) -> FrameAnnotation:
     """Run both trackers and assemble the aligned annotation."""
     f0 = track_pitch(x, pitch_cfg)
-    f0 = np.where(np.isfinite(f0), np.clip(f0, F0_MIN_HZ, F0_MAX_HZ), np.nan)
     f1, f2 = track_formants(x, formant_cfg)
     if not (f0.shape[0] == f1.shape[0] == NUM_FRAMES):
         raise AlignmentError(

@@ -5,8 +5,10 @@ by a content hash of (audio bytes, DSP parameters, annotator
 parameters); changing any parameter invalidates exactly the affected
 records. Annotation of missing entries can fan out over a process pool
 (each utterance is independent); results are merged and written in one
-atomic pass (temp file + rename), so the cache content never depends on
-worker count or completion order.
+atomic pass (a temp file of the writer's own + rename), so the cache
+content never depends on worker count or completion order. A line that
+does not parse as a record, such as one torn by an interrupted copy,
+reads as a cache miss and is dropped by the next write.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,24 +51,34 @@ def content_key(audio_path, pitch_cfg: PitchConfig, formant_cfg: FormantConfig,
 
 
 def _load_cache_file(path: Path) -> dict[str, dict]:
+    """Records by utt_id; a torn or malformed line is skipped, so its
+    utterance reads as a cache miss and the next write drops the line."""
     if not path.exists():
         return {}
     rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
+            try:
                 row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(row, dict) and isinstance(row.get("utt_id"), str):
                 rows[row["utt_id"]] = row
     return rows
 
 
 def _write_cache_file(path: Path, rows: dict[str, dict]) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for utt_id in sorted(rows):
-            fh.write(json.dumps(rows[utt_id]) + "\n")
-    os.replace(tmp, path)
+    # a temp file of this write's own, so concurrent runs never share one;
+    # not mkstemp, whose owner-only mode would pass to the cache file
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            for utt_id in sorted(rows):
+                fh.write(json.dumps(rows[utt_id]) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:

@@ -6,6 +6,19 @@ complex roots give candidate (frequency, bandwidth) resonances. The two
 lowest candidates inside a plausible speech band with reasonable
 bandwidth are reported as (f1, f2); dropout frames inherit the previous
 frame's values, range midpoints seed frame zero.
+
+All frames of an utterance go through the lattice and the root finder
+together, and each value is computed exactly as a one-frame call would
+compute it:
+
+- The lattice's per-row dot products use np.vecdot, which reduces each
+  row the way np.dot reduces a vector; einsum and (f * b).sum(axis)
+  group the additions differently and change the last bits.
+- Roots are the eigenvalues of the stacked companion matrices that
+  np.roots would build one at a time, with trailing zero coefficients
+  stripped first, as np.roots strips them. Pole magnitudes use
+  np.hypot, which matches abs() of one root where np.abs of a complex
+  array does not.
 """
 
 from __future__ import annotations
@@ -45,38 +58,62 @@ def burg(x: np.ndarray, order: int) -> np.ndarray:
     Minimizes the summed forward and backward prediction error through a
     lattice recursion; reflection coefficients stay in [-1, 1] so the
     resulting polynomial is minimum-phase (all roots inside the unit
-    circle).
+    circle). A (rows, n) stack runs one lattice per row and returns
+    (rows, order + 1); a row whose error energy reaches zero keeps the
+    coefficients it had at that point.
     """
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    f = x[1:].astype(np.float64)
-    b = x[:-1].astype(np.float64)
-    for m in range(order):
-        den = float(np.dot(f, f) + np.dot(b, b))
-        if den <= 0.0 or f.size == 0:
-            break
-        k = -2.0 * float(np.dot(f, b)) / den
-        prev = a.copy()
-        for i in range(1, m + 2):
-            a[i] = prev[i] + k * prev[m + 1 - i]
-        f, b = f[1:] + k * b[1:], b[:-1] + k * f[:-1]
-    return a
+    rows = np.atleast_2d(x).astype(np.float64)
+    a = np.zeros((rows.shape[0], order + 1))
+    a[:, 0] = 1.0
+    f = rows[:, 1:]
+    b = rows[:, :-1]
+    running = np.ones(rows.shape[0], dtype=bool)
+    for m in range(min(order, f.shape[1])):
+        den = np.vecdot(f, f) + np.vecdot(b, b)
+        running &= ~(den <= 0.0)
+        # k = 0 leaves a stopped row's coefficients and errors as they are
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.where(running, -2.0 * np.vecdot(f, b) / den, 0.0)[:, None]
+        a[:, 1 : m + 2] += k * a[:, m::-1]
+        f, b = f[:, 1:] + k * b[:, 1:], b[:, :-1] + k * f[:, :-1]
+    return a if np.ndim(x) == 2 else a[0]
 
 
-def lpc_resonances(a: np.ndarray, sample_rate: int) -> list[tuple[float, float]]:
-    """(frequency_hz, bandwidth_hz) for each upper-half-plane pole."""
-    roots = np.roots(a)
-    out = []
-    for r in roots:
-        if r.imag <= 0.0:
-            continue
-        freq = float(np.angle(r)) * sample_rate / (2.0 * np.pi)
-        mag = abs(r)
-        if mag <= 0.0:
-            continue
-        bandwidth = -np.log(mag) * sample_rate / np.pi
-        out.append((freq, bandwidth))
-    return sorted(out)
+def lpc_resonances(a: np.ndarray, sample_rate: int) -> np.ndarray:
+    """(frequency_hz, bandwidth_hz) of each upper-half-plane pole, in
+    ascending order.
+
+    For a (rows, order + 1) stack of polynomials the result is
+    (rows, n, 2), where n is the largest pole count of any row and
+    shorter rows are padded with NaN; a 1-D polynomial gives its one row.
+    Roots are the eigenvalues of the companion matrix, as np.roots
+    computes them, trailing zero coefficients stripped.
+    """
+    stack = np.atleast_2d(a)
+    order = stack.shape[1] - 1
+    # np.roots drops trailing zero coefficients, so rows whose lattice
+    # stopped early have a companion matrix of lower degree
+    nonzero = stack != 0.0
+    degree = order - np.argmax(nonzero[:, ::-1], axis=1)
+    roots = np.zeros(stack.shape[:1] + (order,), dtype=np.complex128)
+    for d in np.unique(degree[degree > 0]):
+        sel = np.flatnonzero(degree == d)
+        companion = np.zeros((sel.size, d, d))
+        companion[:, 0, :] = -stack[sel, 1 : d + 1] / stack[sel, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots[sel, :d] = np.linalg.eigvals(companion)
+    upper = roots.imag > 0.0
+    freq = np.where(upper, np.angle(roots) * sample_rate / (2.0 * np.pi), np.nan)
+    # hypot, not np.abs: abs of a complex array takes a vectorized path that
+    # differs in the last bit from abs of a single root
+    magnitude = np.hypot(roots.real, roots.imag)
+    with np.errstate(divide="ignore"):
+        bandwidth = np.where(upper, -np.log(magnitude) * sample_rate / np.pi, np.nan)
+    # sort by (frequency, bandwidth), NaN padding last
+    idx = np.lexsort((bandwidth, freq), axis=-1)[:, : upper.sum(axis=1).max(initial=0)]
+    out = np.stack([np.take_along_axis(freq, idx, -1),
+                    np.take_along_axis(bandwidth, idx, -1)], axis=-1)
+    return out if np.ndim(a) == 2 else out[0]
 
 
 def gaussian_window(n: int, std_fraction: float) -> np.ndarray:
@@ -91,27 +128,6 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
     return y
 
 
-def frame_formants(
-    frame: np.ndarray, cfg: FormantConfig, sample_rate: int
-) -> tuple[float, float] | None:
-    """Estimate (f1, f2) for one windowed frame; None when fewer than two
-    qualifying resonances exist."""
-    if not np.any(frame):
-        return None
-    a = burg(frame, cfg.order)
-    keep = [
-        (f, bw)
-        for f, bw in lpc_resonances(a, sample_rate)
-        if cfg.min_freq_hz < f < cfg.max_freq_hz and bw < cfg.max_bandwidth_hz
-    ]
-    if len(keep) < 2:
-        return None
-    f1, f2 = keep[0][0], keep[1][0]
-    if not f1 < f2:
-        return None
-    return f1, f2
-
-
 def track_formants(
     x: FixedWaveform, cfg: FormantConfig = FormantConfig(), sample_rate: int = 16000
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +135,16 @@ def track_formants(
     emphasized = preemphasize(x.samples, cfg.preemphasis)
     frames = frame_signal(emphasized, cfg.frame_len, cfg.hop)
     window = gaussian_window(cfg.frame_len, cfg.window_std_fraction)
-    n = frames.shape[0]
-    f1 = np.empty(n)
-    f2 = np.empty(n)
-    last = (F1_FALLBACK_HZ, F2_FALLBACK_HZ)
-    for t in range(n):
-        est = frame_formants(frames[t] * window, cfg, sample_rate)
-        if est is not None:
-            last = est
-        f1[t], f2[t] = last
+    resonances = lpc_resonances(burg(frames * window, cfg.order), sample_rate)
+    freq, bandwidth = resonances[..., 0], resonances[..., 1]
+    qualifies = ((cfg.min_freq_hz < freq) & (freq < cfg.max_freq_hz)
+                 & (bandwidth < cfg.max_bandwidth_hz))
+    # the two lowest qualifying frequencies per frame; NaN marks a shortfall
+    lowest = np.sort(np.where(qualifies, freq, np.nan), axis=1)
+    lowest = np.pad(lowest, ((0, 0), (0, 2)), constant_values=np.nan)[:, :2]
+    found = lowest[:, 0] < lowest[:, 1]
+    # dropout frames hold the latest estimate; before the first one, the fallbacks
+    latest = np.maximum.accumulate(np.where(found, np.arange(found.size), -1))
+    f1 = np.where(latest >= 0, lowest[latest, 0], F1_FALLBACK_HZ)
+    f2 = np.where(latest >= 0, lowest[latest, 1], F2_FALLBACK_HZ)
     return f1, f2

@@ -5,6 +5,23 @@ candidate period troughs; each candidate is weighted by the share of a
 uniform threshold prior it would be selected under. A Viterbi pass over
 a log-spaced pitch grid plus one unvoiced state smooths the track.
 Frames with no winning pitch state are reported as NaN (unvoiced).
+
+Both stages are array code that performs the same floating-point
+operations, in the same order, as a plain per-trough, per-threshold and
+per-state loop, so the tracks (and the cache records built from them)
+are bit-for-bit those of the loop:
+
+- A threshold's winner is the first trough whose running-minimum depth
+  falls below it, found with searchsorted. A candidate's probability is
+  its win count looked up in a running sum of 1/n_thresholds, because
+  repeated addition and count * weight round differently.
+- In the Viterbi step a bin holds a finite score only if it had a
+  candidate in the previous frame; every other score is -inf and loses
+  every comparison. Taking the voiced-to-voiced max over the few finite
+  rows therefore gives the full O(B^2) max exactly, including its
+  first-index tie-breaking. The L1 distance transform (O(B) per frame)
+  is not used: paths that tie in exact arithmetic are separated only by
+  rounding, and the transform rounds differently.
 """
 
 from __future__ import annotations
@@ -67,18 +84,6 @@ def cmndf(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parabolic_refine(y: np.ndarray, i: int) -> tuple[float, float]:
-    """Refine trough position i to sub-sample accuracy; returns (lag, value)."""
-    if i <= 0 or i >= y.size - 1:
-        return float(i), float(y[i])
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom <= 0:
-        return float(i), float(y[i])
-    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    value = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-    return i + shift, value
-
-
 def frame_candidates(
     frame: np.ndarray, sample_rate: int, cfg: PitchConfig
 ) -> list[tuple[float, float]]:
@@ -100,27 +105,32 @@ def frame_candidates(
     trough_lags = lags[is_trough]
     if trough_lags.size == 0:
         return []
-    refined = [_parabolic_refine(nd, t) for t in trough_lags]
-    depths = np.array([v for _, v in refined])
 
+    # parabolic refinement of every trough; lags lie in [2, nd.size - 2],
+    # so both neighbours exist
+    left, mid, right = nd[trough_lags - 1], nd[trough_lags], nd[trough_lags + 1]
+    denom = left - 2.0 * mid + right
+    curved = denom > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * (left - right) / denom
+    lag = np.where(curved, trough_lags + shift, trough_lags)
+    depth = np.where(curved, mid - 0.25 * (left - right) * shift, mid)
+
+    # plain YIN under threshold s picks the first trough below s, which is
+    # where the running minimum of the depths first drops below s
     thresholds = cfg.threshold_max * (np.arange(1, cfg.n_thresholds + 1) / cfg.n_thresholds)
+    running_min = np.minimum.accumulate(depth)
+    winner = np.searchsorted(-running_min, -thresholds, side="right")
+    wins = np.bincount(winner, minlength=depth.size + 1)[: depth.size]
+    # probability after `wins` sequential additions of 1/n_thresholds;
+    # add.accumulate sums in order, so this is exact where wins * weight is not
     weight = 1.0 / cfg.n_thresholds
-    probs = np.zeros(len(refined))
-    # first trough below each threshold wins that threshold's mass
-    order = np.arange(len(refined))
-    for s in thresholds:
-        below = order[depths < s]
-        if below.size:
-            probs[below[0]] += weight
+    mass = np.concatenate([[0.0], np.cumsum(np.full(cfg.n_thresholds, weight))])
+    probs = mass[wins]
 
-    out = []
-    for (lag, _), p in zip(refined, probs):
-        if p <= 0.0 or lag <= 0:
-            continue
-        f = sample_rate / lag
-        f = min(max(f, cfg.fmin_hz), cfg.fmax_hz)
-        out.append((f, float(p)))
-    return out
+    keep = probs > 0.0
+    freqs = np.clip(sample_rate / lag[keep], cfg.fmin_hz, cfg.fmax_hz)
+    return list(zip(freqs.tolist(), probs[keep].tolist()))
 
 
 def _pitch_grid(cfg: PitchConfig) -> np.ndarray:
@@ -142,22 +152,42 @@ def viterbi_track(
     n_bins = grid.size
     unvoiced = n_bins
     n_frames = len(candidates_per_frame)
-    log_grid = np.log2(grid)
+    counts = [len(cands) for cands in candidates_per_frame]
+    flat = [fp for cands in candidates_per_frame for fp in cands]
+    freqs = np.array([f for f, _ in flat], dtype=np.float64)
+    probs = np.array([p for _, p in flat], dtype=np.float64)
+    frame_of = np.repeat(np.arange(n_frames), counts)
+    bins = np.clip(np.round(1200.0 * np.log2(freqs / cfg.fmin_hz) / cfg.cents_per_bin),
+                   0, n_bins - 1).astype(np.intp)
 
-    obs_voiced = np.full((n_frames, n_bins), -np.inf)
-    obs_unvoiced = np.zeros(n_frames)
-    cand_freq = np.full((n_frames, n_bins), np.nan)
-    for t, cands in enumerate(candidates_per_frame):
-        total = 0.0
-        for f, p in cands:
-            b = int(np.clip(np.round(1200.0 * np.log2(f / cfg.fmin_hz) / cfg.cents_per_bin),
-                            0, n_bins - 1))
-            if not np.isfinite(obs_voiced[t, b]) or p > np.exp(obs_voiced[t, b]):
-                cand_freq[t, b] = f
-            prev = np.exp(obs_voiced[t, b]) if np.isfinite(obs_voiced[t, b]) else 0.0
-            obs_voiced[t, b] = np.log(prev + p)
-            total += p
-        obs_unvoiced[t] = np.log(max(1.0 - total, 1e-9))
+    # a bin's probability is the sum of its candidates, accumulated in
+    # candidate order through log space; its frequency is the strongest
+    # candidate's. Each round merges the earliest pending candidate of
+    # every (frame, bin) cell, so shared cells are merged in order.
+    obs_voiced = np.full(n_frames * n_bins, -np.inf)
+    cand_freq = np.full(n_frames * n_bins, np.nan)
+    cell = frame_of * n_bins + bins
+    pending = np.arange(cell.size)
+    while pending.size:
+        _, first = np.unique(cell[pending], return_index=True)
+        merge = pending[first]
+        c, p = cell[merge], probs[merge]
+        seen = np.isfinite(obs_voiced[c])
+        prev = np.exp(obs_voiced[c])  # 0.0 where unseen
+        strongest = ~seen | (p > prev)
+        cand_freq[c[strongest]] = freqs[merge][strongest]
+        obs_voiced[c] = np.log(prev + p)
+        pending = np.delete(pending, first)
+    obs_voiced = obs_voiced.reshape(n_frames, n_bins)
+    cand_freq = cand_freq.reshape(n_frames, n_bins)
+
+    # per-frame total probability, summed in candidate order: cumsum along
+    # a zero-padded row adds sequentially, as a running total does
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((n_frames, max(counts, default=0) + 1))
+    padded[frame_of, slot] = probs
+    total = np.cumsum(padded, axis=1)[:, -1]
+    obs_unvoiced = np.log(np.maximum(1.0 - total, 1e-9))
 
     switch = -np.log(cfg.switch_prob)
     stay = -np.log(1.0 - cfg.switch_prob)
@@ -172,9 +202,16 @@ def viterbi_track(
         prev_v = dp[t - 1, :n_bins]
         prev_u = dp[t - 1, unvoiced]
 
-        vv = prev_v[:, None] - jump - stay
-        best_vv = vv.max(axis=0)
-        argbest_vv = vv.argmax(axis=0)
+        # only bins that held a candidate are finite; the rest are -inf and
+        # can never win, so the max over the finite rows is the full max
+        finite = np.flatnonzero(np.isfinite(prev_v))
+        if finite.size:
+            vv = prev_v[finite, None] - jump[finite] - stay
+            best_vv = vv.max(axis=0)
+            argbest_vv = finite[vv.argmax(axis=0)]
+        else:
+            best_vv = np.full(n_bins, -np.inf)
+            argbest_vv = np.zeros(n_bins, dtype=np.intp)
         from_u = prev_u - switch
         take_u = from_u > best_vv
         dp[t, :n_bins] = obs_voiced[t] + np.where(take_u, from_u, best_vv)
@@ -194,13 +231,10 @@ def viterbi_track(
     for t in range(n_frames - 2, -1, -1):
         path[t] = bp[t + 1, path[t + 1]]
 
-    f0 = np.full(n_frames, np.nan)
-    for t in range(n_frames):
-        state = path[t]
-        if state == unvoiced:
-            continue
-        f = cand_freq[t, state]
-        f0[t] = f if np.isfinite(f) else grid[state]
+    voiced = path != unvoiced
+    state = np.where(voiced, path, 0)
+    f = cand_freq[np.arange(n_frames), state]
+    f0 = np.where(voiced, np.where(np.isfinite(f), f, grid[state]), np.nan)
     return np.clip(f0, cfg.fmin_hz, cfg.fmax_hz)
 
 

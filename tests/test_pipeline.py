@@ -222,6 +222,41 @@ class TestAnnotationCache:
             np.testing.assert_array_equal(serial[utt_id].f0_hz,
                                           pooled[utt_id].f0_hz)
 
+    def test_torn_line_is_a_cache_miss(self, tmp_path):
+        from spoofnet.cli import main
+
+        m = self.corpus(tmp_path)
+        fresh, torn = tmp_path / "fresh", tmp_path / "torn"
+        annotate_corpus(m, fresh)
+        expected = (fresh / "annotations.jsonl").read_bytes()
+        # an interrupted copy: the file ends halfway through its last line
+        last_line = expected.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        torn.mkdir()
+        (torn / "annotations.jsonl").write_bytes(expected[: len(expected) - len(last_line) // 2])
+        _, stats = annotate_corpus(m, torn)
+        assert stats.computed == 1 and stats.cached == 3
+        assert (torn / "annotations.jsonl").read_bytes() == expected
+
+        (torn / "annotations.jsonl").write_bytes(expected[:-100] + b"\x00\xff{")
+        assert main(["annotate", "--manifest", str(tmp_path / "corpus" / "manifest.csv"),
+                     "--cache", str(torn)]) == 0
+        assert (torn / "annotations.jsonl").read_bytes() == expected
+
+    def test_failed_write_keeps_old_cache(self, tmp_path):
+        from spoofnet.cache import _write_cache_file
+
+        path = tmp_path / "annotations.jsonl"
+        _write_cache_file(path, {"a": {"utt_id": "a", "frames": []}})
+        before = path.read_bytes()
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        assert path.stat().st_mode == reference.stat().st_mode  # umask, not owner-only
+        reference.unlink()
+        with pytest.raises(TypeError):
+            _write_cache_file(path, {"a": {"utt_id": "a"}, "b": {"utt_id": "b", "x": object()}})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_audio_skipped(self, tmp_path):
         m = self.corpus(tmp_path)
         m.entries.append(ManifestEntry("ghost", tmp_path / "ghost.wav", "real",
