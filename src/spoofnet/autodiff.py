@@ -8,8 +8,10 @@ detector network and its losses need, nothing speculative.
 
 Values are float32 by default (model-sized buffers); gradient-checking
 code builds float64 graphs by passing float64 arrays in. Broadcasting is
-restricted to row-vector bias addition; everything else must shape-match
-exactly, mismatches raise ShapeError naming both shapes.
+restricted to row-vector bias addition, and matmul takes stacks of
+matrices, (..., m, k) @ (..., k, n) or (..., m, k) @ (k, n); everything
+else must shape-match exactly, mismatches raise ShapeError naming both
+shapes.
 """
 
 from __future__ import annotations
@@ -65,23 +67,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self):
-        return transpose(self)
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -218,15 +207,20 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: cannot multiply shapes {a.data.shape} and {b.data.shape}"
-        )
+    """Matrix product (..., m, k) @ (..., k, n) over equal leading axes,
+    or (..., m, k) @ (k, n) with b shared by every matrix of the stack."""
+    sa, sb = a.data.shape, b.data.shape
+    if (a.data.ndim < 2 or b.data.ndim < 2 or sa[-1] != sb[-2]
+            or (b.data.ndim > 2 and sa[:-2] != sb[:-2])):
+        raise ShapeError(f"matmul: cannot multiply shapes {sa} and {sb}")
     data = a.data @ b.data
 
     def backward_fn(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.mT)
+        if b.requires_grad:  # a shared (k, n) b sums its gradient over the stack
+            _accumulate(b, a.data.mT @ g if b.data.ndim > 2
+                        else a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
 
     return _result(data, (a, b), backward_fn)
 
@@ -246,26 +240,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _result(data, tuple(tensors), backward_fn)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` entries along `axis`."""
-    if start < 0 or start + length > a.data.shape[axis]:
-        raise ShapeError(
-            f"narrow: slice [{start}:{start + length}] exceeds axis {axis} "
-            f"of shape {a.data.shape}"
-        )
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    data = a.data[idx].copy()
-
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward_fn)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -275,13 +249,18 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(data, (a,), backward_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    data = a.data.T.copy()
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute the axes as np.transpose does; by default reverse them."""
+    try:
+        # a contiguous copy: matmul on strided views can round differently
+        data = np.transpose(a.data, axes).copy()
+    except ValueError as exc:
+        raise ShapeError(f"transpose: cannot permute shape {a.data.shape} "
+                         f"by axes {axes}") from exc
+    inverse = None if axes is None else np.argsort([ax % a.data.ndim for ax in axes])
 
     def backward_fn(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.transpose(g, inverse))
 
     return _result(data, (a,), backward_fn)
 

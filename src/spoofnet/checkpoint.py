@@ -14,6 +14,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -46,32 +47,38 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> array dict."""
+    """Read a checkpoint back into a name -> array dict; a file that is
+    not a well-formed checkpoint raises DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version} in {path}")
     arrays: dict[str, np.ndarray] = {}
-    offset = 12
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", blob, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        if code not in _DTYPE_CODES:
-            raise DataError(f"unknown dtype code {code} for entry {name!r}")
-        dtype = _DTYPE_CODES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        payload = blob[offset:offset + nbytes]
-        if len(payload) != nbytes:
-            raise DataError(f"truncated checkpoint entry {name!r} in {path}")
-        offset += nbytes
-        arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != VERSION:
+            raise DataError(f"unsupported checkpoint version {version} in {path}")
+        offset = 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            name = blob[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            code, ndim = struct.unpack_from("<BB", blob, offset)
+            offset += 2
+            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+            offset += 4 * ndim
+            if code not in _DTYPE_CODES:
+                raise DataError(f"unknown dtype code {code} for entry {name!r}")
+            dtype = _DTYPE_CODES[code]
+            # Python integers: a corrupt shape cannot overflow into a valid size
+            nbytes = math.prod(shape) * dtype.itemsize
+            payload = blob[offset:offset + nbytes]
+            if len(payload) != nbytes:
+                raise DataError(f"truncated checkpoint entry {name!r} in {path}")
+            offset += nbytes
+            arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    # ValueError: a name that is not UTF-8, or a shape numpy cannot hold
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
     return arrays

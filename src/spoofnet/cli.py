@@ -63,8 +63,7 @@ def _load_model(ckpt_path) -> tuple[SpoofNet, FormantScaler | None]:
     if not cfg_path.exists():
         raise DataError(f"missing config sidecar {cfg_path}")
     model_cfg, _ = load_run_config(cfg_path)
-    model = SpoofNet(model_cfg)
-    model.load_state({k: v for k, v in arrays.items() if not k.startswith("scaler.")})
+    model = SpoofNet.from_state(model_cfg, arrays)
     scaler = None
     if "scaler.log_mean" in arrays:
         scaler = FormantScaler(log_mean=arrays["scaler.log_mean"],

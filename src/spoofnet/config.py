@@ -72,14 +72,6 @@ def _from_kv(cls, kv: dict[str, str]):
     return cls(**kwargs)
 
 
-def load_model_config(path) -> ModelConfig:
-    return _from_kv(ModelConfig, parse_kv(path))
-
-
-def load_train_config(path) -> TrainConfig:
-    return _from_kv(TrainConfig, parse_kv(path))
-
-
 def load_corpus_spec(path) -> SyntheticCorpusSpec:
     return _from_kv(SyntheticCorpusSpec, parse_kv(path))
 

@@ -27,6 +27,11 @@ LOG_FLOOR = 1e-10
 TRIM_BLOCK_SECONDS = 0.020
 DEFAULT_SILENCE_THRESHOLD_DB = -40.0
 
+# plausible voice ranges in Hz, shared by the trackers and the model's outputs
+F0_RANGE_HZ = (60.0, 400.0)
+F1_RANGE_HZ = (200.0, 850.0)
+F2_RANGE_HZ = (800.0, 2700.0)
+
 
 @dataclass
 class Waveform:
@@ -60,14 +65,12 @@ class FixedWaveform:
 
 @dataclass
 class FeatureGrid:
-    """Paired log-magnitude and sin-phase grids plus framing metadata."""
+    """Paired log-magnitude and sin-phase grids of n_frames x n_bins."""
 
     log_mag: np.ndarray
     sin_phase: np.ndarray
     n_frames: int = NUM_FRAMES
     n_bins: int = NUM_BINS
-    frame_len_samples: int = FRAME_LEN
-    hop_samples: int = HOP_LEN
 
     def __post_init__(self):
         expected = (self.n_frames, self.n_bins)
@@ -127,6 +130,9 @@ def ingest(raw_samples, rate: int) -> Waveform:
         x = x[:, 0]
     if x.size == 0:
         raise InvalidAudio("empty audio input")
+    n_bad = x.size - np.count_nonzero(np.isfinite(x))
+    if n_bad:
+        raise InvalidAudio(f"{n_bad} of {x.size} samples are non-finite (NaN or inf)")
     if rate == SAMPLE_RATE:
         return Waveform(x.copy(), SAMPLE_RATE)
     n_out = int(round(x.size * SAMPLE_RATE / rate))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
+from .dsp import F1_RANGE_HZ, F2_RANGE_HZ, FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
 
-F1_FALLBACK_HZ = 525.0   # midpoint of the 200-850 Hz F1 range
-F2_FALLBACK_HZ = 1750.0  # midpoint of the 800-2700 Hz F2 range
+F1_FALLBACK_HZ = sum(F1_RANGE_HZ) / 2.0  # range midpoints
+F2_FALLBACK_HZ = sum(F2_RANGE_HZ) / 2.0
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,6 @@ class Manifest:
     def __iter__(self):
         return iter(self.entries)
 
-    def by_split(self, split: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.split == split]
-
     def missing_entries(self) -> list[ManifestEntry]:
         return [e for e in self.entries if e.missing]
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ
 from .errors import ShapeError
 
-DEFAULT_FORMANT_RANGES = ((60.0, 400.0), (200.0, 850.0), (800.0, 2700.0))
+DEFAULT_FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
 
 
 @dataclass(frozen=True)
@@ -175,22 +176,33 @@ class SpoofNet:
         self.cfg = cfg
         self.params = init_params(cfg, seed)
 
+    @classmethod
+    def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> SpoofNet:
+        """A model loaded from checkpoint arrays, without a random init."""
+        model = cls.__new__(cls)
+        model.cfg = cfg
+        model.params = {name: ad.parameter(np.empty(0), name=name)
+                        for name, _, _ in parameter_shapes(cfg)}
+        model.load_state(arrays)
+        return model
+
     # -- persistence ----------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
+        """Copy in every parameter of the config; extra names are ignored."""
+        for name, shape, _ in parameter_shapes(self.cfg):
             if name not in arrays:
                 raise ShapeError(f"checkpoint is missing parameter {name!r}")
             value = np.asarray(arrays[name])
-            if value.shape != p.data.shape:
+            if value.shape != shape:
                 raise ShapeError(
                     f"checkpoint parameter {name!r} has shape {value.shape}, "
-                    f"expected {p.data.shape}"
+                    f"expected {shape}"
                 )
-            p.data = value.astype(self.cfg.np_dtype())
+            self.params[name].data = value.astype(self.cfg.np_dtype())
 
     def count_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -211,15 +223,17 @@ class SpoofNet:
         q = ad.add(ad.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
         k = ad.matmul(h, p[f"{prefix}.wk"])
         v = ad.add(ad.matmul(h, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+        # heads become the leading axis: (L, H*d) -> (L, H, d) -> (H, L, d),
+        # and keys go to (H, d, L) so one stacked matmul scores every head
+        length = x.shape[0]
+        split = (length, heads, head_dim)
+        q = ad.transpose(ad.reshape(q, split), (1, 0, 2))
+        k = ad.transpose(ad.reshape(k, split), (1, 2, 0))
+        v = ad.transpose(ad.reshape(v, split), (1, 0, 2))
         scale = 1.0 / np.sqrt(head_dim)
-        head_outs = []
-        for i in range(heads):
-            qi = ad.narrow(q, 1, i * head_dim, head_dim)
-            ki = ad.narrow(k, 1, i * head_dim, head_dim)
-            vi = ad.narrow(v, 1, i * head_dim, head_dim)
-            att = ad.softmax(ad.mul(ad.matmul(qi, ad.transpose(ki)), scale), axis=-1)
-            head_outs.append(ad.matmul(att, vi))
-        mixed = head_outs[0] if heads == 1 else ad.concat(head_outs, axis=1)
+        att = ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1)      # (H, L, L)
+        mixed = ad.reshape(ad.transpose(ad.matmul(att, v), (1, 0, 2)),
+                           (length, heads * head_dim))
         x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
         h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         inner = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))

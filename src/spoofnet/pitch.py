@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
+from .dsp import F0_RANGE_HZ, FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
 
 
 @dataclass(frozen=True)
 class PitchConfig:
-    fmin_hz: float = 60.0
-    fmax_hz: float = 400.0
+    fmin_hz: float = F0_RANGE_HZ[0]
+    fmax_hz: float = F0_RANGE_HZ[1]
     frame_len: int = FRAME_LEN
     hop: int = HOP_LEN
     # uniform prior over YIN thresholds in (0, threshold_max]

@@ -90,6 +90,12 @@ class TestForwardValues:
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3,\)"):
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(2, 4, 5\)"):
+            ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4, 5))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(0, 0, 1\)"):
+            ad.transpose(Tensor(np.zeros((2, 3))), (0, 0, 1))
 
 
 class TestBackwardBasics:
@@ -176,18 +182,41 @@ class TestGradChecks:
 
         assert_grad_close(loss, [w, g, b])
 
-    def test_concat_narrow_transpose_grad(self):
+    def test_concat_transpose_axes_grad(self):
         rng = np.random.default_rng(14)
         a = randt(rng, 3, 4)
         b = randt(rng, 3, 2)
-        c = rng.standard_normal((2, 3))
+        c = rng.standard_normal((3, 2, 3))
 
         def loss():
-            joined = ad.concat([a, b], axis=1)      # (3, 6)
-            piece = ad.narrow(joined, 1, 1, 2)      # (3, 2)
-            return ad.reshape(ad.tsum(ad.mul(ad.transpose(piece), c)), ())
+            joined = ad.concat([a, b], axis=1)                    # (3, 6)
+            cube = ad.reshape(joined, (3, 3, 2))
+            moved = ad.transpose(cube, (1, 2, 0))                 # (3, 2, 3)
+            return ad.reshape(ad.tsum(ad.mul(moved, c)), ())
 
         assert_grad_close(loss, [a, b])
+
+    def test_stacked_matmul_grad(self):
+        rng = np.random.default_rng(18)
+        a = randt(rng, 2, 3, 4)
+        b = randt(rng, 2, 4, 5)
+        c = rng.standard_normal((2, 3, 5))
+
+        def loss():
+            return ad.reshape(ad.tsum(ad.mul(ad.matmul(a, b), c)), ())
+
+        assert_grad_close(loss, [a, b])
+
+    def test_stacked_by_shared_matrix_matmul_grad(self):
+        rng = np.random.default_rng(19)
+        a = randt(rng, 2, 3, 4)
+        w = randt(rng, 4, 5)
+        c = rng.standard_normal((2, 3, 5))
+
+        def loss():
+            return ad.reshape(ad.tsum(ad.mul(ad.matmul(a, w), c)), ())
+
+        assert_grad_close(loss, [a, w])
 
     def test_log_exp_clip_grad(self):
         rng = np.random.default_rng(15)

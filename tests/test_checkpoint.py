@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from spoofnet.errors import DataError
@@ -50,3 +51,34 @@ class TestRoundTrip:
         path.write_bytes(blob[:-6])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """(scratch path, bytes of a small valid checkpoint)."""
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    save_checkpoint(path, {
+        "enc.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "enc.b": np.array([0.5, -1.0, 2.0]),
+        "gain": np.array(1.5, dtype=np.float32),
+    })
+    return path.with_name("mutated.ckpt"), path.read_bytes()
+
+
+class TestMalformed:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_or_changed_byte_loads_or_raises_data_error(
+            self, valid_checkpoint, data):
+        path, blob = valid_checkpoint
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+            byte = data.draw(st.integers(0, 255), label="byte")
+            mutated = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        path.write_bytes(mutated)
+        try:
+            load_checkpoint(path)
+        except DataError:
+            pass

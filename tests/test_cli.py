@@ -144,6 +144,25 @@ class TestExitCodes:
         assert main(["infer", "--wav", "missing.wav",
                      "--ckpt", str(tmp_path / "none.ckpt")]) == 2
 
+    @pytest.mark.parametrize("corrupt", ["short_header", "first_20_bytes",
+                                         "bad_utf8_name"])
+    def test_malformed_checkpoint_is_2(self, tmp_path, workspace, corrupt, capsys):
+        import shutil
+
+        blob = workspace["ckpt"].read_bytes()
+        broken_bytes = {
+            "short_header": b"SPNC\x01\x00",
+            "first_20_bytes": blob[:20],
+            # the first entry name starts after the 12-byte header and its u16 length
+            "bad_utf8_name": blob[:14] + b"\xff" + blob[15:],
+        }[corrupt]
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(broken_bytes)
+        shutil.copy(str(workspace["ckpt"]) + ".config", str(broken) + ".config")
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        assert main(["infer", "--wav", str(wav), "--ckpt", str(broken)]) == 2
+        assert "malformed checkpoint" in capsys.readouterr().err
+
     def test_incompatible_checkpoint_is_3(self, tmp_path, workspace):
         import shutil
 

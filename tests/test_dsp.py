@@ -206,6 +206,18 @@ class TestWavIO:
         w = read_wav(tmp_path / "s.wav")
         np.testing.assert_allclose(w.samples, left.astype(np.float64), atol=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_wav_rejected(self, tmp_path, bad):
+        from scipy.io import wavfile
+
+        from spoofnet.dsp import read_wav
+
+        x = (0.25 * np.sin(np.arange(4000) * 0.05)).astype(np.float32)
+        x[[10, 2000]] = bad
+        wavfile.write(tmp_path / "n.wav", SAMPLE_RATE, x)
+        with pytest.raises(InvalidAudio, match="2 of 4000 samples are non-finite"):
+            read_wav(tmp_path / "n.wav")
+
     def test_unsupported_format_rejected(self, tmp_path):
         from scipy.io import wavfile
 

@@ -5,7 +5,7 @@ from spoofnet import autodiff as ad
 from spoofnet.autodiff import Tensor
 from spoofnet.errors import ShapeError
 from spoofnet.model import (ModelConfig, SpoofNet, attention_pool, count_params,
-                            parameter_shapes)
+                            parameter_shapes, toy_config)
 
 
 def rand_tokens(cfg, seed=0):
@@ -246,3 +246,90 @@ class TestParamCount:
         after = other.predict(mag, phase)
         assert before.score == after.score
         np.testing.assert_array_equal(before.formants_hz, after.formants_hz)
+
+
+# the per-head reference slices and transposes with its own ops, so it
+# does not share the transpose under test
+def _narrow_columns(a: Tensor, start: int, length: int) -> Tensor:
+    """Columns [start, start + length) of a 2-D tensor, as a copy."""
+    data = a.data[:, start:start + length].copy()
+
+    def backward_fn(g):
+        full = np.zeros_like(a.data)
+        full[:, start:start + length] = g
+        ad._accumulate(a, full)
+
+    return ad._result(data, (a,), backward_fn)
+
+
+def _transpose_2d(a: Tensor) -> Tensor:
+    data = a.data.T.copy()
+
+    def backward_fn(g):
+        ad._accumulate(a, g.T)
+
+    return ad._result(data, (a,), backward_fn)
+
+
+def per_head_block(self, x, prefix, heads, head_dim):
+    """Reference: the transformer block with one attention product per
+    head, each head sliced out of q/k/v and the results concatenated."""
+    p = self.params
+    h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+    q = ad.add(ad.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+    k = ad.matmul(h, p[f"{prefix}.wk"])
+    v = ad.add(ad.matmul(h, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    scale = 1.0 / np.sqrt(head_dim)
+    head_outs = []
+    for i in range(heads):
+        qi = _narrow_columns(q, i * head_dim, head_dim)
+        ki = _narrow_columns(k, i * head_dim, head_dim)
+        vi = _narrow_columns(v, i * head_dim, head_dim)
+        att = ad.softmax(ad.mul(ad.matmul(qi, _transpose_2d(ki)), scale), axis=-1)
+        head_outs.append(ad.matmul(att, vi))
+    mixed = head_outs[0] if heads == 1 else ad.concat(head_outs, axis=1)
+    x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
+    h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
+    inner = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))
+    mlp = ad.add(ad.matmul(inner, p[f"{prefix}.mlp.w2"]), p[f"{prefix}.mlp.b2"])
+    return ad.add(x, mlp)
+
+
+class TestBatchedHeads:
+    """Attention over a stacked head axis equals the per-head loop bit
+    for bit, in predictions and in every parameter gradient."""
+
+    CONFIGS = {
+        "toy_float32": toy_config(),
+        "float64_one_and_three_heads": toy_config(dtype="float64", enc_heads=1,
+                                                  pred_heads=3, pred_head_dim=5),
+        "full_width": ModelConfig(enc_layers=1, pred_layers=1),
+    }
+
+    @staticmethod
+    def run(cfg, seed):
+        net = SpoofNet(cfg, seed=seed)
+        mag, phase = rand_tokens(cfg, seed=seed + 100)
+        pred = net.predict(mag, phase)
+        out = net.forward(mag, phase)
+        rng = np.random.default_rng(seed + 200)
+        loss = ad.tsum(ad.mul(out.formants_hz, rng.standard_normal(out.formants_hz.shape)))
+        for t in (out.voicing_prob, out.frame_weights, out.score):
+            loss = ad.add(loss, ad.tsum(ad.mul(t, rng.standard_normal(t.shape))))
+        ad.backward(loss)
+        return pred, {name: p.grad for name, p in net.params.items()}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_per_head_loop(self, name, monkeypatch):
+        cfg = self.CONFIGS[name]
+        pred, grads = self.run(cfg, seed=5)
+        monkeypatch.setattr(SpoofNet, "_block", per_head_block)
+        ref_pred, ref_grads = self.run(cfg, seed=5)
+        for field in ("formants_hz", "voicing_prob", "v_mask", "frame_weights"):
+            np.testing.assert_array_equal(getattr(pred, field), getattr(ref_pred, field))
+        assert pred.score == ref_pred.score
+        assert grads.keys() == ref_grads.keys()
+        for param, g in grads.items():
+            assert g is not None, param
+            assert g.dtype == ref_grads[param].dtype, param
+            np.testing.assert_array_equal(g, ref_grads[param], err_msg=param)
