@@ -7,7 +7,11 @@ requires them. The op set is deliberately closed: exactly what the
 detector network and its losses need, nothing speculative.
 
 Values are float32 by default (model-sized buffers); gradient-checking
-code builds float64 graphs by passing float64 arrays in. Broadcasting is
+code builds float64 graphs by passing float64 arrays in. A graph keeps
+the dtype of its tensors: a constant that is not a Tensor (a Python
+float, a numpy scalar or an array) takes the dtype of the tensor it is
+combined with in add/sub/mul, so a float32 graph stays float32 forward
+and backward, and a float64 graph stays float64. Broadcasting is
 restricted to row-vector bias addition, and matmul takes stacks of
 matrices, (..., m, k) @ (..., k, n) or (..., m, k) @ (k, n); everything
 else must shape-match exactly, mismatches raise ShapeError naming both
@@ -16,6 +20,7 @@ shapes.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -127,8 +132,9 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
-def _const(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+def _const(x, like: Tensor) -> np.ndarray:
+    """A tensor's values, or a constant cast to the dtype of ``like``."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.data.dtype)
 
 
 def _check_into(op: str, a: Tensor, bd: np.ndarray):
@@ -155,7 +161,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     """Elementwise sum; b may be a same-shape tensor, a row-vector bias
     of shape (D,) or (1, D) against (..., D), a scalar, or a constant."""
-    bd = _const(b)
+    bd = _const(b, a)
     _check_into("add", a, bd)
     if isinstance(b, Tensor) and not (
         bd.shape == a.data.shape or bd.size == 1
@@ -174,7 +180,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    bd = _const(b)
+    bd = _const(b, a)
     _check_into("sub", a, bd)
     if isinstance(b, Tensor) and bd.shape != a.data.shape and bd.size != 1:
         raise ShapeError(f"sub: cannot combine shapes {a.data.shape} and {bd.shape}")
@@ -191,7 +197,7 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; b may be a same-shape tensor, a scalar, or a
     constant array that broadcasts into a's shape."""
-    bd = _const(b)
+    bd = _const(b, a)
     _check_into("mul", a, bd)
     if isinstance(b, Tensor) and bd.shape != a.data.shape and bd.size != 1:
         raise ShapeError(f"mul: cannot combine shapes {a.data.shape} and {bd.shape}")
@@ -279,11 +285,11 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error linear unit, x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     y = x * cdf
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         _accumulate(a, g * (cdf + x * pdf))
 
     return _result(y, (a,), backward_fn)
@@ -307,9 +313,10 @@ def exp(a: Tensor) -> Tensor:
     return _result(data, (a,), backward_fn)
 
 
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient is passed through inside the
-    range and zeroed where the clamp is active."""
+def clip(a: Tensor, lo, hi) -> Tensor:
+    """Clamp values to [lo, hi] (scalars, or arrays that broadcast into
+    a's shape); gradient is passed through inside the range and zeroed
+    where the clamp is active."""
     data = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
 

@@ -15,6 +15,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -48,37 +49,37 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array dict; a file that is
-    not a well-formed checkpoint raises DataError."""
+    not a well-formed checkpoint raises DataError.
+
+    Each payload is read straight into its final array, and its declared
+    size is checked against the bytes left in the file before the array
+    is allocated, so a corrupt shape cannot ask for a huge buffer."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataError(f"not a checkpoint file: {path}")
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        version, count = struct.unpack_from("<II", blob, 4)
-        if version != VERSION:
-            raise DataError(f"unsupported checkpoint version {version} in {path}")
-        offset = 12
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            code, ndim = struct.unpack_from("<BB", blob, offset)
-            offset += 2
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            if code not in _DTYPE_CODES:
-                raise DataError(f"unknown dtype code {code} for entry {name!r}")
-            dtype = _DTYPE_CODES[code]
-            # Python integers: a corrupt shape cannot overflow into a valid size
-            nbytes = math.prod(shape) * dtype.itemsize
-            payload = blob[offset:offset + nbytes]
-            if len(payload) != nbytes:
-                raise DataError(f"truncated checkpoint entry {name!r} in {path}")
-            offset += nbytes
-            arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-    # ValueError: a name that is not UTF-8, or a shape numpy cannot hold
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
+        if fh.read(4) != MAGIC:
+            raise DataError(f"not a checkpoint file: {path}")
+        size = os.fstat(fh.fileno()).st_size
+        arrays: dict[str, np.ndarray] = {}
+        try:
+            version, count = struct.unpack("<II", fh.read(8))
+            if version != VERSION:
+                raise DataError(f"unsupported checkpoint version {version} in {path}")
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                code, ndim = struct.unpack("<BB", fh.read(2))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                if code not in _DTYPE_CODES:
+                    raise DataError(f"unknown dtype code {code} for entry {name!r}")
+                dtype = _DTYPE_CODES[code]
+                # Python integers: a corrupt shape cannot overflow into a valid size
+                nbytes = math.prod(shape) * dtype.itemsize
+                if nbytes > size - fh.tell():
+                    raise DataError(f"truncated checkpoint entry {name!r} in {path}")
+                arr = np.empty(shape, dtype=dtype)
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                    raise DataError(f"truncated checkpoint entry {name!r} in {path}")
+                arrays[name] = arr
+        # ValueError: a name that is not UTF-8, or a shape numpy cannot hold
+        except (struct.error, ValueError) as exc:
+            raise DataError(f"malformed checkpoint {path}: {exc}") from exc
     return arrays

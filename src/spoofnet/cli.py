@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: synth-corpus, annotate, train, eval, explain, infer.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -250,11 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so the interpreter's final flush of what a
+    closed pipe refused stays quiet (the recipe in the Python docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+    except BrokenPipeError:
+        # a pipe closed while the command was still at work (unbuffered
+        # stdout, or a FIFO argument): the command did not finish
+        _stdout_to_devnull()
+        print("error: broken pipe", file=sys.stderr)
+        return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
@@ -264,6 +279,13 @@ def main(argv=None) -> int:
     except (NumericalError, ShapeError, NotScalar) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left once the command was done (``spoofnet infer ...
+        # | head -1``): the work is complete, only unread output is lost
+        _stdout_to_devnull()
+    return code
 
 
 if __name__ == "__main__":

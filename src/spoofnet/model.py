@@ -9,6 +9,7 @@ The pooling weights double as the frame-importance explanation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,10 @@ class SpoofNet:
         return {k: p.data.copy() for k, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy in every parameter of the config; extra names are ignored."""
+        """Take in every parameter of the config; extra names are ignored.
+
+        An array already in the config's dtype becomes the parameter
+        itself, without a copy: the model owns it from here on."""
         for name, shape, _ in parameter_shapes(self.cfg):
             if name not in arrays:
                 raise ShapeError(f"checkpoint is missing parameter {name!r}")
@@ -202,7 +206,7 @@ class SpoofNet:
                     f"checkpoint parameter {name!r} has shape {value.shape}, "
                     f"expected {shape}"
                 )
-            self.params[name].data = value.astype(self.cfg.np_dtype())
+            self.params[name].data = value.astype(self.cfg.np_dtype(), copy=False)
 
     def count_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -230,7 +234,7 @@ class SpoofNet:
         q = ad.transpose(ad.reshape(q, split), (1, 0, 2))
         k = ad.transpose(ad.reshape(k, split), (1, 2, 0))
         v = ad.transpose(ad.reshape(v, split), (1, 0, 2))
-        scale = 1.0 / np.sqrt(head_dim)
+        scale = 1.0 / math.sqrt(head_dim)
         att = ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1)      # (H, L, L)
         mixed = ad.reshape(ad.transpose(ad.matmul(att, v), (1, 0, 2)),
                            (length, heads * head_dim))
@@ -258,11 +262,19 @@ class SpoofNet:
 
     def decode_formants(self, z_enc: Tensor) -> Tensor:
         """Per-frame formant trajectories in Hz, each squashed into its
-        configured [lo, hi] range via lo + sigmoid(z) * (hi - lo)."""
+        configured open range (lo, hi) via lo + sigmoid(z) * (hi - lo).
+
+        Where rounding has already carried the squash onto a bound (a
+        saturated sigmoid, or a product that rounds up to hi), the value
+        is clamped to the nearest representable number inside the range;
+        everywhere else the clamp leaves it unchanged."""
         raw = ad.add(ad.matmul(z_enc, self.params["formant.w"]), self.params["formant.b"])
-        lo = np.array([r[0] for r in self.cfg.formant_ranges], dtype=raw.data.dtype)
-        span = np.array([r[1] - r[0] for r in self.cfg.formant_ranges], dtype=raw.data.dtype)
-        return ad.add(ad.mul(ad.sigmoid(raw), span), lo)
+        dtype = raw.data.dtype
+        lo = np.array([r[0] for r in self.cfg.formant_ranges], dtype=dtype)
+        hi = np.array([r[1] for r in self.cfg.formant_ranges], dtype=dtype)
+        span = np.array([r[1] - r[0] for r in self.cfg.formant_ranges], dtype=dtype)
+        hz = ad.add(ad.mul(ad.sigmoid(raw), span), lo)
+        return ad.clip(hz, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
     def decode_voicing(self, z_enc: Tensor) -> tuple[Tensor, np.ndarray]:
         """(per-frame voicing probability, boolean mask at the 0.5

@@ -98,6 +98,30 @@ class TestForwardValues:
             ad.transpose(Tensor(np.zeros((2, 3))), (0, 0, 1))
 
 
+class TestConstantDtype:
+    """A constant that is not a Tensor takes the dtype of the tensor."""
+
+    CONSTANTS = {
+        "python_float": 0.5,
+        "float64_0d": np.array(0.5),
+        "float64_vector": np.array([0.5, -1.5, 2.0]),
+    }
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("const", sorted(CONSTANTS))
+    def test_float32_tensor_stays_float32(self, op, const):
+        a = ad.parameter(np.ones((2, 3), dtype=np.float32))
+        out = op(a, self.CONSTANTS[const])
+        assert out.dtype == np.float32
+        ad.backward(ad.tsum(out))
+        assert a.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_float64_tensor_stays_float64(self, op):
+        a = ad.parameter(np.ones((2, 3)))
+        assert op(a, np.float32(0.5)).dtype == np.float64
+
+
 class TestBackwardBasics:
     def test_sum_grad_is_ones(self):
         w = ad.parameter(np.arange(6.0).reshape(2, 3))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spoofnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from spoofnet.errors import DataError
+from spoofnet.model import SpoofNet, toy_config
 
 
 class TestRoundTrip:
@@ -51,6 +53,34 @@ class TestRoundTrip:
         path.write_bytes(blob[:-6])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+    def test_oversized_entry_rejected_before_allocating(self, tmp_path):
+        # one float32 entry of 2^32 elements (16 GiB) in a 100-byte file
+        entry = (struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 2)
+                 + struct.pack("<2I", 65536, 65536))
+        blob = MAGIC + struct.pack("<II", 1, 1) + entry
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(blob.ljust(100, b"\0"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated checkpoint entry 'w'"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestModelLoad:
+    def test_from_state_takes_loaded_arrays_without_a_copy(self, tmp_path):
+        cfg = toy_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, SpoofNet(cfg, seed=1).state_dict())
+        arrays = load_checkpoint(path)
+        net = SpoofNet.from_state(cfg, arrays)
+        for name, p in net.params.items():
+            assert np.shares_memory(p.data, arrays[name]), name
 
 
 @pytest.fixture(scope="module")

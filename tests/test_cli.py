@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spoofnet
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.model import toy_config
@@ -92,6 +97,44 @@ class TestPipelineCommands:
                      "--cache", str(workspace["cache"])]) == 0
         out = capsys.readouterr().out
         assert "annotated 0 utterances (16 cached" in out
+
+    @staticmethod
+    def _run_into_closed_pipe(argv, unbuffered):
+        """(exit code, stderr) of the CLI run as a subprocess whose stdout
+        reader is gone before it prints: `spoofnet ... | head -0`."""
+        src = str(Path(spoofnet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "spoofnet.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), err
+
+    def test_infer_into_closed_pipe_exits_quietly(self, workspace):
+        # buffered stdout: the pipe error shows up once infer is done
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        code, err = self._run_into_closed_pipe(
+            ["infer", "--wav", str(wav), "--ckpt", str(workspace["ckpt"])],
+            unbuffered=False)
+        assert code == 0
+        assert err == b""
+
+    def test_pipe_closed_mid_command_is_an_error(self, workspace, tmp_path):
+        # unbuffered stdout: train's first print fails before it trains
+        out = tmp_path / "never.ckpt"
+        code, err = self._run_into_closed_pipe(
+            ["train", "--manifest", str(workspace["manifest"]),
+             "--cache", str(workspace["cache"]),
+             "--config", str(workspace["root"] / "run.cfg"), "--out", str(out)],
+            unbuffered=True)
+        assert code == 2
+        assert err == b"error: broken pipe\n"
+        assert not out.exists()
 
 
 class TestTrainSplitHandling:

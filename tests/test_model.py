@@ -103,6 +103,34 @@ class TestFormantDecoder:
         np.testing.assert_allclose(f[:, 0], 196.0, rtol=1e-5)
 
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_saturated_logits_stay_strictly_inside(self, dtype):
+        cfg = toy_config(dtype=dtype)
+        net = SpoofNet(cfg, seed=0)
+        net.params["formant.w"].data[:] = 0.0
+        net.params["formant.w"].data[0, :] = 1e4
+        net.params["formant.b"].data[:] = 0.0
+        z = np.zeros((2, cfg.embed_dim), dtype=cfg.np_dtype())
+        z[0, 0], z[1, 0] = 1.0, -1.0  # logits +1e4 and -1e4
+        f = net.decode_formants(Tensor(z)).data
+        assert f.dtype == cfg.np_dtype()
+        lows = np.array([r[0] for r in cfg.formant_ranges], dtype=f.dtype)
+        highs = np.array([r[1] for r in cfg.formant_ranges], dtype=f.dtype)
+        assert np.all(f > lows) and np.all(f < highs)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_in_range_logits_are_not_clamped(self, dtype):
+        cfg = toy_config(dtype=dtype)
+        net = SpoofNet(cfg, seed=0)
+        z = Tensor(np.random.default_rng(7).uniform(-3, 3, (64, cfg.embed_dim))
+                   .astype(cfg.np_dtype()))
+        raw = ad.add(ad.matmul(z, net.params["formant.w"]), net.params["formant.b"])
+        lo = np.array([r[0] for r in cfg.formant_ranges], dtype=cfg.np_dtype())
+        span = np.array([r[1] - r[0] for r in cfg.formant_ranges], dtype=cfg.np_dtype())
+        unclamped = ad.add(ad.mul(ad.sigmoid(raw), span), lo).data
+        np.testing.assert_array_equal(net.decode_formants(z).data, unclamped)
+
+
 class TestVoicingDecoder:
     def test_zero_logits_give_half_and_voiced_mask(self, tiny_cfg):
         net = SpoofNet(tiny_cfg, seed=0)
@@ -205,6 +233,37 @@ class TestInvariants:
                     got_grad[name] = True
         dead = [n for n, ok in got_grad.items() if not ok]
         assert not dead, f"parameters with no gradient signal: {dead}"
+
+
+class TestDtype:
+    """The config's dtype holds through forward, loss and backward."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_graph_gradients_and_predictions_keep_config_dtype(self, dtype):
+        from spoofnet.annotate import FrameAnnotation
+        from spoofnet.train import FormantScaler, compound_loss
+
+        cfg = toy_config(dtype=dtype)
+        want = np.dtype(dtype)
+        net = SpoofNet(cfg, seed=0)
+        mag, phase = rand_tokens(cfg, seed=8)
+        rng = np.random.default_rng(9)
+        n = cfg.n_frames
+        f0 = np.where(rng.uniform(size=n) > 0.4, rng.uniform(80, 300, n), np.nan)
+        ann = FrameAnnotation(f0_hz=f0, f1_hz=rng.uniform(300, 800, n),
+                              f2_hz=rng.uniform(900, 2500, n), voiced=np.isfinite(f0))
+        scaler = FormantScaler(log_mean=np.array([5.2, 6.2, 7.2]),
+                               log_std=np.array([0.4, 0.3, 0.3]))
+        loss, _ = compound_loss(net.forward(mag, phase), ann, 1, scaler)
+        ad.backward(loss)
+        graph = ad._toposort(loss)
+        assert {t.data.dtype for t in graph} == {want}
+        assert {t.grad.dtype for t in graph if t.grad is not None} == {want}
+        for name, p in net.params.items():
+            assert p.grad is not None and p.grad.dtype == want, name
+        out = net.predict(mag, phase)
+        for field in ("formants_hz", "voicing_prob", "frame_weights"):
+            assert getattr(out, field).dtype == want, field
 
 
 class TestParamCount:
