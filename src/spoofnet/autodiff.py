@@ -11,11 +11,13 @@ code builds float64 graphs by passing float64 arrays in. A graph keeps
 the dtype of its tensors: a constant that is not a Tensor (a Python
 float, a numpy scalar or an array) takes the dtype of the tensor it is
 combined with in add/sub/mul, so a float32 graph stays float32 forward
-and backward, and a float64 graph stays float64. Broadcasting is
-restricted to row-vector bias addition, and matmul takes stacks of
-matrices, (..., m, k) @ (..., k, n) or (..., m, k) @ (k, n); everything
-else must shape-match exactly, mismatches raise ShapeError naming both
-shapes.
+and backward, and a float64 graph stays float64. Tensors may carry any
+leading axes, such as a batch of utterances: add takes a tensor whose
+shape is a trailing suffix of the other's (a (D,) bias, or an (L, D)
+table against (B, L, D)) and sums its gradient over the leading axes,
+and matmul takes stacks of matrices, (..., m, k) @ (..., k, n) or
+(..., m, k) @ (k, n). Everything else must shape-match exactly;
+mismatches raise ShapeError naming both shapes.
 """
 
 from __future__ import annotations
@@ -159,15 +161,14 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; b may be a same-shape tensor, a row-vector bias
-    of shape (D,) or (1, D) against (..., D), a scalar, or a constant."""
+    """Elementwise sum; b may be a tensor whose shape is a trailing suffix
+    of a's (the same shape, a (D,) bias against (..., D), an (L, D) table
+    against (B, L, D), or a 0-d scalar), or a constant that broadcasts
+    into a's shape. A tensor b's gradient is summed over a's extra
+    leading axes."""
     bd = _const(b, a)
     _check_into("add", a, bd)
-    if isinstance(b, Tensor) and not (
-        bd.shape == a.data.shape or bd.size == 1
-        or (a.data.ndim >= 1
-            and bd.shape in ((a.data.shape[-1],), (1, a.data.shape[-1])))
-    ):
+    if isinstance(b, Tensor) and a.data.shape[a.data.ndim - bd.ndim:] != bd.shape:
         raise ShapeError(f"add: cannot combine shapes {a.data.shape} and {bd.shape}")
     data = a.data + bd
 
@@ -396,8 +397,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    """Mean over an axis, a tuple of axes, or (by default) all of them."""
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return mul(total, 1.0 / (a.data.size // total.data.size))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

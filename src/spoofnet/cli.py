@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
@@ -26,7 +27,7 @@ from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
 from .model import SpoofNet
 from .synth import generate_synthetic_corpus
-from .train import FormantScaler, balance_classes, fit_scaler, train_loop
+from .train import TrainConfig, balance_classes, fit_scaler, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,19 +59,14 @@ def _cmd_annotate(args) -> int:
     return 0
 
 
-def _load_model(ckpt_path) -> tuple[SpoofNet, FormantScaler | None]:
+def _load_model(ckpt_path) -> tuple[SpoofNet, TrainConfig]:
+    """The checkpoint's model and the training config of its sidecar."""
     arrays = ckpt_io.load_checkpoint(ckpt_path)
     cfg_path = Path(str(ckpt_path) + ".config")
     if not cfg_path.exists():
         raise DataError(f"missing config sidecar {cfg_path}")
-    model_cfg, _ = load_run_config(cfg_path)
-    model = SpoofNet.from_state(model_cfg, arrays)
-    scaler = None
-    if "scaler.log_mean" in arrays:
-        scaler = FormantScaler(log_mean=arrays["scaler.log_mean"],
-                               log_std=arrays["scaler.log_std"],
-                               ranges=model_cfg.formant_ranges)
-    return model, scaler
+    model_cfg, train_cfg = load_run_config(cfg_path)
+    return SpoofNet.from_state(model_cfg, arrays), train_cfg
 
 
 def _cmd_train(args) -> int:
@@ -122,7 +118,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
-    model, _ = _load_model(args.ckpt)
+    model, train_cfg = _load_model(args.ckpt)
     entries = [e for e in manifest if not e.missing]
     if args.split:
         entries = [e for e in entries if e.split == args.split]
@@ -136,15 +132,20 @@ def _cmd_eval(args) -> int:
         gt_voiced = {u: a.voiced for u, a in annotations.items()}
 
     records = []
-    for e in entries:
-        mag, phase = utterance_tokens(e.audio_path, args.trim_db)
-        out = model.predict(mag, phase)
-        records.append(ScoreRecord(
-            utt_id=e.utt_id, score=out.score, label=e.label_int,
-            dataset_tag=e.dataset_tag, codec_tag=e.codec_tag,
-            frame_weights=out.frame_weights, voicing_prob=out.voicing_prob,
-            gt_voiced=gt_voiced.get(e.utt_id),
-        ))
+    dtype = model.cfg.np_dtype()
+    for start in range(0, len(entries), train_cfg.batch_size):
+        chunk = entries[start:start + train_cfg.batch_size]
+        mags, phases = zip(*(utterance_tokens(e.audio_path, args.trim_db) for e in chunk))
+        with ad.no_grad():
+            out = model.forward(np.stack(mags, dtype=dtype), np.stack(phases, dtype=dtype))
+        for i, e in enumerate(chunk):
+            records.append(ScoreRecord(
+                utt_id=e.utt_id, score=float(out.score.data[i, 0, 0]),
+                label=e.label_int, dataset_tag=e.dataset_tag, codec_tag=e.codec_tag,
+                frame_weights=out.frame_weights.data[i, :, 0],
+                voicing_prob=out.voicing_prob.data[i, :, 0],
+                gt_voiced=gt_voiced.get(e.utt_id),
+            ))
     write_scores(args.scores, records)
     eer, threshold = compute_eer(records)
     auc = compute_auc(records)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, read_utf8
 from .model import ModelConfig
 from .synth import SyntheticCorpusSpec
 from .train import TrainConfig
@@ -18,16 +18,15 @@ from .train import TrainConfig
 
 def parse_kv(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
-                                 line=line_no)
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line_no, raw in enumerate(read_utf8(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
+                             line=line_no)
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -92,13 +91,32 @@ def write_config(path, *configs, header: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the least usable value of each size; a layer count may be 0 (no blocks)
+_LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 1,
+               "mlp_dim": 1, "pred_layers": 0, "pred_heads": 1, "pred_head_dim": 1,
+               "pool_heads": 1, "n_frames": 1, "n_bins": 1,
+               "batch_size": 1, "max_epochs": 1}
+_DTYPES = ("float32", "float64")
+
+
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
-    keys belonging to neither are rejected as likely typos."""
+    keys belonging to neither are rejected as likely typos, and so are
+    sizes below 1, negative layer counts and a dtype other than
+    float32/float64."""
     kv = parse_kv(path)
     known = {f.name for f in dataclasses.fields(ModelConfig)} \
         | {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = sorted(set(kv) - known)
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-    return _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)
+    model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)
+    values = {**vars(model_cfg), **vars(train_cfg)}
+    for name, least in _LEAST_SIZE.items():
+        if values[name] < least:
+            raise ParseError(f"{name} = {values[name]} is below its least usable "
+                             f"value {least}")
+    if model_cfg.dtype not in _DTYPES:
+        raise ParseError(f"dtype = {model_cfg.dtype!r}, expected one of "
+                         f"{', '.join(_DTYPES)}")
+    return model_cfg, train_cfg

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the text-file read
+that turns undecodable bytes into one of them.
 
 The CLI maps these onto exit codes: DataError subclasses exit with 2,
 NumericalError with 3.
 """
+
+import io
+from pathlib import Path
 
 
 class SpoofNetError(Exception):
@@ -29,6 +33,18 @@ class ParseError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_utf8(path, newline: str | None = None) -> io.StringIO:
+    """A UTF-8 text file as a line iterator, read like ``open(path,
+    newline=newline)``; bytes that are not UTF-8 raise a ParseError naming
+    their line instead of a UnicodeDecodeError."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 class DuplicateId(DataError):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateId, InsufficientData, ParseError
+from .errors import DuplicateId, InsufficientData, ParseError, read_utf8
 
 VALID_LABELS = ("real", "fake")
 VALID_SPLITS = ("train", "val", "test", "")
@@ -55,52 +55,58 @@ def load_manifest(path) -> Manifest:
     base = path.parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty manifest", line=1)
-        if tuple(h.strip() for h in header) != COLUMNS:
+    reader = csv.reader(read_utf8(path, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
+    if not rows:
+        raise ParseError("empty manifest", line=1)
+    header = rows[0]
+    if tuple(h.strip() for h in header) != COLUMNS:
+        raise ParseError(
+            f"header must be {','.join(COLUMNS)}, got {','.join(header)}", line=1
+        )
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(COLUMNS):
             raise ParseError(
-                f"header must be {','.join(COLUMNS)}, got {','.join(header)}", line=1
+                f"expected {len(COLUMNS)} columns, got {len(row)}", line=line_no
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(COLUMNS):
-                raise ParseError(
-                    f"expected {len(COLUMNS)} columns, got {len(row)}", line=line_no
-                )
-            utt_id, audio_path, label, dataset_tag, codec_tag, split = (
-                c.strip() for c in row
+        utt_id, audio_path, label, dataset_tag, codec_tag, split = (
+            c.strip() for c in row
+        )
+        if not utt_id:
+            raise ParseError("empty utt_id", line=line_no)
+        if label not in VALID_LABELS:
+            raise ParseError(
+                f"label must be one of {VALID_LABELS}, got {label!r}", line=line_no
             )
-            if not utt_id:
-                raise ParseError("empty utt_id", line=line_no)
-            if label not in VALID_LABELS:
-                raise ParseError(
-                    f"label must be one of {VALID_LABELS}, got {label!r}", line=line_no
-                )
-            if split not in VALID_SPLITS:
-                raise ParseError(
-                    f"split must be one of {VALID_SPLITS[:3]} or empty, got {split!r}",
-                    line=line_no,
-                )
-            if utt_id in seen:
-                raise DuplicateId(f"duplicate utt_id {utt_id!r} at line {line_no}")
-            seen.add(utt_id)
-            resolved = Path(audio_path)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            entries.append(ManifestEntry(
-                utt_id=utt_id,
-                audio_path=resolved,
-                label=label,
-                dataset_tag=dataset_tag or "default",
-                codec_tag=codec_tag or None,
-                split=split,
-                missing=not resolved.exists(),
-            ))
+        if split not in VALID_SPLITS:
+            raise ParseError(
+                f"split must be one of {VALID_SPLITS[:3]} or empty, got {split!r}",
+                line=line_no,
+            )
+        if utt_id in seen:
+            raise DuplicateId(f"duplicate utt_id {utt_id!r} at line {line_no}")
+        seen.add(utt_id)
+        resolved = Path(audio_path)
+        if not resolved.is_absolute():
+            resolved = base / resolved
+        try:
+            missing = not resolved.exists()
+        except OSError:  # a name the file system cannot hold, e.g. too long
+            missing = True
+        entries.append(ManifestEntry(
+            utt_id=utt_id,
+            audio_path=resolved,
+            label=label,
+            dataset_tag=dataset_tag or "default",
+            codec_tag=codec_tag or None,
+            split=split,
+            missing=missing,
+        ))
     return Manifest(entries=entries)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import ClassMissing, ParseError
+from .errors import ClassMissing, ParseError, read_utf8
 
 
 @dataclass
@@ -158,27 +158,30 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
 
 
 def read_scores(path) -> list[ScoreRecord]:
+    """Parse a score file; a line that is not a score record raises a
+    ParseError naming it."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                records.append(ScoreRecord(
-                    utt_id=row["utt_id"],
-                    score=float(row["score"]),
-                    label=int(row["label"]),
-                    dataset_tag=row.get("dataset_tag", "default"),
-                    codec_tag=row.get("codec_tag"),
-                    frame_weights=None if row.get("frame_weights") is None
-                    else np.array(row["frame_weights"], dtype=np.float64),
-                    voicing_prob=None if row.get("voicing_prob") is None
-                    else np.array(row["voicing_prob"], dtype=np.float64),
-                    gt_voiced=None if row.get("gt_voiced") is None
-                    else np.array(row["gt_voiced"], dtype=bool),
-                ))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ParseError(f"bad score record: {exc}", line=i) from exc
+    for i, line in enumerate(read_utf8(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+            records.append(ScoreRecord(
+                utt_id=row["utt_id"],
+                score=float(row["score"]),
+                label=int(row["label"]),
+                dataset_tag=row.get("dataset_tag", "default"),
+                codec_tag=row.get("codec_tag"),
+                frame_weights=None if row.get("frame_weights") is None
+                else np.array(row["frame_weights"], dtype=np.float64),
+                voicing_prob=None if row.get("voicing_prob") is None
+                else np.array(row["voicing_prob"], dtype=np.float64),
+                gt_voiced=None if row.get("gt_voiced") is None
+                else np.array(row["gt_voiced"], dtype=bool),
+            ))
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise ParseError(f"bad score record: {exc}", line=i) from exc
     return records

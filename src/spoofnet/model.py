@@ -70,12 +70,16 @@ class ModelOutput:
 
 @dataclass
 class ForwardPass:
-    """Differentiable outputs of one forward pass."""
+    """Differentiable outputs of one forward pass.
 
-    formants_hz: Tensor   # (L, 3)
-    voicing_prob: Tensor  # (L, 1)
-    score: Tensor         # (1, 1)
-    frame_weights: Tensor  # (L, 1)
+    Each field keeps the leading axes of the tokens: shapes below are for
+    one utterance, and a batch of B utterances prefixes them with B, e.g.
+    formants_hz (B, L, 3) and score (B, 1, 1)."""
+
+    formants_hz: Tensor   # (..., L, 3)
+    voicing_prob: Tensor  # (..., L, 1)
+    score: Tensor         # (..., 1, 1)
+    frame_weights: Tensor  # (..., L, 1)
 
 
 def _block_shapes(prefix: str, d: int, heads: int, head_dim: int, mlp: int):
@@ -155,18 +159,24 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
+def _permute_trailing(t: Tensor, order) -> Tensor:
+    """Permute the last len(order) axes of t by order; leading axes stay."""
+    n = t.ndim - len(order)
+    return ad.transpose(t, (*range(n), *(n + i for i in order)))
+
+
 def attention_pool(z: Tensor, w_pool: Tensor) -> tuple[Tensor, Tensor]:
     """Multi-head frame scoring collapsed to one weight per frame.
 
     Frames are scored by logsumexp over the heads' projections, the
     scores softmax to a distribution over the L frames, and the sequence
-    is collapsed to its weighted average. Returns (weights (L,1),
-    pooled (1,D)).
+    is collapsed to its weighted average. z is (..., L, D); returns
+    (weights (..., L, 1), pooled (..., 1, D)).
     """
-    scores = ad.matmul(z, w_pool)                       # (L, H)
-    s = ad.logsumexp(scores, axis=1, keepdims=True)     # (L, 1)
-    weights = ad.softmax(s, axis=0)                     # (L, 1)
-    pooled = ad.matmul(ad.transpose(weights), z)        # (1, D)
+    scores = ad.matmul(z, w_pool)                       # (..., L, H)
+    s = ad.logsumexp(scores, axis=-1, keepdims=True)    # (..., L, 1)
+    weights = ad.softmax(s, axis=-2)                    # (..., L, 1)
+    pooled = ad.matmul(_permute_trailing(weights, (1, 0)), z)  # (..., 1, D)
     return weights, pooled
 
 
@@ -214,11 +224,13 @@ class SpoofNet:
     # -- network pieces ---------------------------------------------------
 
     def _as_input(self, tokens) -> Tensor:
+        """One (L, M) token grid, or a stack of them (..., L, M)."""
         arr = np.asarray(tokens.data if isinstance(tokens, Tensor) else tokens,
                          dtype=self.cfg.np_dtype())
         expected = (self.cfg.n_frames, self.cfg.n_bins)
-        if arr.shape != expected:
-            raise ShapeError(f"token grid has shape {arr.shape}, expected {expected}")
+        if arr.shape[-2:] != expected:
+            raise ShapeError(f"token grid has shape {arr.shape}, expected "
+                             f"{expected} or a stack of them")
         return Tensor(arr)
 
     def _block(self, x: Tensor, prefix: str, heads: int, head_dim: int) -> Tensor:
@@ -227,17 +239,17 @@ class SpoofNet:
         q = ad.add(ad.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
         k = ad.matmul(h, p[f"{prefix}.wk"])
         v = ad.add(ad.matmul(h, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        # heads become the leading axis: (L, H*d) -> (L, H, d) -> (H, L, d),
-        # and keys go to (H, d, L) so one stacked matmul scores every head
-        length = x.shape[0]
-        split = (length, heads, head_dim)
-        q = ad.transpose(ad.reshape(q, split), (1, 0, 2))
-        k = ad.transpose(ad.reshape(k, split), (1, 2, 0))
-        v = ad.transpose(ad.reshape(v, split), (1, 0, 2))
+        # heads become an axis ahead of the frames: (..., L, H*d) ->
+        # (..., L, H, d) -> (..., H, L, d), and keys go to (..., H, d, L),
+        # so one stacked matmul scores every head of every utterance
+        split = (*x.shape[:-1], heads, head_dim)
+        q = _permute_trailing(ad.reshape(q, split), (1, 0, 2))
+        k = _permute_trailing(ad.reshape(k, split), (1, 2, 0))
+        v = _permute_trailing(ad.reshape(v, split), (1, 0, 2))
         scale = 1.0 / math.sqrt(head_dim)
-        att = ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1)      # (H, L, L)
-        mixed = ad.reshape(ad.transpose(ad.matmul(att, v), (1, 0, 2)),
-                           (length, heads * head_dim))
+        att = ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1)      # (..., H, L, L)
+        mixed = ad.reshape(_permute_trailing(ad.matmul(att, v), (1, 0, 2)),
+                           (*x.shape[:-1], heads * head_dim))
         x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
         h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         inner = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))
@@ -254,10 +266,14 @@ class SpoofNet:
         return x
 
     def encode(self, mag_tokens, phase_tokens) -> Tensor:
-        """Fused L x D sequence feeding all three heads."""
-        z_mag = self._stream(self._as_input(mag_tokens), "mag")
-        z_phase = self._stream(self._as_input(phase_tokens), "phase")
-        both = ad.concat([z_mag, z_phase], axis=1)  # (L, 2D)
+        """Fused (..., L, D) sequence feeding all three heads."""
+        mag, phase = self._as_input(mag_tokens), self._as_input(phase_tokens)
+        if mag.shape != phase.shape:
+            raise ShapeError(f"magnitude tokens have shape {mag.shape} but "
+                             f"phase tokens {phase.shape}")
+        z_mag = self._stream(mag, "mag")
+        z_phase = self._stream(phase, "phase")
+        both = ad.concat([z_mag, z_phase], axis=-1)  # (..., L, 2D)
         return ad.add(ad.matmul(both, self.params["fuse.w"]), self.params["fuse.b"])
 
     def decode_formants(self, z_enc: Tensor) -> Tensor:
@@ -280,11 +296,11 @@ class SpoofNet:
         """(per-frame voicing probability, boolean mask at the 0.5
         threshold; the boundary counts as voiced)."""
         raw = ad.add(ad.matmul(z_enc, self.params["voicing.w"]), self.params["voicing.b"])
-        prob = ad.sigmoid(raw)  # (L, 1)
-        return prob, prob.data[:, 0] >= 0.5
+        prob = ad.sigmoid(raw)  # (..., L, 1)
+        return prob, prob.data[..., 0] >= 0.5
 
     def pool_and_score(self, z_enc: Tensor) -> tuple[Tensor, Tensor]:
-        """(synthesis score (1,1), frame weights (L,1))."""
+        """(synthesis score (..., 1, 1), frame weights (..., L, 1))."""
         z = z_enc
         for i in range(self.cfg.pred_layers):
             z = self._block(z, f"pred.layer{i}",
@@ -295,7 +311,12 @@ class SpoofNet:
         return ad.sigmoid(logit), weights
 
     def forward(self, mag_tokens, phase_tokens) -> ForwardPass:
-        """Full differentiable pass; all heads read the same encoding."""
+        """Full differentiable pass; all heads read the same encoding.
+
+        Tokens are one utterance's (L, M) grids or a batch (B, L, M) of
+        them; one graph serves the whole batch, and every output keeps
+        the batch axis (see ForwardPass). Utterances never mix: row i of
+        each output depends on row i of the tokens alone."""
         z_enc = self.encode(mag_tokens, phase_tokens)
         formants = self.decode_formants(z_enc)
         voicing_prob, _ = self.decode_voicing(z_enc)
@@ -304,7 +325,8 @@ class SpoofNet:
                            score=score, frame_weights=weights)
 
     def predict(self, mag_tokens, phase_tokens) -> ModelOutput:
-        """Inference-mode forward returning plain numpy values."""
+        """Inference-mode forward of one utterance's (L, M) tokens,
+        returning plain numpy values."""
         with ad.no_grad():
             out = self.forward(mag_tokens, phase_tokens)
         prob = out.voicing_prob.data[:, 0]

@@ -99,67 +99,68 @@ def fit_scaler(
     return FormantScaler(log_mean=mean, log_std=std, ranges=ranges)
 
 
-def _bce_scalar(p: Tensor, target: int) -> Tensor:
-    """Binary cross entropy for the utterance score, clamped for safety."""
-    p = ad.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    inner = ad.log(p) if target == 1 else ad.log(1.0 - p)
-    return ad.reshape(ad.mul(inner, -1.0), ())
-
-
 def compound_loss(
     out: ForwardPass,
-    truth: FrameAnnotation,
-    label: int,
+    truth: FrameAnnotation | list[FrameAnnotation],
+    label: int | list[int],
     scaler: FormantScaler,
     weights: tuple[float, float, float] = (1.0, 0.3, 0.3),
-) -> tuple[Tensor, dict[str, float]]:
+) -> tuple[Tensor, dict[str, np.ndarray]]:
     """Weighted sum of score BCE, voicing BCE and voiced-frame formant MSE.
 
-    Returns the scalar loss tensor plus the unweighted component values;
-    the scalar equals components["bce_p"] * w0 + ... exactly (same float
-    op order). Utterances with no voiced frames contribute a zero MSE.
+    ``out`` is one utterance's forward pass, with truth one FrameAnnotation
+    and label an int, or a batch's (leading axis B), with truth a list of
+    B annotations and label B ints. Each utterance's total is
+    bce_p * w0 + bce_v * w1 + mse_f * w2 (in that float op order); its MSE
+    is the sum of squared standardized log-formant errors over voiced
+    frames times 1 / (3 * n_voiced), or times 0 when no frame is voiced.
+
+    Returns (loss, components): the loss is the scalar mean of the
+    utterances' totals, and the components are the unweighted
+    per-utterance "bce_p", "bce_v", "mse_f" and the "total", as arrays of
+    the leading shape: () for one utterance, (B,) for a batch.
     """
-    n_frames = out.voicing_prob.shape[0]
-    if truth.n_frames != n_frames:
-        raise AlignmentError(
-            f"model emits {n_frames} frames but annotation has {truth.n_frames}"
-        )
+    lead, n_frames = out.voicing_prob.shape[:-2], out.voicing_prob.shape[-2]
+    anns = [truth] if isinstance(truth, FrameAnnotation) else list(truth)
+    if len(anns) != int(np.prod(lead)):
+        raise AlignmentError(f"model output has leading shape {lead} but "
+                             f"{len(anns)} annotations were given")
+    for ann in anns:
+        if ann.n_frames != n_frames:
+            raise AlignmentError(
+                f"model emits {n_frames} frames but annotation has {ann.n_frames}"
+            )
+    dtype = out.voicing_prob.data.dtype
+    voiced = np.stack([a.voiced for a in anns]).reshape(*lead, n_frames)
+    mask = voiced.astype(dtype)[..., None]                    # (..., L, 1)
+    y = np.asarray(label, dtype=dtype).reshape(lead)
 
-    bce_p = _bce_scalar(out.score, label)
+    # the probability given to the true class: p for fake (y = 1), 1 - p for real
+    p = ad.reshape(ad.clip(out.score, BCE_EPS, 1.0 - BCE_EPS), lead)
+    bce_p = ad.mul(ad.log(ad.add(ad.mul(p, 2.0 * y - 1.0), 1.0 - y)), -1.0)
 
-    v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)  # (L, 1)
-    mask = truth.voiced.astype(out.voicing_prob.data.dtype).reshape(-1, 1)
+    v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)     # (..., L, 1)
     per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(1.0 - v), mask - 1.0))
-    bce_v = ad.reshape(ad.tmean(per_frame), ())
+    bce_v = ad.tmean(per_frame, axis=(-2, -1))
 
-    voiced_idx = truth.voiced
-    n_voiced = int(voiced_idx.sum())
-    if n_voiced > 0:
-        target_hz = np.stack([
-            np.where(voiced_idx, truth.f0_hz, scaler.ranges[0][0]),
-            truth.f1_hz,
-            truth.f2_hz,
-        ], axis=1)
-        target_std = scaler.transform(scaler.clamp(target_hz))
-        pred_log = ad.log(out.formants_hz)
-        pred_std = ad.mul(ad.sub(pred_log, scaler.log_mean.reshape(1, 3)),
-                          (1.0 / scaler.log_std).reshape(1, 3))
-        diff = ad.sub(pred_std, target_std)
-        sq = ad.mul(diff, diff)
-        masked = ad.mul(sq, voiced_idx.astype(sq.data.dtype).reshape(-1, 1))
-        mse_f = ad.reshape(ad.mul(ad.tsum(masked), 1.0 / (3 * n_voiced)), ())
-    else:
-        mse_f = Tensor(np.zeros((), dtype=out.formants_hz.data.dtype))
+    # unvoiced frames get an in-range stand-in target; the mask zeroes them
+    tracks = np.stack([np.stack([a.f0_hz, a.f1_hz, a.f2_hz], axis=-1) for a in anns])
+    target_hz = np.where(voiced[..., None], tracks.reshape(*lead, n_frames, 3),
+                         [r[0] for r in scaler.ranges])
+    target_std = scaler.transform(scaler.clamp(target_hz))
+    pred_std = ad.mul(ad.sub(ad.log(out.formants_hz), scaler.log_mean),
+                      1.0 / scaler.log_std)
+    diff = ad.sub(pred_std, target_std)
+    masked = ad.mul(ad.mul(diff, diff), mask)
+    n_voiced = voiced.sum(axis=-1)
+    per_voiced = np.where(n_voiced > 0, 1.0 / (3 * np.maximum(n_voiced, 1)), 0.0)
+    mse_f = ad.mul(ad.tsum(masked, axis=(-2, -1)), per_voiced)
 
     w0, w1, w2 = weights
     total = ad.add(ad.add(ad.mul(bce_p, w0), ad.mul(bce_v, w1)), ad.mul(mse_f, w2))
-    components = {
-        "bce_p": float(bce_p.data),
-        "bce_v": float(bce_v.data),
-        "mse_f": float(mse_f.data),
-        "total": float(total.data),
-    }
-    return total, components
+    components = {"bce_p": bce_p.data, "bce_v": bce_v.data,
+                  "mse_f": mse_f.data, "total": total.data}
+    return ad.tmean(total), components
 
 
 def balance_classes(entries: list) -> list:
@@ -228,20 +229,27 @@ class TrainResult:
     history: list[dict]
 
 
+def _batch_forward(model: SpoofNet, samples: list[TrainSample], scaler: FormantScaler,
+                   weights: tuple[float, float, float]):
+    """One forward over the samples stacked on a batch axis, and its loss."""
+    dtype = model.cfg.np_dtype()
+    out = model.forward(np.stack([s.mag for s in samples], dtype=dtype),
+                        np.stack([s.phase for s in samples], dtype=dtype))
+    return compound_loss(out, [s.annotation for s in samples],
+                         [s.label for s in samples], scaler, weights)
+
+
 def evaluate_loss(
     model: SpoofNet, samples: list[TrainSample], scaler: FormantScaler,
     weights: tuple[float, float, float] = (1.0, 0.3, 0.3),
 ) -> tuple[float, dict[str, float]]:
-    """Mean compound loss over a sample set, without recording a graph."""
-    totals = {"total": 0.0, "bce_p": 0.0, "bce_v": 0.0, "mse_f": 0.0}
+    """Mean compound loss over a sample set: one forward, no graph."""
+    if not samples:
+        return 0.0, {"total": 0.0, "bce_p": 0.0, "bce_v": 0.0, "mse_f": 0.0}
     with ad.no_grad():
-        for s in samples:
-            out = model.forward(s.mag, s.phase)
-            _, comps = compound_loss(out, s.annotation, s.label, scaler, weights)
-            for k in totals:
-                totals[k] += comps[k]
-    n = max(len(samples), 1)
-    return totals["total"] / n, {k: v / n for k, v in totals.items()}
+        _, comps = _batch_forward(model, samples, scaler, weights)
+    means = {k: float(np.mean(v, dtype=np.float64)) for k, v in comps.items()}
+    return means["total"], means
 
 
 def train_loop(
@@ -271,24 +279,18 @@ def train_loop(
         order = rng.permutation(len(train_samples))
         epoch_comps = {"total": 0.0, "bce_p": 0.0, "bce_v": 0.0, "mse_f": 0.0}
         for b_start in range(0, len(order), cfg.batch_size):
-            batch = order[b_start:b_start + cfg.batch_size]
-            losses = []
-            for idx in batch:
-                s = train_samples[idx]
-                out = model.forward(s.mag, s.phase)
-                loss, comps = compound_loss(out, s.annotation, s.label, scaler, weights)
-                if not np.isfinite(comps["total"]):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, batch "
-                        f"{b_start // cfg.batch_size}, utterance {s.utt_id}: {comps}"
-                    )
-                losses.append(loss)
-                for k in epoch_comps:
-                    epoch_comps[k] += comps[k]
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = ad.add(batch_loss, extra)
-            batch_loss = ad.mul(batch_loss, 1.0 / len(losses))
+            batch = [train_samples[i] for i in order[b_start:b_start + cfg.batch_size]]
+            batch_loss, comps = _batch_forward(model, batch, scaler, weights)
+            bad = np.flatnonzero(~np.isfinite(comps["total"]))
+            if bad.size:
+                i = bad[0]
+                values = {k: float(v[i]) for k, v in comps.items()}
+                raise NumericalError(
+                    f"non-finite loss at epoch {epoch}, batch "
+                    f"{b_start // cfg.batch_size}, utterance {batch[i].utt_id}: {values}"
+                )
+            for k in epoch_comps:
+                epoch_comps[k] += float(np.sum(comps[k], dtype=np.float64))
             opt.zero_grad()
             ad.backward(batch_loss)
             opt.lr = sched.lr

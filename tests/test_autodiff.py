@@ -90,6 +90,11 @@ class TestForwardValues:
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3,\)"):
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)))
+        # shapes that broadcast but are not a trailing suffix of a's shape
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 1\)"):
+            ad.add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 1))))
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(1, 4\)"):
+            ad.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))))
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
             ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(2, 4, 5\)"):
@@ -266,6 +271,18 @@ class TestGradChecks:
             return ad.reshape(ad.tsum(ad.sigmoid(ad.add(x, bias))), ())
 
         assert_grad_close(loss, [bias])
+
+    def test_trailing_table_broadcast_grad(self):
+        # an (L, D) table added to every (L, D) matrix of a (B, L, D) stack
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((3, 5, 4)))
+        table = ad.parameter(rng.standard_normal((5, 4)))
+        c = rng.standard_normal((3, 5, 4))
+
+        def loss():
+            return ad.reshape(ad.tsum(ad.mul(ad.sigmoid(ad.add(x, table)), c)), ())
+
+        assert_grad_close(loss, [table])
 
     def test_mean_axis_grad(self):
         rng = np.random.default_rng(17)

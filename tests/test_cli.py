@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spoofnet
@@ -84,6 +85,35 @@ class TestPipelineCommands:
         assert populated
         for g in populated:
             assert 0.0 <= g["voiced_share"] <= 1.0
+
+    def test_eval_chunks_match_per_utterance_predict(self, workspace, tmp_path):
+        # a sidecar batch size of 5 scores the 16 files in chunks 5, 5, 5, 1
+        import shutil
+
+        from spoofnet.checkpoint import load_checkpoint
+        from spoofnet.features import utterance_tokens
+        from spoofnet.manifest import load_manifest
+        from spoofnet.metrics import read_scores
+        from spoofnet.model import SpoofNet
+
+        ckpt = tmp_path / "m.ckpt"
+        shutil.copy(workspace["ckpt"], ckpt)
+        write_config(str(ckpt) + ".config", toy_config(), TrainConfig(batch_size=5))
+        scores = tmp_path / "scores.jsonl"
+        assert main(["eval", "--manifest", str(workspace["manifest"]),
+                     "--ckpt", str(ckpt), "--scores", str(scores)]) == 0
+        model = SpoofNet.from_state(toy_config(), load_checkpoint(ckpt))
+        records = {r.utt_id: r for r in read_scores(scores)}
+        entries = load_manifest(workspace["manifest"]).entries
+        assert sorted(records) == sorted(e.utt_id for e in entries)
+        for e in entries:
+            want = model.predict(*utterance_tokens(e.audio_path))
+            got = records[e.utt_id]
+            assert got.score == pytest.approx(want.score, rel=1e-6), e.utt_id
+            np.testing.assert_allclose(got.frame_weights, want.frame_weights,
+                                       rtol=1e-6, atol=1e-9, err_msg=e.utt_id)
+            np.testing.assert_allclose(got.voicing_prob, want.voicing_prob,
+                                       rtol=1e-6, atol=1e-9, err_msg=e.utt_id)
 
     def test_infer_command(self, workspace, capsys):
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
@@ -182,6 +212,25 @@ class TestExitCodes:
                        "u1,a.wav,bonafide,ds,,\n")
         assert main(["annotate", "--manifest", str(bad),
                      "--cache", str(tmp_path / "c")]) == 2
+
+    @pytest.mark.parametrize("line", ["enc_heads = 0", "dtype = float16"])
+    def test_unusable_config_is_2(self, tmp_path, workspace, line, capsys):
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(line + "\n")
+        assert main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(workspace["cache"]), "--config", str(run_cfg),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [b"[1, 2]",
+                                      b'{"utt_id": "a", "score": [1], "label": 0}',
+                                      b'{"utt_id": "\xff"}'])
+    def test_bad_score_file_is_2(self, tmp_path, line, capsys):
+        scores = tmp_path / "bad.jsonl"
+        scores.write_bytes(line + b"\n")
+        assert main(["explain", "--scores", str(scores),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_2(self, tmp_path, workspace):
         assert main(["infer", "--wav", "missing.wav",

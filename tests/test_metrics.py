@@ -194,3 +194,20 @@ class TestScoreFiles:
         path.write_text('{"utt_id": "a", "score": 0.5, "label": 1}\nnot json\n')
         with pytest.raises(ParseError, match="line 2"):
             read_scores(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"[1, 2]", "JSON object, got list"),
+        (b"5", "JSON object, got int"),
+        (b'"u1"', "JSON object, got str"),
+        (b'{"utt_id": "b", "score": [1], "label": 0}', "list"),
+        (b'{"utt_id": "b", "score": 0.5, "label": null}', "NoneType"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 1e999}', "infinity"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": {"a": 1}}', "dict"),
+        (b"[" * 100_000, "recursion"),
+        (b'{"utt_id": "\xff", "score": 0.5, "label": 0}', "UTF-8"),
+    ])
+    def test_non_record_line_is_a_parse_error_naming_it(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"utt_id": "a", "score": 0.5, "label": 1}\n' + line + b"\n")
+        with pytest.raises(ParseError, match=f"line 2.*{reason}"):
+            read_scores(path)

@@ -29,6 +29,8 @@ class TestShapes:
         net = SpoofNet(tiny_cfg, seed=0)
         with pytest.raises(ShapeError):
             net.encode(np.zeros((4, 16)), np.zeros((8, 16)))
+        with pytest.raises(ShapeError, match=r"\(2, 8, 16\).*\(3, 8, 16\)"):
+            net.encode(np.zeros((2, 8, 16)), np.zeros((3, 8, 16)))
 
     def test_pool_heads_change_only_pool_matrix(self, tiny_cfg):
         import dataclasses
@@ -41,6 +43,32 @@ class TestShapes:
         assert diff == {"pool.w"}
         out = SpoofNet(wide, seed=0).predict(*rand_tokens(wide))
         assert out.frame_weights.shape == (8,)
+
+
+class TestBatchAxis:
+    """A (B, L, M) stack runs as one graph whose rows equal the
+    per-utterance forward bit for bit: a batch adds a leading axis to
+    every product and reduction and never mixes utterances."""
+
+    CONFIGS = {"toy_float32": toy_config(), "toy_float64": toy_config(dtype="float64")}
+
+    @pytest.mark.parametrize("name", ["toy_float32", "toy_float64", "tiny"])
+    def test_rows_equal_per_utterance_forward(self, name, tiny_cfg):
+        cfg = tiny_cfg if name == "tiny" else self.CONFIGS[name]
+        net = SpoofNet(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        mags = rng.standard_normal((5, cfg.n_frames, cfg.n_bins))
+        phases = rng.standard_normal((5, cfg.n_frames, cfg.n_bins))
+        with ad.no_grad():
+            batch = net.forward(mags, phases)
+            assert batch.score.shape == (5, 1, 1)
+            assert batch.formants_hz.shape == (5, cfg.n_frames, 3)
+            for i in range(5):
+                one = net.forward(mags[i], phases[i])
+                for field in ("formants_hz", "voicing_prob", "score", "frame_weights"):
+                    np.testing.assert_array_equal(getattr(batch, field).data[i],
+                                                  getattr(one, field).data,
+                                                  err_msg=f"{field} row {i}")
 
 
 class TestEncode:

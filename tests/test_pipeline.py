@@ -52,6 +52,12 @@ class TestLoadManifest:
         with pytest.raises(DuplicateId, match="dup"):
             load_manifest(p)
 
+    def test_non_utf8_rejected_with_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(HEADER.encode() + b"u1,a.wav,real,ds,,\nu2,b\xe9.wav,fake,ds,,\n")
+        with pytest.raises(ParseError, match="line 3.*UTF-8"):
+            load_manifest(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("id,path\nu1,a.wav\n")
@@ -68,6 +74,16 @@ class TestLoadManifest:
         assert not m.entries[0].missing
         assert m.entries[1].missing
         assert [e.utt_id for e in m.missing_entries()] == ["u2"]
+
+    def test_oversized_field_rejected_with_line(self, tmp_path):
+        # past the csv module's 128 KiB field limit
+        p = write_manifest(tmp_path / "m.csv", [f"u1,{'a' * 200_000}.wav,real,ds,,\n"])
+        with pytest.raises(ParseError, match="line 2.*field limit"):
+            load_manifest(p)
+
+    def test_unresolvable_path_flagged_missing(self, tmp_path):
+        p = write_manifest(tmp_path / "m.csv", [f"u1,{'a' * 300}.wav,real,ds,,\n"])
+        assert load_manifest(p).entries[0].missing
 
     def test_round_trip(self, tmp_path):
         entries = [ManifestEntry("u1", tmp_path / "a.wav", "real", "ds", None, "train")]
@@ -278,6 +294,27 @@ class TestConfigFiles:
         p.write_text("embed_dim = 32\nthis is wrong\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_kv(p)
+
+    def test_non_utf8_reports_number(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"embed_dim = 32\n# caf\xe9\n")
+        with pytest.raises(ParseError, match="line 2.*UTF-8"):
+            parse_kv(p)
+
+    @pytest.mark.parametrize("line", ["enc_heads = 0", "embed_dim = -3", "n_bins = 0",
+                                      "enc_layers = -1", "batch_size = 0",
+                                      "max_epochs = 0", "dtype = float16"])
+    def test_unusable_run_config_value_rejected(self, tmp_path, line):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ParseError, match=line.split(" ")[0]):
+            load_run_config(p)
+
+    def test_zero_layers_accepted(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("enc_layers = 0\npred_layers = 0\ndtype = float64\n")
+        mc, _ = load_run_config(p)
+        assert (mc.enc_layers, mc.pred_layers, mc.dtype) == (0, 0, "float64")
 
     def test_round_trip_model_and_train(self, tmp_path):
         mc = ModelConfig(embed_dim=24, enc_layers=2, enc_heads=3, enc_head_dim=8,

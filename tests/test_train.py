@@ -96,6 +96,8 @@ class TestCompoundLoss:
         out = forward_from_truth(make_annotation(rng, n=8), 0, scaler)
         with pytest.raises(AlignmentError):
             compound_loss(out, ann, 0, scaler)
+        with pytest.raises(AlignmentError, match="2 annotations"):
+            compound_loss(out, [ann, ann], [0, 1], scaler)
 
     def test_gradient_flows_through_loss(self):
         rng = np.random.default_rng(5)
@@ -113,6 +115,95 @@ class TestCompoundLoss:
         total, _ = compound_loss(out, ann, 1, scaler)
         ad.backward(total)
         assert raw.grad is not None and np.any(raw.grad != 0.0)
+
+
+def random_forward(rng, n=8) -> ForwardPass:
+    """An in-range float64 forward pass of one utterance."""
+    return ForwardPass(
+        formants_hz=Tensor(np.stack([rng.uniform(61, 399, n), rng.uniform(201, 849, n),
+                                     rng.uniform(801, 2699, n)], axis=1)),
+        voicing_prob=Tensor(rng.uniform(0.01, 0.99, (n, 1))),
+        score=Tensor(rng.uniform(0.01, 0.99, (1, 1))),
+        frame_weights=Tensor(np.full((n, 1), 1.0 / n)),
+    )
+
+
+def reference_mse(out: ForwardPass, ann: FrameAnnotation, scaler: FormantScaler) -> float:
+    """Mean squared standardized log-formant error over the voiced frames
+    and the three formants; 0 without a voiced frame."""
+    v = ann.voiced
+    if not v.any():
+        return 0.0
+    target = scaler.clamp(np.stack([ann.f0_hz[v], ann.f1_hz[v], ann.f2_hz[v]], axis=1))
+    pred = (np.log(out.formants_hz.data[v]) - scaler.log_mean) / scaler.log_std
+    return float(np.mean((pred - scaler.transform(target)) ** 2))
+
+
+class TestBatchedLoss:
+    """One compound_loss over a batch axis: the mean of the per-utterance
+    losses, with each utterance's components as the single-utterance call
+    gives them. The second utterance of each batch has no voiced frame."""
+
+    @staticmethod
+    def batch(rng, n=8):
+        anns = [make_annotation(rng, n=n), make_annotation(rng, n=n, voiced_frac=0.0),
+                make_annotation(rng, n=n, voiced_frac=0.9), make_annotation(rng, n=n)]
+        return anns, [1, 0, 0, 1]
+
+    def test_equals_mean_of_per_utterance_losses(self):
+        rng = np.random.default_rng(12)
+        scaler = default_scaler()
+        for _ in range(10):
+            anns, labels = self.batch(rng)
+            outs = [random_forward(rng) for _ in anns]
+            stacked = ForwardPass(*(Tensor(np.stack([getattr(o, f).data for o in outs]))
+                                    for f in ("formants_hz", "voicing_prob", "score",
+                                              "frame_weights")))
+            loss, comps = compound_loss(stacked, anns, labels, scaler)
+            singles = [compound_loss(o, a, y, scaler) for o, a, y in zip(outs, anns, labels)]
+            assert loss.shape == ()
+            mean = sum(float(t.data) for t, _ in singles) / len(singles)
+            assert abs(float(loss.data) - mean) < 1e-12
+            for k in ("bce_p", "bce_v", "mse_f", "total"):
+                assert comps[k].shape == (len(anns),)
+                for i, (_, c) in enumerate(singles):
+                    assert abs(comps[k][i] - c[k]) < 1e-12, (k, i)
+            for i, (o, a) in enumerate(zip(outs, anns)):
+                assert abs(comps["mse_f"][i] - reference_mse(o, a, scaler)) < 1e-12, i
+            assert comps["mse_f"][1] == 0.0
+
+    def test_gradient_matches_central_differences(self, tiny_cfg):
+        cfg = dataclasses.replace(tiny_cfg, dtype="float64")
+        net = SpoofNet(cfg, seed=0)
+        rng = np.random.default_rng(13)
+        anns, labels = self.batch(rng, n=cfg.n_frames)
+        anns, labels = anns[:3], labels[:3]
+        mags = rng.standard_normal((3, cfg.n_frames, cfg.n_bins))
+        phases = rng.standard_normal((3, cfg.n_frames, cfg.n_bins))
+        scaler = default_scaler()
+
+        def loss():
+            return compound_loss(net.forward(mags, phases), anns, labels, scaler)[0]
+
+        ad.zero_grads(net.params)
+        ad.backward(loss())
+        h = 1e-5
+        worst = 0.0
+        for name, p in net.params.items():
+            flat = p.data.reshape(-1)
+            # every parameter tensor, at up to four of its entries
+            for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(loss().data)
+                flat[i] = orig - h
+                down = float(loss().data)
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * h)
+                analytic = p.grad.reshape(-1)[i]
+                denom = max(abs(analytic), abs(numeric), 1e-8)
+                worst = max(worst, abs(analytic - numeric) / denom)
+        assert worst < 1e-4
 
 
 class TestFormantScaler:
@@ -318,6 +409,18 @@ class TestTrainLoop:
         net = SpoofNet(tiny_cfg, seed=0)
         tcfg = TrainConfig(batch_size=4, lr=1e-3, max_epochs=2, seed=0)
         with pytest.raises(NumericalError, match="epoch 1.*u2"):
+            train_loop(net, samples, samples[:1], tcfg, default_scaler())
+
+    def test_non_finite_loss_names_the_poisoned_utterance(self, tiny_cfg):
+        # u3 sits last in the batch's shuffled order (seed 0: u2, u0, u1, u3)
+        from spoofnet.errors import NumericalError
+
+        rng = np.random.default_rng(10)
+        samples = build_toy_samples(tiny_cfg, rng, n=4)
+        samples[3].phase[0, 0] = np.nan
+        net = SpoofNet(tiny_cfg, seed=0)
+        tcfg = TrainConfig(batch_size=4, lr=1e-3, max_epochs=1, seed=0)
+        with pytest.raises(NumericalError, match="batch 0, utterance u3:"):
             train_loop(net, samples, samples[:1], tcfg, default_scaler())
 
     def test_evaluate_loss_averages(self, tiny_cfg):
