@@ -6,18 +6,28 @@ topological order and accumulates gradients into every tensor that
 requires them. The op set is deliberately closed: exactly what the
 detector network and its losses need, nothing speculative.
 
+- elementwise: add, mul
+- matrices and layout: matmul, concat, reshape, transpose
+- nonlinearities: sigmoid, gelu, log, clip
+- reductions and normalization: softmax, logsumexp, layer_norm, tsum, tmean
+- graph: parameter, no_grad, backward, zero_grads
+
+add and mul share one operand rule. The second operand b is either a
+Tensor whose shape is a trailing suffix of a's shape (the same shape, a
+(D,) bias against (..., D), an (L, D) table against (B, L, D), or a 0-d
+scalar), whose gradient is summed over a's extra leading axes; or a
+constant (a Python float, a numpy scalar or an array) that is cast to
+a's dtype and must broadcast into a's shape. Subtraction and negation
+are add and mul with a negated constant or -1.0.
+
 Values are float32 by default (model-sized buffers); gradient-checking
 code builds float64 graphs by passing float64 arrays in. A graph keeps
-the dtype of its tensors: a constant that is not a Tensor (a Python
-float, a numpy scalar or an array) takes the dtype of the tensor it is
-combined with in add/sub/mul, so a float32 graph stays float32 forward
-and backward, and a float64 graph stays float64. Tensors may carry any
-leading axes, such as a batch of utterances: add takes a tensor whose
-shape is a trailing suffix of the other's (a (D,) bias, or an (L, D)
-table against (B, L, D)) and sums its gradient over the leading axes,
-and matmul takes stacks of matrices, (..., m, k) @ (..., k, n) or
-(..., m, k) @ (k, n). Everything else must shape-match exactly;
-mismatches raise ShapeError naming both shapes.
+the dtype of its tensors, so a float32 graph stays float32 forward and
+backward, and a float64 graph stays float64. Tensors may carry any
+leading axes, such as a batch of utterances; matmul takes stacks of
+matrices, (..., m, k) @ (..., k, n) or (..., m, k) @ (k, n). Everything
+else must shape-match exactly; mismatches raise ShapeError naming both
+shapes.
 """
 
 from __future__ import annotations
@@ -74,35 +84,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -134,81 +115,51 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
-def _const(x, like: Tensor) -> np.ndarray:
-    """A tensor's values, or a constant cast to the dtype of ``like``."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.data.dtype)
-
-
-def _check_into(op: str, a: Tensor, bd: np.ndarray):
-    """Operand bd must broadcast into a's shape without enlarging it."""
-    try:
-        out = np.broadcast_shapes(a.data.shape, bd.shape)
-    except ValueError:
-        out = None
-    if out != a.data.shape:
+def _operand(op: str, a: Tensor, b) -> np.ndarray:
+    """The values of add/mul's operand b, checked against a: a Tensor's
+    shape must be a trailing suffix of a's; a constant is cast to a's
+    dtype and must broadcast into a's shape."""
+    if isinstance(b, Tensor):
+        bd = b.data
+        fits = a.data.shape[a.data.ndim - bd.ndim:] == bd.shape
+    else:
+        bd = np.asarray(b, dtype=a.data.dtype)
+        try:
+            fits = np.broadcast_shapes(a.data.shape, bd.shape) == a.data.shape
+        except ValueError:
+            fits = False
+    if not fits:
         raise ShapeError(f"{op}: cannot combine shapes {a.data.shape} and {bd.shape}")
+    return bd
 
 
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to the shape of a broadcast operand."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
+def _sum_leading(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the leading axes a suffix-shaped operand lacks."""
+    return g if g.ndim == ndim else g.sum(axis=tuple(range(g.ndim - ndim)))
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; b may be a tensor whose shape is a trailing suffix
-    of a's (the same shape, a (D,) bias against (..., D), an (L, D) table
-    against (B, L, D), or a 0-d scalar), or a constant that broadcasts
-    into a's shape. A tensor b's gradient is summed over a's extra
-    leading axes."""
-    bd = _const(b, a)
-    _check_into("add", a, bd)
-    if isinstance(b, Tensor) and a.data.shape[a.data.ndim - bd.ndim:] != bd.shape:
-        raise ShapeError(f"add: cannot combine shapes {a.data.shape} and {bd.shape}")
+    """Elementwise sum a + b under the module's operand rule."""
+    bd = _operand("add", a, b)
     data = a.data + bd
 
     def backward_fn(g):
         _accumulate(a, g)
         if isinstance(b, Tensor):
-            _accumulate(b, g if bd.shape == g.shape else _reduce_to(g, bd.shape))
-
-    return _result(data, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    bd = _const(b, a)
-    _check_into("sub", a, bd)
-    if isinstance(b, Tensor) and bd.shape != a.data.shape and bd.size != 1:
-        raise ShapeError(f"sub: cannot combine shapes {a.data.shape} and {bd.shape}")
-    data = a.data - bd
-
-    def backward_fn(g):
-        _accumulate(a, g)
-        if isinstance(b, Tensor):
-            _accumulate(b, -g if bd.shape == g.shape else _reduce_to(-g, bd.shape))
+            _accumulate(b, _sum_leading(g, bd.ndim))
 
     return _result(data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; b may be a same-shape tensor, a scalar, or a
-    constant array that broadcasts into a's shape."""
-    bd = _const(b, a)
-    _check_into("mul", a, bd)
-    if isinstance(b, Tensor) and bd.shape != a.data.shape and bd.size != 1:
-        raise ShapeError(f"mul: cannot combine shapes {a.data.shape} and {bd.shape}")
+    """Elementwise product a * b under the module's operand rule."""
+    bd = _operand("mul", a, b)
     data = a.data * bd
 
     def backward_fn(g):
         _accumulate(a, g * bd)
         if isinstance(b, Tensor):
-            gb = g * a.data
-            _accumulate(b, gb if bd.shape == gb.shape else _reduce_to(gb, bd.shape))
+            _accumulate(b, _sum_leading(g * a.data, bd.ndim))
 
     return _result(data, (a, b), backward_fn)
 
@@ -301,15 +252,6 @@ def log(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g / a.data)
-
-    return _result(data, (a,), backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * data)
 
     return _result(data, (a,), backward_fn)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from .annotate import (FrameAnnotation, annotate_waveform, annotation_from_record,
                        annotation_to_record)
 from .dsp import DEFAULT_SILENCE_THRESHOLD_DB, preprocess, read_wav
-from .errors import DataError, SilentAudio
+from .errors import DataError
 from .formants import FormantConfig
 from .manifest import Manifest
 from .pitch import PitchConfig
@@ -88,7 +88,7 @@ def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
         wave = read_wav(audio_path)
         fixed = preprocess(wave, silence_threshold_db)
         return utt_id, annotate_waveform(fixed, pitch_cfg, formant_cfg), None
-    except (SilentAudio, DataError) as exc:
+    except DataError as exc:
         return utt_id, None, str(exc)
 
 

@@ -271,8 +271,11 @@ def main(argv=None) -> int:
         _stdout_to_devnull()
         print("error: broken pipe", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:
+        # after BrokenPipeError, which is an OSError too: a missing file, a
+        # directory where a file was expected, a permission error; the
+        # message names the path ("[Errno 21] Is a directory: 'corpus'")
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
 from .model import ModelConfig
 from .synth import SyntheticCorpusSpec
@@ -40,8 +41,6 @@ def _format_value(value) -> str:
 
 def _coerce(text: str, default, key: str):
     try:
-        if isinstance(default, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
@@ -94,16 +93,17 @@ def write_config(path, *configs, header: str | None = None) -> None:
 # the least usable value of each size; a layer count may be 0 (no blocks)
 _LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 1,
                "mlp_dim": 1, "pred_layers": 0, "pred_heads": 1, "pred_head_dim": 1,
-               "pool_heads": 1, "n_frames": 1, "n_bins": 1,
-               "batch_size": 1, "max_epochs": 1}
+               "pool_heads": 1, "batch_size": 1, "max_epochs": 1}
+# the frontend emits one token grid size; a model of any other cannot train
+_GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
 _DTYPES = ("float32", "float64")
 
 
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
     keys belonging to neither are rejected as likely typos, and so are
-    sizes below 1, negative layer counts and a dtype other than
-    float32/float64."""
+    sizes below 1, negative layer counts, a token grid other than the
+    frontend's 128 x 256 and a dtype other than float32/float64."""
     kv = parse_kv(path)
     known = {f.name for f in dataclasses.fields(ModelConfig)} \
         | {f.name for f in dataclasses.fields(TrainConfig)}
@@ -116,6 +116,10 @@ def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
         if values[name] < least:
             raise ParseError(f"{name} = {values[name]} is below its least usable "
                              f"value {least}")
+    for name, size in _GRID.items():
+        if values[name] != size:
+            raise ParseError(f"{name} = {values[name]}, expected {size} (the "
+                             f"frontend's fixed token grid)")
     if model_cfg.dtype not in _DTYPES:
         raise ParseError(f"dtype = {model_cfg.dtype!r}, expected one of "
                          f"{', '.join(_DTYPES)}")

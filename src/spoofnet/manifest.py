@@ -40,9 +40,6 @@ class Manifest:
     def __iter__(self):
         return iter(self.entries)
 
-    def missing_entries(self) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.missing]
-
 
 def load_manifest(path) -> Manifest:
     """Parse and validate a manifest CSV.

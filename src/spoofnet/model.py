@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ
+from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ, NUM_BINS, NUM_FRAMES
 from .errors import ShapeError
 
 DEFAULT_FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
@@ -33,8 +33,8 @@ class ModelConfig:
     pred_heads: int = 6
     pred_head_dim: int = 64
     pool_heads: int = 4
-    n_frames: int = 128
-    n_bins: int = 256
+    n_frames: int = NUM_FRAMES  # the frontend's fixed token grid; tests
+    n_bins: int = NUM_BINS      # build smaller models directly
     formant_ranges: tuple = DEFAULT_FORMANT_RANGES
     dtype: str = "float32"
 
@@ -46,7 +46,7 @@ def toy_config(**overrides) -> ModelConfig:
     """A small config for tests and desk-scale training."""
     base = dict(embed_dim=16, enc_layers=1, enc_heads=2, enc_head_dim=8,
                 mlp_dim=32, pred_layers=1, pred_heads=2, pred_head_dim=8,
-                pool_heads=2, n_frames=128, n_bins=256)
+                pool_heads=2)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -60,12 +60,6 @@ class ModelOutput:
     v_mask: np.ndarray        # (L,) bool, prob >= 0.5
     score: float              # P(fake) in (0, 1)
     frame_weights: np.ndarray  # (L,), non-negative, sums to 1
-
-    def masked_formants(self) -> np.ndarray:
-        """Formants with unvoiced frames blanked to NaN (the reported view)."""
-        out = self.formants_hz.copy()
-        out[~self.v_mask] = np.nan
-        return out
 
 
 @dataclass

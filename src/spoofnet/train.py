@@ -59,9 +59,6 @@ class FormantScaler:
         """Hz -> standardized log; expects values already inside range."""
         return (np.log(hz) - self.log_mean) / self.log_std
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(z * self.log_std + self.log_mean)
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {"scaler.log_mean": self.log_mean, "scaler.log_std": self.log_std}
 
@@ -140,7 +137,8 @@ def compound_loss(
     bce_p = ad.mul(ad.log(ad.add(ad.mul(p, 2.0 * y - 1.0), 1.0 - y)), -1.0)
 
     v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)     # (..., L, 1)
-    per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(1.0 - v), mask - 1.0))
+    one_minus_v = ad.add(ad.mul(v, -1.0), 1.0)
+    per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(one_minus_v), mask - 1.0))
     bce_v = ad.tmean(per_frame, axis=(-2, -1))
 
     # unvoiced frames get an in-range stand-in target; the mask zeroes them
@@ -148,9 +146,10 @@ def compound_loss(
     target_hz = np.where(voiced[..., None], tracks.reshape(*lead, n_frames, 3),
                          [r[0] for r in scaler.ranges])
     target_std = scaler.transform(scaler.clamp(target_hz))
-    pred_std = ad.mul(ad.sub(ad.log(out.formants_hz), scaler.log_mean),
+    # x - c as x + (-c): IEEE rounds the two the same
+    pred_std = ad.mul(ad.add(ad.log(out.formants_hz), -scaler.log_mean),
                       1.0 / scaler.log_std)
-    diff = ad.sub(pred_std, target_std)
+    diff = ad.add(pred_std, -target_std)
     masked = ad.mul(ad.mul(diff, diff), mask)
     n_voiced = voiced.sum(axis=-1)
     per_voiced = np.where(n_voiced > 0, 1.0 / (3 * np.maximum(n_voiced, 1)), 0.0)

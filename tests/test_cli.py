@@ -206,6 +206,19 @@ class TestExitCodes:
         assert main(["annotate", "--manifest", str(tmp_path / "nope.csv"),
                      "--cache", str(tmp_path / "c")]) == 2
 
+    @pytest.mark.parametrize("command", ["annotate", "eval"])
+    def test_directory_for_a_file_is_2(self, tmp_path, workspace, command, capsys):
+        # an OSError other than FileNotFoundError: IsADirectoryError
+        corpus = str(workspace["corpus"])
+        argv = {"annotate": ["annotate", "--manifest", corpus,
+                             "--cache", str(tmp_path / "c")],
+                "eval": ["eval", "--manifest", str(workspace["manifest"]),
+                         "--ckpt", corpus, "--scores", str(tmp_path / "s.jsonl")]}
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and corpus in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_bad_manifest_is_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("utt_id,audio_path,label,dataset_tag,codec_tag,split\n"
@@ -221,6 +234,17 @@ class TestExitCodes:
                      "--cache", str(workspace["cache"]), "--config", str(run_cfg),
                      "--out", str(tmp_path / "m.ckpt")]) == 2
         assert line.split(" ")[0] in capsys.readouterr().err
+
+    def test_token_grid_mismatch_is_2_before_annotating(self, tmp_path, workspace,
+                                                        capsys):
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text("n_frames = 64\n")
+        cache, ckpt = tmp_path / "cache", tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(cache), "--config", str(run_cfg),
+                     "--out", str(ckpt)]) == 2
+        assert "n_frames" in capsys.readouterr().err
+        assert not cache.exists() and not ckpt.exists()
 
     @pytest.mark.parametrize("line", [b"[1, 2]",
                                       b'{"utt_id": "a", "score": [1], "label": 0}',

@@ -175,14 +175,6 @@ class TestVoicingDecoder:
         prob, mask = net.decode_voicing(Tensor(np.zeros((8, 8), dtype=np.float32)))
         assert np.all(prob.data > 0.9999) and mask.all()
 
-    def test_masked_formant_view(self, tiny_cfg):
-        net = SpoofNet(tiny_cfg, seed=0)
-        out = net.predict(*rand_tokens(tiny_cfg, seed=6))
-        out.v_mask = np.array([True, False] * 4)
-        view = out.masked_formants()
-        assert np.all(np.isfinite(view[0]))
-        assert np.all(np.isnan(view[1]))
-
 
 class TestPooling:
     def test_identical_rows_pool_uniformly(self, tiny_cfg):

@@ -73,7 +73,7 @@ class TestLoadManifest:
         m = load_manifest(p)
         assert not m.entries[0].missing
         assert m.entries[1].missing
-        assert [e.utt_id for e in m.missing_entries()] == ["u2"]
+        assert [e.utt_id for e in m if e.missing] == ["u2"]
 
     def test_oversized_field_rejected_with_line(self, tmp_path):
         # past the csv module's 128 KiB field limit
@@ -303,7 +303,10 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("line", ["enc_heads = 0", "embed_dim = -3", "n_bins = 0",
                                       "enc_layers = -1", "batch_size = 0",
-                                      "max_epochs = 0", "dtype = float16"])
+                                      "max_epochs = 0", "dtype = float16",
+                                      # the frontend's token grid is fixed at 128 x 256
+                                      "n_frames = 64", "n_frames = 129",
+                                      "n_bins = 128", "n_bins = 512"])
     def test_unusable_run_config_value_rejected(self, tmp_path, line):
         p = tmp_path / "run.cfg"
         p.write_text(line + "\n")

