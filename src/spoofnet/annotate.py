@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import NUM_FRAMES, FixedWaveform
-from .errors import AlignmentError
+from .errors import AlignmentError, DataError
 from .formants import FormantConfig, track_formants
 from .pitch import PitchConfig, track_pitch
 
@@ -78,17 +78,25 @@ def annotation_to_record(utt_id: str, ann: FrameAnnotation) -> dict:
 
 
 def annotation_from_record(record: dict) -> FrameAnnotation:
-    frames = record["frames"]
-    n = len(frames)
-    f0 = np.full(n, np.nan)
-    f1 = np.empty(n)
-    f2 = np.empty(n)
-    voiced = np.zeros(n, dtype=bool)
-    for row in frames:
-        t = row["t"]
-        if row["f0"] is not None:
-            f0[t] = row["f0"]
-        f1[t] = row["f1"]
-        f2[t] = row["f2"]
-        voiced[t] = row["voiced"]
+    """The annotation a cache record holds; a record that is not one
+    annotation_to_record could have written raises DataError."""
+    try:
+        frames = record["frames"]
+        n = len(frames)
+        f0 = np.full(n, np.nan)
+        f1 = np.empty(n)
+        f2 = np.empty(n)
+        voiced = np.zeros(n, dtype=bool)
+        for t, row in enumerate(frames):
+            # frames are written in order; any other index would leave a
+            # frame of f1/f2 unset
+            if row["t"] != t:
+                raise DataError(f"annotation record has frame {row['t']!r} at position {t}")
+            if row["f0"] is not None:
+                f0[t] = row["f0"]
+            f1[t] = row["f1"]
+            f2[t] = row["f2"]
+            voiced[t] = row["voiced"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed annotation record: {exc!r}") from exc
     return FrameAnnotation(f0_hz=f0, f1_hz=f1, f2_hz=f2, voiced=voiced)

@@ -225,8 +225,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward_fn(g):
         _accumulate(a, g * y * (1.0 - y))
@@ -308,10 +308,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
             f"layer_norm: scale/shift must have shape ({d},), got "
             f"{gain.data.shape} and {bias.data.shape}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    xc = a.data - a.data.mean(axis=-1, keepdims=True)
+    # the population variance of np.var, from the one centred array
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat = xc * inv
     data = xhat * gain.data + bias.data
 
     def backward_fn(g):

@@ -7,16 +7,15 @@ records. Annotation of missing entries can fan out over a process pool
 (each utterance is independent); results are merged and written in one
 atomic pass (a temp file of the writer's own + rename), so the cache
 content never depends on worker count or completion order. A line that
-does not parse as a record, such as one torn by an interrupted copy,
-reads as a cache miss and is dropped by the next write.
+does not parse as a record, such as one torn by an interrupted copy or
+one whose frames are malformed, reads as a cache miss and is dropped or
+replaced by the next write.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from .annotate import (FrameAnnotation, annotate_waveform, annotation_from_recor
                        annotation_to_record)
 from .dsp import DEFAULT_SILENCE_THRESHOLD_DB, preprocess, read_wav
 from .errors import DataError
+from .fileio import replace_atomically
 from .formants import FormantConfig
 from .manifest import Manifest
 from .pitch import PitchConfig
@@ -68,17 +68,9 @@ def _load_cache_file(path: Path) -> dict[str, dict]:
 
 
 def _write_cache_file(path: Path, rows: dict[str, dict]) -> None:
-    # a temp file of this write's own, so concurrent runs never share one;
-    # not mkstemp, whose owner-only mode would pass to the cache file
-    tmp = path.with_name(f"{path.stem}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            for utt_id in sorted(rows):
-                fh.write(json.dumps(rows[utt_id]) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replace_atomically(path, "x", encoding="utf-8") as fh:
+        for utt_id in sorted(rows):
+            fh.write(json.dumps(rows[utt_id]) + "\n")
 
 
 def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
@@ -127,9 +119,13 @@ def annotate_corpus(
             continue
         row = rows.get(entry.utt_id)
         if row is not None and row.get("key") == key:
-            annotations[entry.utt_id] = annotation_from_record(row)
-            stats.cached += 1
-            continue
+            try:
+                annotations[entry.utt_id] = annotation_from_record(row)
+            except DataError:
+                pass  # a malformed record is a miss, like a torn line
+            else:
+                stats.cached += 1
+                continue
         keys[entry.utt_id] = key
         jobs.append((entry.utt_id, entry.audio_path, pitch_cfg, formant_cfg,
                      silence_threshold_db))

@@ -101,6 +101,31 @@ class TestForwardValues:
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-5)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_is_bit_equal_to_np_var(self, dtype):
+        # layer_norm centres once and sums the squares itself; that must
+        # be exactly the mean and variance numpy computes
+        rng = np.random.default_rng(7)
+        x = (rng.standard_normal((4, 128, 512)) * 3 + 2).astype(dtype)
+        g = ad.parameter(rng.standard_normal(512).astype(dtype))
+        b = ad.parameter(rng.standard_normal(512).astype(dtype))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - mu) * inv * g.data + b.data
+        got = ad.layer_norm(Tensor(x), g, b).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_is_the_stable_two_branch_formula(self, dtype):
+        x = np.array([-800.0, -30.0, -1.5, -0.0, 0.0, 1e-8, 2.0, 40.0, 800.0], dtype=dtype)
+        x = np.concatenate([x, np.random.default_rng(8).standard_normal(1000).astype(dtype) * 8])
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        got = ad.sigmoid(Tensor(x)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))

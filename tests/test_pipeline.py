@@ -258,6 +258,29 @@ class TestAnnotationCache:
                      "--cache", str(torn)]) == 0
         assert (torn / "annotations.jsonl").read_bytes() == expected
 
+    @pytest.mark.parametrize("damage", ["frame_index", "missing_field"])
+    def test_malformed_record_is_a_cache_miss(self, tmp_path, damage):
+        import json
+
+        m = self.corpus(tmp_path)
+        cache = tmp_path / "cache"
+        annotate_corpus(m, cache)
+        path = cache / "annotations.jsonl"
+        expected = path.read_bytes()
+        rows = [json.loads(line) for line in expected.splitlines()]
+        frames = rows[1]["frames"]
+        if damage == "frame_index":
+            frames[3]["t"] = 2  # frame 3 would be left unset
+        else:
+            del frames[3]["f1"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        anns, stats = annotate_corpus(m, cache)
+        assert stats.computed == 1 and stats.cached == 3
+        assert path.read_bytes() == expected
+        fresh, _ = annotate_corpus(m, tmp_path / "fresh")
+        got, want = anns[rows[1]["utt_id"]], fresh[rows[1]["utt_id"]]
+        assert got.f1_hz.tobytes() == want.f1_hz.tobytes()
+
     def test_failed_write_keeps_old_cache(self, tmp_path):
         from spoofnet.cache import _write_cache_file
 
