@@ -8,6 +8,7 @@ detector network and its losses need, nothing speculative.
 
 - elementwise: add, mul
 - matrices and layout: matmul, concat, reshape, transpose
+- attention: attention (softmax(q @ k * scale) @ v over stacked heads)
 - nonlinearities: sigmoid, gelu, log, clip
 - reductions and normalization: softmax, logsumexp, layer_norm, tsum, tmean
 - graph: parameter, no_grad, backward, zero_grads
@@ -107,12 +108,22 @@ def _result(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g into t's gradient. The first contribution becomes the
+    gradient: an owned g (an array the backward function has just made
+    and keeps no other reference to) is taken as it is when it has t's
+    shape, dtype and C layout; any other g (a view, or the one g that
+    add hands to both operands) is copied once into t's layout."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is not None:
+        t.grad += g
+    elif (owned and g.shape == t.data.shape and g.dtype == t.data.dtype
+          and g.flags.c_contiguous and t.data.flags.c_contiguous):
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
 
 
 def _operand(op: str, a: Tensor, b) -> np.ndarray:
@@ -146,7 +157,8 @@ def add(a: Tensor, b) -> Tensor:
     def backward_fn(g):
         _accumulate(a, g)
         if isinstance(b, Tensor):
-            _accumulate(b, _sum_leading(g, bd.ndim))
+            gb = _sum_leading(g, bd.ndim)
+            _accumulate(b, gb, owned=gb is not g)
 
     return _result(data, (a, b), backward_fn)
 
@@ -157,9 +169,9 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * bd
 
     def backward_fn(g):
-        _accumulate(a, g * bd)
+        _accumulate(a, g * bd, owned=True)
         if isinstance(b, Tensor):
-            _accumulate(b, _sum_leading(g * a.data, bd.ndim))
+            _accumulate(b, _sum_leading(g * a.data, bd.ndim), owned=True)
 
     return _result(data, (a, b), backward_fn)
 
@@ -175,10 +187,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.mT)
+            _accumulate(a, g @ b.data.mT, owned=True)
         if b.requires_grad:  # a shared (k, n) b sums its gradient over the stack
             _accumulate(b, a.data.mT @ g if b.data.ndim > 2
-                        else a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
+                        else a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]),
+                        owned=True)
 
     return _result(data, (a, b), backward_fn)
 
@@ -229,7 +242,7 @@ def sigmoid(a: Tensor) -> Tensor:
     y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward_fn(g):
-        _accumulate(a, g * y * (1.0 - y))
+        _accumulate(a, g * y * (1.0 - y), owned=True)
 
     return _result(y, (a,), backward_fn)
 
@@ -242,7 +255,7 @@ def gelu(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accumulate(a, g * (cdf + x * pdf))
+        _accumulate(a, g * (cdf + x * pdf), owned=True)
 
     return _result(y, (a,), backward_fn)
 
@@ -251,7 +264,7 @@ def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
     def backward_fn(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data, owned=True)
 
     return _result(data, (a,), backward_fn)
 
@@ -264,7 +277,7 @@ def clip(a: Tensor, lo, hi) -> Tensor:
     inside = (a.data > lo) & (a.data < hi)
 
     def backward_fn(g):
-        _accumulate(a, g * inside)
+        _accumulate(a, g * inside, owned=True)
 
     return _result(data, (a,), backward_fn)
 
@@ -276,7 +289,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, y * (g - dot), owned=True)
 
     return _result(y, (a,), backward_fn)
 
@@ -293,9 +306,47 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
     def backward_fn(g):
         gk = g if keepdims else np.expand_dims(g, axis=axis)
-        _accumulate(a, gk * soft)
+        _accumulate(a, gk * soft, owned=True)
 
     return _result(data, (a,), backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale) -> Tensor:
+    """Scaled dot-product attention softmax(q @ k * scale) @ v over a
+    stack of heads: q is (..., L, d), k holds the keys already transposed
+    to (..., d, L), and v is (..., L, d).
+
+    The (..., L, L) scores live in one buffer, scaled and softmaxed in
+    place, and backward reuses one buffer of that size. Every float op
+    is the one the matmul, mul, softmax, matmul chain does, on the same
+    operands and in the same order, so values and gradients equal the
+    chain's bit for bit."""
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if q.data.ndim < 2 or sk != (*sq[:-2], sq[-1], sq[-2]) or sv != sq:
+        raise ShapeError(f"attention: cannot combine queries {sq}, keys {sk} "
+                         f"and values {sv}")
+    scale = np.asarray(scale, dtype=q.data.dtype)  # cast as mul casts a constant
+    y = q.data @ k.data
+    y *= scale
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    data = y @ v.data
+
+    def backward_fn(g):
+        if v.requires_grad:
+            _accumulate(v, y.mT @ g, owned=True)
+        if q.requires_grad or k.requires_grad:
+            dy = g @ v.data.mT
+            dy -= (dy * y).sum(axis=-1, keepdims=True)
+            dy *= y
+            dy *= scale
+            if q.requires_grad:
+                _accumulate(q, dy @ k.data.mT, owned=True)
+            if k.requires_grad:
+                _accumulate(k, q.data.mT @ dy, owned=True)
+
+    return _result(data, (q, k, v), backward_fn)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
@@ -319,10 +370,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (dxhat - m1 - xhat * m2))
+        _accumulate(a, inv * (dxhat - m1 - xhat * m2), owned=True)
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        _accumulate(gain, (g * xhat).sum(axis=lead), owned=True)
+        _accumulate(bias, g.sum(axis=lead), owned=True)
 
     return _result(data, (a, gain, bias), backward_fn)
 
@@ -334,7 +385,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gk = g
         if axis is not None and not keepdims:
             gk = np.expand_dims(g, axis=axis)
-        _accumulate(a, np.broadcast_to(gk, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(gk, a.data.shape))
 
     return _result(data, (a,), backward_fn)
 

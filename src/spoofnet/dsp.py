@@ -9,6 +9,8 @@ are whole frames (one token per time step, all frequency bins).
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,19 +83,47 @@ class FeatureGrid:
             )
 
 
+def _data_chunk_end(path) -> tuple[int, int]:
+    """(offset where the data chunk's declared payload ends, file size)
+    of a WAV that scipy has parsed. RIFX sizes are big-endian; an RF64
+    file keeps the data size in its ds64 chunk."""
+    with open(path, "rb") as f:
+        form = f.read(12)[:4]
+        order = ">I" if form == b"RIFX" else "<I"
+        rf64_data_size = 0
+        end = 0
+        while len(head := f.read(8)) == 8:
+            chunk_id, size = head[:4], struct.unpack(order, head[4:])[0]
+            if chunk_id == b"data":
+                end = f.tell() + (rf64_data_size if form == b"RF64" else size)
+                break
+            if chunk_id == b"ds64":
+                rf64_data_size = struct.unpack("<Q", f.read(16)[8:])[0]
+                size -= 16
+            f.seek(size + size % 2, 1)
+        return end, os.fstat(f.fileno()).st_size
+
+
 def read_wav(path) -> Waveform:
     """Read a 16-bit PCM or 32-bit float WAV file.
 
     Stereo files are reduced to their first channel. Returns an
     un-ingested Waveform at the file's native rate; pass it through
-    :func:`ingest` before any further processing.
+    :func:`ingest` before any further processing. A file whose data
+    chunk ends before the size its header declares (cut short by an
+    interrupted copy, say) raises InvalidAudio: scipy would only warn
+    and return the samples present.
     """
     try:
         rate, data = wavfile.read(path)
+        end, file_size = _data_chunk_end(path)
     except FileNotFoundError:
         raise
     except Exception as exc:
         raise InvalidAudio(f"cannot read WAV file {path}: {exc}") from exc
+    if end > file_size:
+        raise InvalidAudio(f"truncated WAV file {path}: its data chunk ends at "
+                           f"byte {end} but the file has {file_size} bytes")
     if data.ndim == 2:
         data = data[:, 0]
     if data.size == 0:

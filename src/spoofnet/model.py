@@ -240,9 +240,8 @@ class SpoofNet:
         q = _permute_trailing(ad.reshape(q, split), (1, 0, 2))
         k = _permute_trailing(ad.reshape(k, split), (1, 2, 0))
         v = _permute_trailing(ad.reshape(v, split), (1, 0, 2))
-        scale = 1.0 / math.sqrt(head_dim)
-        att = ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1)      # (..., H, L, L)
-        mixed = ad.reshape(_permute_trailing(ad.matmul(att, v), (1, 0, 2)),
+        att = ad.attention(q, k, v, 1.0 / math.sqrt(head_dim))        # (..., H, L, d)
+        mixed = ad.reshape(_permute_trailing(att, (1, 0, 2)),
                            (*x.shape[:-1], heads * head_dim))
         x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
         h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])

@@ -23,6 +23,12 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch buffers per dtype, as long as the largest parameter
+        # of that dtype; every step's temporaries are views into them
+        sizes: dict[np.dtype, int] = {}
+        for p in params.values():
+            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -44,12 +50,26 @@ class AdamW:
                 )
             m = self.m[name]
             v = self.v[name]
+            buf_a, buf_b = self._scratch[p.data.dtype]
+            a = buf_a[:p.data.size].reshape(p.data.shape)
+            b = buf_b[:p.data.size].reshape(p.data.shape)
+            # in place, the float ops of m += (1 - beta1) * g,
+            # v += (1 - beta2) * g * g, p -= lr * wd * p and
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(p.data, self.lr * self.weight_decay, out=a)
+                p.data -= a
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=b)
+            a *= self.lr
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a

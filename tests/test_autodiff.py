@@ -47,8 +47,8 @@ def test_op_set_is_closed():
               if fn.__module__ == ad.__name__ and not name.startswith("_")}
     assert public == {"add", "mul", "matmul", "concat", "reshape", "transpose",
                       "sigmoid", "gelu", "log", "clip", "softmax", "logsumexp",
-                      "layer_norm", "tsum", "tmean", "parameter", "no_grad",
-                      "backward", "zero_grads"}
+                      "attention", "layer_norm", "tsum", "tmean", "parameter",
+                      "no_grad", "backward", "zero_grads"}
     dunders = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
                "__mul__", "__rmul__", "__matmul__"}
     assert not dunders & set(vars(Tensor)) and not hasattr(Tensor, "reshape")
@@ -393,3 +393,120 @@ class TestDeterminism:
         l2, g2 = run()
         assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
+
+
+def assert_bits_equal(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def attention_chain(q, k, v, scale):
+    """The four-op composition ad.attention replaces."""
+    return ad.matmul(ad.softmax(ad.mul(ad.matmul(q, k), scale), axis=-1), v)
+
+
+class TestAttention:
+    @staticmethod
+    def run(op, dtype, lead, tracked, seed=0, heads=2, length=16, d=8):
+        rng = np.random.default_rng(seed)
+        shapes = {"q": (*lead, heads, length, d), "k": (*lead, heads, d, length),
+                  "v": (*lead, heads, length, d)}
+        qkv = {}
+        for name, shape in shapes.items():
+            data = rng.standard_normal(shape).astype(dtype)
+            qkv[name] = ad.parameter(data) if name in tracked else Tensor(data)
+        out = op(qkv["q"], qkv["k"], qkv["v"], 1.0 / np.sqrt(d))
+        c = rng.standard_normal(out.shape).astype(dtype)
+        ad.backward(ad.tsum(ad.mul(out, c)))
+        return out.data, {name: t.grad for name, t in qkv.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["heads", "batch_heads"])
+    @pytest.mark.parametrize("tracked", ["qkv", "qk", "v"])
+    def test_bit_equal_to_four_op_chain(self, dtype, lead, tracked):
+        out, grads = self.run(ad.attention, dtype, lead, tracked)
+        ref_out, ref_grads = self.run(attention_chain, dtype, lead, tracked)
+        assert_bits_equal(out, ref_out)
+        for name in "qkv":
+            if name in tracked:
+                assert_bits_equal(grads[name], ref_grads[name])
+            else:
+                assert grads[name] is None and ref_grads[name] is None
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(3)
+        q, v = randt(rng, 2, 2, 4, 3, scale=0.7), randt(rng, 2, 2, 4, 3, scale=0.7)
+        k = randt(rng, 2, 2, 3, 4, scale=0.7)
+        c = rng.standard_normal((2, 2, 4, 3))
+
+        def loss():
+            return ad.tsum(ad.mul(ad.attention(q, k, v, 0.6), c))
+
+        assert_grad_close(loss, [q, k, v], rtol=2e-4)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 4, 3), (2, 4, 3), (2, 4, 3)),     # keys not transposed
+        ((2, 4, 3), (2, 3, 4), (2, 4, 5)),     # values of another width
+        ((2, 4, 3), (1, 3, 4), (2, 4, 3)),     # keys of another stack
+        ((4,), (4,), (4,)),                    # not matrices
+    ])
+    def test_shape_error_names_the_shapes(self, shapes):
+        q, k, v = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError) as err:
+            ad.attention(q, k, v, 1.0)
+        for s in shapes:
+            assert str(s) in str(err.value)
+
+    def test_no_grad_records_no_graph(self):
+        rng = np.random.default_rng(4)
+        q, k, v = randt(rng, 2, 4, 3), randt(rng, 2, 3, 4), randt(rng, 2, 4, 3)
+        with ad.no_grad():
+            y = ad.attention(q, k, v, 0.5)
+        assert not y.requires_grad and y._backward_fn is None and y._parents == ()
+        np.testing.assert_array_equal(y.data, attention_chain(q, k, v, 0.5).data)
+
+
+class TestOwnedGradients:
+    def test_no_two_gradients_share_memory(self):
+        # a residual add hands one g to both operands; reshape, transpose
+        # and concat hand out views of theirs
+        rng = np.random.default_rng(5)
+        x = randt(rng, 2, 4, 6)
+        w = randt(rng, 6, 6)
+        b = randt(rng, 6)
+        gain, shift = ad.parameter(np.ones(6)), ad.parameter(np.zeros(6))
+        h = ad.layer_norm(x, gain, shift)
+        r = ad.add(x, ad.add(ad.matmul(h, w), b))
+        heads = ad.transpose(ad.reshape(r, (2, 4, 2, 3)), (0, 2, 1, 3))
+        keys = ad.transpose(heads, (0, 1, 3, 2))
+        att = ad.attention(heads, keys, heads, 0.5)
+        both = ad.concat([ad.reshape(att, (2, 2, 12)), ad.reshape(r, (2, 2, 12))], axis=-1)
+        loss = ad.add(ad.tsum(ad.mul(both, rng.standard_normal((2, 2, 24)))),
+                      ad.tsum(ad.sigmoid(r)))
+        ad.backward(loss)
+        grads = [t.grad for t in ad._toposort(loss) if t.grad is not None]
+        assert len(grads) > 15
+        for i, a in enumerate(grads):
+            for c in grads[i + 1:]:
+                assert not np.shares_memory(a, c)
+
+    def test_a_passed_through_gradient_is_copied(self):
+        t = ad.parameter(np.zeros((2, 3)))
+        g = np.ones((3, 2))
+        ad._accumulate(t, g.T)
+        g[0, 0] = 5.0
+        np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+        assert t.grad.flags.c_contiguous
+
+    def test_an_owned_gradient_is_taken_and_later_ones_are_added(self):
+        t = ad.parameter(np.zeros(3))
+        g = np.ones(3)
+        ad._accumulate(t, g, owned=True)
+        assert t.grad is g
+        ad._accumulate(t, np.full(3, 2.0), owned=True)
+        np.testing.assert_array_equal(t.grad, [3.0, 3.0, 3.0])
+
+    def test_an_owned_gradient_of_another_dtype_is_cast(self):
+        t = ad.parameter(np.zeros(3, dtype=np.float32))
+        ad._accumulate(t, np.ones(3), owned=True)
+        assert t.grad.dtype == np.float32

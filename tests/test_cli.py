@@ -256,6 +256,14 @@ class TestExitCodes:
                      "--report", str(tmp_path / "r.json")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_truncated_wav_is_2(self, tmp_path, workspace, capsys):
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(wav.read_bytes()[:-1])
+        assert main(["infer", "--wav", str(cut), "--ckpt", str(workspace["ckpt"])]) == 2
+        assert "truncated WAV file" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_2(self, tmp_path, workspace):
         assert main(["infer", "--wav", "missing.wav",
                      "--ckpt", str(tmp_path / "none.ckpt")]) == 2

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +229,62 @@ class TestWavIO:
                       np.zeros(100, dtype=np.uint8))
         with pytest.raises(InvalidAudio):
             read_wav(tmp_path / "u.wav")
+
+
+# a 16-bit mono WAV as scipy writes it: 12-byte RIFF header, 24-byte fmt
+# chunk, then the data chunk's 8-byte header at byte 36 and its payload
+PCM = np.round(8000 * np.sin(np.arange(120) / 5.0)).astype(np.int16)
+
+
+def riff(chunks: bytes) -> bytes:
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
+DATA = b"data" + struct.pack("<I", PCM.nbytes) + PCM.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+class TestTruncatedWav:
+    @pytest.mark.parametrize("cut", [1, 2, 100, 239])
+    def test_data_chunk_cut_short_is_invalid(self, tmp_path, cut):
+        from spoofnet.dsp import read_wav
+
+        (tmp_path / "t.wav").write_bytes(riff(FMT + DATA)[:-cut])
+        with pytest.raises(InvalidAudio, match="truncated WAV"):
+            read_wav(tmp_path / "t.wav")
+
+    def test_data_size_beyond_file_is_invalid(self, tmp_path):
+        # the RIFF size matches the file, so scipy does not even warn
+        from spoofnet.dsp import read_wav
+
+        lying = b"data" + struct.pack("<I", 10_000_000) + PCM.tobytes()
+        (tmp_path / "t.wav").write_bytes(riff(FMT + lying))
+        with pytest.raises(InvalidAudio, match="ends at byte 10000044"):
+            read_wav(tmp_path / "t.wav")
+
+    def test_unknown_chunk_still_loads(self, tmp_path):
+        # an odd-sized chunk scipy does not know, with its pad byte
+        from spoofnet.dsp import read_wav
+
+        unknown = b"abcd" + struct.pack("<I", 3) + b"xyz\0"
+        (tmp_path / "plain.wav").write_bytes(riff(FMT + DATA))
+        (tmp_path / "u.wav").write_bytes(riff(FMT + unknown + DATA))
+        np.testing.assert_array_equal(read_wav(tmp_path / "u.wav").samples,
+                                      read_wav(tmp_path / "plain.wav").samples)
+
+    def test_rf64_takes_its_data_size_from_ds64(self, tmp_path):
+        from spoofnet.dsp import read_wav
+
+        ds64 = b"ds64" + struct.pack("<IQQQI", 28, 0, PCM.nbytes, PCM.size, 0)
+        data = b"data" + struct.pack("<I", 0xFFFFFFFF) + PCM.tobytes()
+        body = b"WAVE" + ds64 + FMT + data
+        whole = bytearray(b"RF64" + struct.pack("<I", 0xFFFFFFFF) + body)
+        whole[20:28] = struct.pack("<Q", len(whole) - 8)  # ds64's RIFF size
+        (tmp_path / "plain.wav").write_bytes(riff(FMT + DATA))
+        (tmp_path / "r.wav").write_bytes(bytes(whole))
+        np.testing.assert_array_equal(read_wav(tmp_path / "r.wav").samples,
+                                      read_wav(tmp_path / "plain.wav").samples)
+        (tmp_path / "r.wav").write_bytes(bytes(whole[:-2]))
+        with pytest.raises(InvalidAudio, match="truncated WAV"):
+            read_wav(tmp_path / "r.wav")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spoofnet import autodiff as ad
 from spoofnet.optim import AdamW
@@ -48,3 +49,50 @@ class TestAdamW:
             ad.backward(loss)
             opt.step()
         assert abs(float(p.data[0])) < 0.1
+
+
+def reference_step(opt, t):
+    """AdamW's update written as whole-array expressions, one temporary
+    per operation; opt supplies the hyper-parameters and the moments."""
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    for name, p in opt.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m, v = opt.m[name], opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        if opt.weight_decay:
+            p.data -= opt.lr * opt.weight_decay * p.data
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_equal_to_whole_array_expressions(self, dtype, weight_decay):
+        rng = np.random.default_rng(7)
+        shapes = {"w": (5, 4), "b": (4,), "frozen": (3,), "s": ()}
+        init = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        opts = [AdamW({k: ad.parameter(a.copy()) for k, a in init.items()},
+                      lr=1e-2, weight_decay=weight_decay) for _ in range(2)]
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s).astype(dtype)
+                     for k, s in shapes.items() if k != "frozen"}
+            for opt in opts:
+                for k, p in opt.params.items():
+                    p.grad = grads[k].copy() if k in grads else None
+            opts[0].step()
+            reference_step(opts[1], t)
+            for k in shapes:
+                for got, want in ((opts[0].params[k].data, opts[1].params[k].data),
+                                  (opts[0].m[k], opts[1].m[k]),
+                                  (opts[0].v[k], opts[1].v[k])):
+                    assert got.dtype == want.dtype == dtype
+                    assert got.tobytes() == want.tobytes(), (k, t)
+        # the frozen parameter still decays when weight decay is on
+        moved = not np.array_equal(opts[0].params["frozen"].data, init["frozen"])
+        assert moved == bool(weight_decay)
