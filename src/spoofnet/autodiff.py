@@ -7,8 +7,9 @@ requires them. The op set is deliberately closed: exactly what the
 detector network and its losses need, nothing speculative.
 
 - elementwise: add, mul
-- matrices and layout: matmul, concat, reshape, transpose
-- attention: attention (softmax(q @ k * scale) @ v over stacked heads)
+- matrices and layout: matmul, concat, transpose (of the last two axes)
+- attention: attention (multi-head softmax(q @ k.T / sqrt(d)) @ v of
+  (..., L, H*d) projections)
 - nonlinearities: sigmoid, gelu, log, clip
 - reductions and normalization: softmax, logsumexp, layer_norm, tsum, tmean
 - graph: parameter, no_grad, backward, zero_grads
@@ -211,27 +212,15 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _result(data, tuple(tensors), backward_fn)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: shape {a.data.shape} has no two axes to swap")
+    # a contiguous copy: matmul on strided views can round differently
+    data = a.data.mT.copy()
 
     def backward_fn(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _result(data, (a,), backward_fn)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute the axes as np.transpose does; by default reverse them."""
-    try:
-        # a contiguous copy: matmul on strided views can round differently
-        data = np.transpose(a.data, axes).copy()
-    except ValueError as exc:
-        raise ShapeError(f"transpose: cannot permute shape {a.data.shape} "
-                         f"by axes {axes}") from exc
-    inverse = None if axes is None else np.argsort([ax % a.data.ndim for ax in axes])
-
-    def backward_fn(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(a, g.mT)
 
     return _result(data, (a,), backward_fn)
 
@@ -311,40 +300,55 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _result(data, (a,), backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale) -> Tensor:
-    """Scaled dot-product attention softmax(q @ k * scale) @ v over a
-    stack of heads: q is (..., L, d), k holds the keys already transposed
-    to (..., d, L), and v is (..., L, d).
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of the (..., L, H*d)
+    query, key and value projections: each head's columns attend as
+    softmax(q @ k.T / sqrt(d)) @ v, and the heads' outputs join back
+    into one (..., L, H*d) tensor.
 
-    The (..., L, L) scores live in one buffer, scaled and softmaxed in
-    place, and backward reuses one buffer of that size. Every float op
-    is the one the matmul, mul, softmax, matmul chain does, on the same
-    operands and in the same order, so values and gradients equal the
-    chain's bit for bit."""
+    The projections are split into contiguous per-head stacks, q and v
+    to (..., H, L, d) and k to (..., H, d, L), so one stacked matmul
+    scores every head. The (..., H, L, L) scores live in one buffer,
+    scaled and softmaxed in place, and backward reuses one buffer of that
+    size. Every float op is the one the matmul, mul, softmax, matmul
+    chain does on those stacks, on the same operands and in the same
+    order, so values and gradients equal the chain's bit for bit."""
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
-    if q.data.ndim < 2 or sk != (*sq[:-2], sq[-1], sq[-2]) or sv != sq:
-        raise ShapeError(f"attention: cannot combine queries {sq}, keys {sk} "
-                         f"and values {sv}")
-    scale = np.asarray(scale, dtype=q.data.dtype)  # cast as mul casts a constant
-    y = q.data @ k.data
+    if q.data.ndim < 2 or sk != sq or sv != sq or heads < 1 or sq[-1] % heads:
+        raise ShapeError(f"attention: cannot split queries {sq}, keys {sk} "
+                         f"and values {sv} into {heads} heads")
+    d = sq[-1] // heads
+    split = (*sq[:-1], heads, d)
+
+    def stack(x):  # (..., L, H*d) -> (..., H, L, d)
+        return x.reshape(split).swapaxes(-3, -2).copy()
+
+    def join(x):   # (..., H, L, d) -> (..., L, H*d)
+        return x.swapaxes(-3, -2).reshape(sq)
+
+    qh, vh = stack(q.data), stack(v.data)
+    kh = np.moveaxis(k.data.reshape(split), -3, -1).copy()  # (..., H, d, L)
+    scale = np.asarray(1.0 / math.sqrt(d), dtype=q.data.dtype)
+    y = qh @ kh
     y *= scale
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    data = y @ v.data
+    data = join(y @ vh)
 
     def backward_fn(g):
+        g = stack(g)
         if v.requires_grad:
-            _accumulate(v, y.mT @ g, owned=True)
+            _accumulate(v, join(y.mT @ g), owned=True)
         if q.requires_grad or k.requires_grad:
-            dy = g @ v.data.mT
+            dy = g @ vh.mT
             dy -= (dy * y).sum(axis=-1, keepdims=True)
             dy *= y
             dy *= scale
             if q.requires_grad:
-                _accumulate(q, dy @ k.data.mT, owned=True)
+                _accumulate(q, join(dy @ kh.mT), owned=True)
             if k.requires_grad:
-                _accumulate(k, q.data.mT @ dy, owned=True)
+                _accumulate(k, join((qh.mT @ dy).mT), owned=True)
 
     return _result(data, (q, k, v), backward_fn)
 

@@ -39,13 +39,13 @@ class AnnotateStats:
     skipped: list = field(default_factory=list)  # (utt_id, reason)
 
 
-def content_key(audio_path, pitch_cfg: PitchConfig, formant_cfg: FormantConfig,
-                silence_threshold_db: float) -> str:
-    """Hash of file bytes and every parameter that shapes the annotation."""
+def content_key(audio_path, pitch_cfg: PitchConfig, formant_cfg: FormantConfig) -> str:
+    """Hash of file bytes and every parameter that shapes the annotation,
+    the silence trim's threshold among them."""
     h = hashlib.sha256()
     with open(audio_path, "rb") as fh:
         h.update(fh.read())
-    h.update(f"|trim:{silence_threshold_db}|{pitch_cfg.key()}|{formant_cfg.key()}"
+    h.update(f"|trim:{DEFAULT_SILENCE_THRESHOLD_DB}|{pitch_cfg.key()}|{formant_cfg.key()}"
              .encode("utf-8"))
     return h.hexdigest()
 
@@ -75,10 +75,10 @@ def _write_cache_file(path: Path, rows: dict[str, dict]) -> None:
 
 def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
     """Worker body: (utt_id, annotation, error) for one utterance."""
-    utt_id, audio_path, pitch_cfg, formant_cfg, silence_threshold_db = job
+    utt_id, audio_path, pitch_cfg, formant_cfg = job
     try:
         wave = read_wav(audio_path)
-        fixed = preprocess(wave, silence_threshold_db)
+        fixed = preprocess(wave)
         return utt_id, annotate_waveform(fixed, pitch_cfg, formant_cfg), None
     except DataError as exc:
         return utt_id, None, str(exc)
@@ -89,7 +89,6 @@ def annotate_corpus(
     cache_dir,
     pitch_cfg: PitchConfig = PitchConfig(),
     formant_cfg: FormantConfig = FormantConfig(),
-    silence_threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB,
     workers: int = 1,
 ) -> tuple[dict[str, FrameAnnotation], AnnotateStats]:
     """Annotate every readable utterance, reusing fresh cache records.
@@ -112,8 +111,7 @@ def annotate_corpus(
             stats.skipped.append((entry.utt_id, "missing audio file"))
             continue
         try:
-            key = content_key(entry.audio_path, pitch_cfg, formant_cfg,
-                              silence_threshold_db)
+            key = content_key(entry.audio_path, pitch_cfg, formant_cfg)
         except OSError as exc:
             stats.skipped.append((entry.utt_id, f"unreadable: {exc}"))
             continue
@@ -127,8 +125,7 @@ def annotate_corpus(
                 stats.cached += 1
                 continue
         keys[entry.utt_id] = key
-        jobs.append((entry.utt_id, entry.audio_path, pitch_cfg, formant_cfg,
-                     silence_threshold_db))
+        jobs.append((entry.utt_id, entry.audio_path, pitch_cfg, formant_cfg))
 
     if jobs:
         if workers > 1:

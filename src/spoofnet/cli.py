@@ -18,7 +18,6 @@ from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
-from .dsp import DEFAULT_SILENCE_THRESHOLD_DB
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
 from .features import build_samples, utterance_tokens
@@ -47,9 +46,7 @@ def _cmd_synth_corpus(args) -> int:
 
 def _cmd_annotate(args) -> int:
     manifest = load_manifest(args.manifest)
-    annotations, stats = annotate_corpus(manifest, args.cache,
-                                         silence_threshold_db=args.trim_db,
-                                         workers=args.workers)
+    annotations, stats = annotate_corpus(manifest, args.cache, workers=args.workers)
     print(f"annotated {stats.computed} utterances "
           f"({stats.cached} cached, {len(stats.skipped)} skipped)")
     for utt_id, reason in stats.skipped:
@@ -72,8 +69,7 @@ def _load_model(ckpt_path) -> tuple[SpoofNet, TrainConfig]:
 def _cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     model_cfg, train_cfg = load_run_config(args.config)
-    annotations, stats = annotate_corpus(manifest, args.cache,
-                                         silence_threshold_db=args.trim_db)
+    annotations, stats = annotate_corpus(manifest, args.cache)
     usable = [e for e in manifest if e.utt_id in annotations]
     if not usable:
         raise DataError("no annotated utterances available for training")
@@ -94,8 +90,8 @@ def _cmd_train(args) -> int:
 
     print(f"training on {len(train_entries)} utterances "
           f"(balanced), validating on {len(val_entries)}")
-    train_samples = build_samples(train_entries, annotations, args.trim_db)
-    val_samples = build_samples(val_entries, annotations, args.trim_db)
+    train_samples = build_samples(train_entries, annotations)
+    val_samples = build_samples(val_entries, annotations)
 
     model = SpoofNet(model_cfg, seed=train_cfg.seed)
     result = train_loop(model, train_samples, val_samples, train_cfg, scaler)
@@ -127,15 +123,14 @@ def _cmd_eval(args) -> int:
 
     gt_voiced = {}
     if args.cache:
-        annotations, _ = annotate_corpus(manifest, args.cache,
-                                         silence_threshold_db=args.trim_db)
+        annotations, _ = annotate_corpus(manifest, args.cache)
         gt_voiced = {u: a.voiced for u, a in annotations.items()}
 
     records = []
     dtype = model.cfg.np_dtype()
     for start in range(0, len(entries), train_cfg.batch_size):
         chunk = entries[start:start + train_cfg.batch_size]
-        mags, phases = zip(*(utterance_tokens(e.audio_path, args.trim_db) for e in chunk))
+        mags, phases = zip(*(utterance_tokens(e.audio_path) for e in chunk))
         with ad.no_grad():
             out = model.forward(np.stack(mags, dtype=dtype), np.stack(phases, dtype=dtype))
         for i, e in enumerate(chunk):
@@ -176,17 +171,15 @@ def _cmd_explain(args) -> int:
 
 def _cmd_infer(args) -> int:
     model, _ = _load_model(args.ckpt)
-    mag, phase = utterance_tokens(args.wav, args.trim_db)
+    mag, phase = utterance_tokens(args.wav)
     out = model.predict(mag, phase)
     verdict = "fake" if out.score >= 0.5 else "real"
     voiced_frac = float(np.mean(out.v_mask))
     print(f"{args.wav}: score {out.score:.4f} ({verdict}), "
           f"{100 * voiced_frac:.1f}% frames voiced")
-    record = ScoreRecord(utt_id=str(args.wav), score=out.score, label=0,
-                         frame_weights=out.frame_weights,
-                         voicing_prob=out.voicing_prob)
     print("most attended frames (index, weight, voiced):")
-    for idx, weight, voiced in top_frames(record, k=min(5, out.frame_weights.size)):
+    for idx, weight, voiced in top_frames(out.frame_weights, out.voicing_prob,
+                                          k=min(5, out.frame_weights.size)):
         print(f"  {idx:4d}  {weight:.4f}  {'voiced' if voiced else 'unvoiced'}")
     return 0
 
@@ -196,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                      description="speech deepfake detector toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    def add_trim(p):
-        p.add_argument("--trim-db", type=float,
-                       default=DEFAULT_SILENCE_THRESHOLD_DB,
-                       help="silence trim threshold in dB relative to peak")
 
     p = sub.add_parser("synth-corpus", help="generate a synthetic test corpus")
     p.add_argument("--spec", required=True, help="corpus spec (key = value file)")
@@ -212,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True, help="cache directory")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel annotation processes")
-    add_trim(p)
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train", help="train a detector")
@@ -221,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="model+training config file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", default=None, help="history JSONL path")
-    add_trim(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a manifest with a checkpoint")
@@ -233,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default=None, help="restrict to one manifest split")
     p.add_argument("--cache", default=None,
                    help="annotation cache dir, to attach ground-truth voicing")
-    add_trim(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("explain", help="voiced/unvoiced reliance report")
@@ -246,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="score a single WAV file")
     p.add_argument("--wav", required=True)
     p.add_argument("--ckpt", required=True)
-    add_trim(p)
     p.set_defaults(func=_cmd_infer)
 
     return parser

@@ -37,12 +37,10 @@ F2_RANGE_HZ = (800.0, 2700.0)
 
 @dataclass
 class Waveform:
-    """Mono audio at 16 kHz with processing provenance flags."""
+    """Mono audio, at 16 kHz once ingested."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
-    trimmed: bool = False
-    normalized: bool = False
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -105,7 +103,8 @@ def _data_chunk_end(path) -> tuple[int, int]:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM or 32-bit float WAV file.
+    """Read a 16-bit PCM or float WAV file, little-endian (RIFF) or
+    big-endian (RIFX).
 
     Stereo files are reduced to their first channel. Returns an
     un-ingested Waveform at the file's native rate; pass it through
@@ -128,9 +127,9 @@ def read_wav(path) -> Waveform:
         data = data[:, 0]
     if data.size == 0:
         raise InvalidAudio(f"empty WAV file: {path}")
-    if data.dtype == np.int16:
+    if data.dtype.kind == "i" and data.dtype.itemsize == 2:
         samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
+    elif data.dtype.kind == "f":
         samples = data.astype(np.float64)
     else:
         raise InvalidAudio(
@@ -197,8 +196,7 @@ def trim_silence(
         raise SilentAudio(f"no blocks above {threshold_db} dB relative to peak")
     start = active[0] * block
     end = min((active[-1] + 1) * block, x.size)
-    return Waveform(x[start:end].copy(), w.sample_rate, trimmed=True,
-                    normalized=w.normalized)
+    return Waveform(x[start:end].copy(), w.sample_rate)
 
 
 def peak_normalize(w: Waveform) -> Waveform:
@@ -206,8 +204,7 @@ def peak_normalize(w: Waveform) -> Waveform:
     peak = np.max(np.abs(w.samples))
     if peak == 0.0:
         raise SilentAudio("cannot normalize an all-zero signal")
-    return Waveform(w.samples / peak, w.sample_rate, trimmed=w.trimmed,
-                    normalized=True)
+    return Waveform(w.samples / peak, w.sample_rate)
 
 
 def fix_length(w: Waveform) -> FixedWaveform:

@@ -66,15 +66,16 @@ class RelianceReport:
     threshold: float
 
 
-def top_frames(record: ScoreRecord, k: int) -> list[tuple[int, float, bool]]:
+def top_frames(frame_weights: np.ndarray, voicing_prob: np.ndarray,
+               k: int) -> list[tuple[int, float, bool]]:
     """The k most-attended frames as (index, weight, voiced) triples,
     sorted by descending weight with ties broken by earlier index."""
-    w = record.frame_weights
+    w = np.asarray(frame_weights)
     if k > w.size:
         raise InvalidWeights(f"k={k} exceeds {w.size} frames")
-    order = sorted(range(w.size), key=lambda i: (-w[i], i))[:k]
-    voiced = record.voicing_prob >= 0.5
-    return [(i, float(w[i]), bool(voiced[i])) for i in order]
+    order = np.argsort(-w, kind="stable")[:k]
+    voiced = np.asarray(voicing_prob) >= 0.5
+    return [(int(i), float(w[i]), bool(voiced[i])) for i in order]
 
 
 def aggregate(

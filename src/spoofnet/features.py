@@ -5,24 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from .annotate import FrameAnnotation
-from .dsp import DEFAULT_SILENCE_THRESHOLD_DB, preprocess, read_wav, stft_features, tokenize
+from .dsp import preprocess, read_wav, stft_features, tokenize
 from .manifest import ManifestEntry
 from .train import TrainSample
 
 
-def utterance_tokens(
-    audio_path, silence_threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB
-) -> tuple[np.ndarray, np.ndarray]:
+def utterance_tokens(audio_path) -> tuple[np.ndarray, np.ndarray]:
     """(mag_tokens, phase_tokens) for one audio file."""
     wave = read_wav(audio_path)
-    fixed = preprocess(wave, silence_threshold_db)
+    fixed = preprocess(wave)
     return tokenize(stft_features(fixed))
 
 
 def build_samples(
     entries: list[ManifestEntry],
     annotations: dict[str, FrameAnnotation],
-    silence_threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB,
 ) -> list[TrainSample]:
     """Assemble TrainSamples for every entry with a usable annotation.
 
@@ -34,9 +31,8 @@ def build_samples(
         ann = annotations.get(e.utt_id)
         if ann is None:
             continue
-        mag, phase = utterance_tokens(e.audio_path, silence_threshold_db)
+        mag, phase = utterance_tokens(e.audio_path)
         samples.append(TrainSample(
-            utt_id=e.utt_id, mag=mag, phase=phase, annotation=ann,
-            label=e.label_int, dataset_tag=e.dataset_tag, codec_tag=e.codec_tag,
+            utt_id=e.utt_id, mag=mag, phase=phase, annotation=ann, label=e.label_int,
         ))
     return samples

@@ -9,7 +9,6 @@ The pooling weights double as the frame-importance explanation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +152,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
-def _permute_trailing(t: Tensor, order) -> Tensor:
-    """Permute the last len(order) axes of t by order; leading axes stay."""
-    n = t.ndim - len(order)
-    return ad.transpose(t, (*range(n), *(n + i for i in order)))
-
-
 def attention_pool(z: Tensor, w_pool: Tensor) -> tuple[Tensor, Tensor]:
     """Multi-head frame scoring collapsed to one weight per frame.
 
@@ -170,7 +163,7 @@ def attention_pool(z: Tensor, w_pool: Tensor) -> tuple[Tensor, Tensor]:
     scores = ad.matmul(z, w_pool)                       # (..., L, H)
     s = ad.logsumexp(scores, axis=-1, keepdims=True)    # (..., L, 1)
     weights = ad.softmax(s, axis=-2)                    # (..., L, 1)
-    pooled = ad.matmul(_permute_trailing(weights, (1, 0)), z)  # (..., 1, D)
+    pooled = ad.matmul(ad.transpose(weights), z)       # (..., 1, D)
     return weights, pooled
 
 
@@ -227,22 +220,13 @@ class SpoofNet:
                              f"{expected} or a stack of them")
         return Tensor(arr)
 
-    def _block(self, x: Tensor, prefix: str, heads: int, head_dim: int) -> Tensor:
+    def _block(self, x: Tensor, prefix: str, heads: int) -> Tensor:
         p = self.params
         h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q = ad.add(ad.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
         k = ad.matmul(h, p[f"{prefix}.wk"])
         v = ad.add(ad.matmul(h, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        # heads become an axis ahead of the frames: (..., L, H*d) ->
-        # (..., L, H, d) -> (..., H, L, d), and keys go to (..., H, d, L),
-        # so one stacked matmul scores every head of every utterance
-        split = (*x.shape[:-1], heads, head_dim)
-        q = _permute_trailing(ad.reshape(q, split), (1, 0, 2))
-        k = _permute_trailing(ad.reshape(k, split), (1, 2, 0))
-        v = _permute_trailing(ad.reshape(v, split), (1, 0, 2))
-        att = ad.attention(q, k, v, 1.0 / math.sqrt(head_dim))        # (..., H, L, d)
-        mixed = ad.reshape(_permute_trailing(att, (1, 0, 2)),
-                           (*x.shape[:-1], heads * head_dim))
+        mixed = ad.attention(q, k, v, heads)
         x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
         h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         inner = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))
@@ -254,8 +238,7 @@ class SpoofNet:
         x = ad.add(ad.matmul(tokens, p[f"enc_{stream}.proj.w"]), p[f"enc_{stream}.proj.b"])
         x = ad.add(x, p[f"enc_{stream}.pos"])
         for i in range(self.cfg.enc_layers):
-            x = self._block(x, f"enc_{stream}.layer{i}",
-                            self.cfg.enc_heads, self.cfg.enc_head_dim)
+            x = self._block(x, f"enc_{stream}.layer{i}", self.cfg.enc_heads)
         return x
 
     def encode(self, mag_tokens, phase_tokens) -> Tensor:
@@ -296,8 +279,7 @@ class SpoofNet:
         """(synthesis score (..., 1, 1), frame weights (..., L, 1))."""
         z = z_enc
         for i in range(self.cfg.pred_layers):
-            z = self._block(z, f"pred.layer{i}",
-                            self.cfg.pred_heads, self.cfg.pred_head_dim)
+            z = self._block(z, f"pred.layer{i}", self.cfg.pred_heads)
         weights, pooled = attention_pool(z, self.params["pool.w"])
         normed = ad.layer_norm(pooled, self.params["score.ln.g"], self.params["score.ln.b"])
         logit = ad.add(ad.matmul(normed, self.params["score.w"]), self.params["score.b"])

@@ -130,16 +130,17 @@ def compound_loss(
     dtype = out.voicing_prob.data.dtype
     voiced = np.stack([a.voiced for a in anns]).reshape(*lead, n_frames)
     mask = voiced.astype(dtype)[..., None]                    # (..., L, 1)
-    y = np.asarray(label, dtype=dtype).reshape(lead)
+    # every per-utterance term keeps the score's (..., 1, 1) shape
+    y = np.asarray(label, dtype=dtype).reshape(*lead, 1, 1)
 
     # the probability given to the true class: p for fake (y = 1), 1 - p for real
-    p = ad.reshape(ad.clip(out.score, BCE_EPS, 1.0 - BCE_EPS), lead)
+    p = ad.clip(out.score, BCE_EPS, 1.0 - BCE_EPS)
     bce_p = ad.mul(ad.log(ad.add(ad.mul(p, 2.0 * y - 1.0), 1.0 - y)), -1.0)
 
     v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)     # (..., L, 1)
     one_minus_v = ad.add(ad.mul(v, -1.0), 1.0)
     per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(one_minus_v), mask - 1.0))
-    bce_v = ad.tmean(per_frame, axis=(-2, -1))
+    bce_v = ad.tmean(per_frame, axis=(-2, -1), keepdims=True)
 
     # unvoiced frames get an in-range stand-in target; the mask zeroes them
     tracks = np.stack([np.stack([a.f0_hz, a.f1_hz, a.f2_hz], axis=-1) for a in anns])
@@ -153,12 +154,13 @@ def compound_loss(
     masked = ad.mul(ad.mul(diff, diff), mask)
     n_voiced = voiced.sum(axis=-1)
     per_voiced = np.where(n_voiced > 0, 1.0 / (3 * np.maximum(n_voiced, 1)), 0.0)
-    mse_f = ad.mul(ad.tsum(masked, axis=(-2, -1)), per_voiced)
+    mse_f = ad.mul(ad.tsum(masked, axis=(-2, -1), keepdims=True),
+                   per_voiced[..., None, None])
 
     w0, w1, w2 = weights
     total = ad.add(ad.add(ad.mul(bce_p, w0), ad.mul(bce_v, w1)), ad.mul(mse_f, w2))
-    components = {"bce_p": bce_p.data, "bce_v": bce_v.data,
-                  "mse_f": mse_f.data, "total": total.data}
+    components = {name: t.data.reshape(lead) for name, t in
+                  (("bce_p", bce_p), ("bce_v", bce_v), ("mse_f", mse_f), ("total", total))}
     return ad.tmean(total), components
 
 
@@ -217,8 +219,6 @@ class TrainSample:
     phase: np.ndarray
     annotation: FrameAnnotation
     label: int  # 0 real, 1 fake
-    dataset_tag: str = "default"
-    codec_tag: str | None = None
 
 
 @dataclass

@@ -202,6 +202,19 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["annotate", "--manifest", "m.csv", "--cache", "c"],
+        ["train", "--manifest", "m.csv", "--cache", "c", "--config", "r.cfg",
+         "--out", "m.ckpt"],
+        ["eval", "--manifest", "m.csv", "--ckpt", "m.ckpt", "--scores", "s.jsonl"],
+        ["infer", "--wav", "a.wav", "--ckpt", "m.ckpt"],
+    ], ids=lambda args: args[0])
+    def test_trim_threshold_is_not_an_option(self, args):
+        # the trim threshold is fixed, so eval and infer tokenize as train did
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--trim-db", "-30"])
+        assert exc.value.code == 1
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["annotate", "--manifest", str(tmp_path / "nope.csv"),
                      "--cache", str(tmp_path / "c")]) == 2

@@ -350,10 +350,11 @@ def _transpose_2d(a: Tensor) -> Tensor:
     return ad._result(data, (a,), backward_fn)
 
 
-def per_head_block(self, x, prefix, heads, head_dim):
+def per_head_block(self, x, prefix, heads):
     """Reference: the transformer block with one attention product per
     head, each head sliced out of q/k/v and the results concatenated."""
     p = self.params
+    head_dim = p[f"{prefix}.wq"].shape[1] // heads
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     q = ad.add(ad.matmul(h, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = ad.matmul(h, p[f"{prefix}.wk"])
@@ -412,3 +413,21 @@ class TestBatchedHeads:
             assert g is not None, param
             assert g.dtype == ref_grads[param].dtype, param
             np.testing.assert_array_equal(g, ref_grads[param], err_msg=param)
+
+
+class TestGraphSize:
+    """A transformer block records 17 op nodes: layer norms, projections,
+    one attention op, the MLP and the residual adds, and no layout nodes
+    around the attention. A change that brings some back fails here."""
+
+    @staticmethod
+    def op_nodes(cfg):
+        net = SpoofNet(cfg, seed=0)
+        out = net.forward(*rand_tokens(cfg, seed=1))
+        return sum(1 for t in ad._toposort(out.score) if t._parents)
+
+    def test_op_nodes_per_block(self):
+        base = self.op_nodes(toy_config())
+        assert self.op_nodes(toy_config(pred_layers=2)) - base == 17
+        assert self.op_nodes(toy_config(enc_layers=2)) - base == 2 * 17  # two streams
+        assert base == 69

@@ -45,7 +45,7 @@ class TestAdamW:
         opt = AdamW(params, lr=0.05)
         for _ in range(400):
             opt.zero_grad()
-            loss = ad.reshape(ad.mul(ad.mul(p, 1.0), p), ())
+            loss = ad.mul(ad.mul(p, 1.0), p)
             ad.backward(loss)
             opt.step()
         assert abs(float(p.data[0])) < 0.1

@@ -218,6 +218,18 @@ class TestAnnotationCache:
             np.testing.assert_array_equal(got.f2_hz, fresh.f2_hz)
             np.testing.assert_array_equal(got.voiced, fresh.voiced)
 
+    def test_key_text_keeps_the_trim_threshold(self, tmp_path):
+        # caches written while the trim threshold was a parameter hashed
+        # it into the key text; the same text keeps those records valid
+        from spoofnet.cache import content_key
+        from spoofnet.formants import FormantConfig
+
+        path = tmp_path / "a.wav"
+        path.write_bytes(b"audio bytes")
+        pitch, formant = PitchConfig(), FormantConfig()
+        text = f"audio bytes|trim:-40.0|{pitch.key()}|{formant.key()}"
+        assert content_key(path, pitch, formant) == hashlib.sha256(text.encode()).hexdigest()
+
     def test_parameter_change_invalidates(self, tmp_path):
         m = self.corpus(tmp_path)
         cache = tmp_path / "cache"
