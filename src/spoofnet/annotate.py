@@ -3,6 +3,11 @@
 One FrameAnnotation per utterance, aligned 1:1 with the 128 STFT frames.
 Voicing is defined by pitch presence, so the voicing supervision can
 never contradict the f0 supervision.
+
+A cache record holds the three tracks as the hex of their little-endian
+float64 bytes, one string each; the voicing mask is not stored, because
+decoding derives it from f0 again. Storing the bytes makes a cached
+annotation equal to a fresh one bit for bit, NaN payloads included.
 """
 
 from __future__ import annotations
@@ -63,40 +68,29 @@ def annotate_waveform(
 
 
 def annotation_to_record(utt_id: str, ann: FrameAnnotation) -> dict:
-    """JSON-serializable cache record for one utterance."""
-    frames = []
-    for t in range(ann.n_frames):
-        # repr round-trips floats exactly, keeping cache == fresh bit-for-bit
-        frames.append({
-            "t": t,
-            "f0": None if not ann.voiced[t] else float(ann.f0_hz[t]),
-            "f1": float(ann.f1_hz[t]),
-            "f2": float(ann.f2_hz[t]),
-            "voiced": bool(ann.voiced[t]),
-        })
-    return {"utt_id": utt_id, "frames": frames}
+    """JSON-serializable cache record for one utterance: each track as the
+    hex of its little-endian float64 bytes, so the round trip is exact."""
+    record = {"utt_id": utt_id}
+    for name, track in (("f0", ann.f0_hz), ("f1", ann.f1_hz), ("f2", ann.f2_hz)):
+        record[name] = np.asarray(track, dtype="<f8").tobytes().hex()
+    return record
 
 
 def annotation_from_record(record: dict) -> FrameAnnotation:
-    """The annotation a cache record holds; a record that is not one
-    annotation_to_record could have written raises DataError."""
+    """The annotation a cache record holds; a record that does not decode
+    to one, such as one with a missing or short track, non-hex text, an
+    infinite f0 or a non-finite formant, raises DataError."""
     try:
-        frames = record["frames"]
-        n = len(frames)
-        f0 = np.full(n, np.nan)
-        f1 = np.empty(n)
-        f2 = np.empty(n)
-        voiced = np.zeros(n, dtype=bool)
-        for t, row in enumerate(frames):
-            # frames are written in order; any other index would leave a
-            # frame of f1/f2 unset
-            if row["t"] != t:
-                raise DataError(f"annotation record has frame {row['t']!r} at position {t}")
-            if row["f0"] is not None:
-                f0[t] = row["f0"]
-            f1[t] = row["f1"]
-            f2[t] = row["f2"]
-            voiced[t] = row["voiced"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # fromhex refuses a non-string or non-hex track, frombuffer a byte
+        # count that is not whole float64s; astype makes a writeable copy
+        f0, f1, f2 = (np.frombuffer(bytes.fromhex(record[name]), dtype="<f8").astype(np.float64)
+                      for name in ("f0", "f1", "f2"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed annotation record: {exc!r}") from exc
-    return FrameAnnotation(f0_hz=f0, f1_hz=f1, f2_hz=f2, voiced=voiced)
+    # NaN in f0 marks an unvoiced frame; the trackers never emit inf, and
+    # formant dropouts take the fallbacks, so F1/F2 are always finite
+    if np.isinf(f0).any():
+        raise DataError("annotation record has an infinite f0")
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+        raise DataError("annotation record has a non-finite formant")
+    return FrameAnnotation(f0_hz=f0, f1_hz=f1, f2_hz=f2, voiced=derive_voicing(f0))

@@ -6,10 +6,12 @@ parameters); changing any parameter invalidates exactly the affected
 records. Annotation of missing entries can fan out over a process pool
 (each utterance is independent); results are merged and written in one
 atomic pass (a temp file of the writer's own + rename), so the cache
-content never depends on worker count or completion order. A line that
-does not parse as a record, such as one torn by an interrupted copy or
-one whose frames are malformed, reads as a cache miss and is dropped or
-replaced by the next write.
+content never depends on worker count or completion order. Each record
+is `{"utt_id", "f0", "f1", "f2", "key"}`, the tracks in the byte-exact
+encoding of `annotate.annotation_to_record`. A line that does not parse
+as a record, such as one torn by an interrupted copy, one whose tracks
+do not decode, or one in the older per-frame format, reads as a cache
+miss and is dropped or replaced by the next write.
 """
 
 from __future__ import annotations

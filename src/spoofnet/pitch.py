@@ -26,6 +26,7 @@ are bit-for-bit those of the loop:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,20 @@ def cmndf(d: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _threshold_prior(cfg: PitchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold grid and the probability mass of 0..n_thresholds wins,
+    built once per config and shared read-only by every frame."""
+    thresholds = cfg.threshold_max * (np.arange(1, cfg.n_thresholds + 1) / cfg.n_thresholds)
+    # probability after `wins` sequential additions of 1/n_thresholds;
+    # add.accumulate sums in order, so this is exact where wins * weight is not
+    weight = 1.0 / cfg.n_thresholds
+    mass = np.concatenate([[0.0], np.cumsum(np.full(cfg.n_thresholds, weight))])
+    thresholds.flags.writeable = False
+    mass.flags.writeable = False
+    return thresholds, mass
+
+
 def frame_candidates(
     frame: np.ndarray, sample_rate: int, cfg: PitchConfig
 ) -> list[tuple[float, float]]:
@@ -118,14 +133,10 @@ def frame_candidates(
 
     # plain YIN under threshold s picks the first trough below s, which is
     # where the running minimum of the depths first drops below s
-    thresholds = cfg.threshold_max * (np.arange(1, cfg.n_thresholds + 1) / cfg.n_thresholds)
+    thresholds, mass = _threshold_prior(cfg)
     running_min = np.minimum.accumulate(depth)
     winner = np.searchsorted(-running_min, -thresholds, side="right")
     wins = np.bincount(winner, minlength=depth.size + 1)[: depth.size]
-    # probability after `wins` sequential additions of 1/n_thresholds;
-    # add.accumulate sums in order, so this is exact where wins * weight is not
-    weight = 1.0 / cfg.n_thresholds
-    mass = np.concatenate([[0.0], np.cumsum(np.full(cfg.n_thresholds, weight))])
     probs = mass[wins]
 
     keep = probs > 0.0

@@ -1,12 +1,17 @@
 """Bit-identity of the annotation trackers.
 
-The digests pin the exact cache line (`annotation_to_record`, serialized
-with `json.dumps` as the cache writes it) for a fixed set of inputs. They
-were computed with the per-frame loop trackers (numpy 2.4, OpenBLAS 0.3,
-x86-64). A tracker change that alters any of them changes cached
-annotations, so it must also bump the `pyin:`/`burg:` key that
-invalidates them. Another FFT, BLAS or LAPACK build may differ in the
-last bit.
+The digests pin the float64 bytes of the f0, F1 and F2 tracks
+(`annotate_waveform`) for a fixed set of inputs, independently of how a
+cache record stores them; one more test pins the exact cache line for one
+input. The digests were computed on a tree whose cache lines still
+matched those of the per-frame loop trackers, so they pin the loops'
+output (numpy 2.4, OpenBLAS 0.3, x86-64). A tracker change that alters
+any of them changes cached annotations, so it must also bump the
+`pyin:`/`burg:` key that invalidates them. Another FFT, BLAS or LAPACK
+build may differ in the last bit. To print the digests of the current
+tree:
+
+    PYTHONPATH=src python -m tests.test_annotation_golden
 
 The loop trackers themselves are kept below as references for the
 batched Viterbi, Burg and root-finding code.
@@ -52,42 +57,51 @@ def golden_inputs() -> dict[str, FixedWaveform]:
 
 
 GOLDEN_SHA256 = {
-    "synth_00": "0b560790d8b0d74aecb9a2635fa8529a742be622b410dbb2a37c598957969b75",
-    "synth_01": "2b3fba407e5709532adbc698186e61eb6f721d2af1ccf7ad6452436ad4dafb8c",
-    "synth_02": "59ca7276079b25a3ce57b7110fdd725523d166d1de7f703dca7090cbd9543a53",
-    "synth_03": "fb2d9b7ac2b8d03624c7732d49f3c5243619e47e78f02b6cb342cd1b57c197a1",
-    "synth_04": "36d5c17629052f8e5bb75803933f31ef201394678edf0f84de70fde3e8bb340c",
-    "synth_05": "968e6e327bc041a47b7041cf6becb0bfb2ccc54b1cf6c216eb15d0a0bc694c60",
-    "synth_06": "ff8faa6e08bf882b86ba2c341842e1ab0adade74418a8b5255d99a6e50132b59",
-    "synth_07": "7894df6ffe1d975d068d1b600ca87647be9c50804f3ce783d7e7eadb94b25964",
-    "synth_08": "4edcc822b0faf68d8ed79189cfa05b9bf2b83d9297b9a543b89417e2375fafe0",
-    "synth_09": "b683374045001011f1b24ab4012930335206ebad44c31efd67146a9b72602b21",
-    "synth_10": "ce5dc9f16c749ee02bde7443ae99a92fa2b2dc441946fdac534dd961de4a284b",
-    "synth_11": "37e5ae1bd2211f36fd82dbad7e5f40c339263a5d3f19e699ab7d7c48adb66a05",
-    "synth_12": "0e1f70775e14344029f45685f2337aa685cb63fccd496437091c4201768f179e",
-    "synth_13": "78d19532e74cdfe65ef3de120b409f4221d9f40b721736eea6d508781ea0705f",
-    "synth_14": "8c748bec09b49f986f5e8bdfc60b7b59930065af951474bdc0f8d8dbd0267d8e",
-    "synth_15": "5ca86f188ba0574c51e12a86e0beba8678751da3a198efe71b530fd86abbf475",
-    "synth_16": "3ca5cd2a021ee1547e0b9a30bb02ae9e1f8673dab0b29e071224b0a9f34b50d3",
-    "synth_17": "3c4195c52e33f63ae29753f5d6b9248d55b26822b0f6dd7112b133b3dd44aebf",
-    "synth_18": "1f50f7952282a7bfeec2c871ba9a96af84c30fea0b0c82f576bddb8c0fa7874e",
-    "synth_19": "fc85f7e0cad62c09ee4768ece6f77f8a29b5a6468f1d6d6f3bcab074d3d66e6b",
-    "synth_20": "438419ee9de5569012e9e72b27e7e8ca5a9e7c159190a527107df330d41b1651",
-    "synth_21": "bfd373e8c8b90fdee44173365b3773a80104e5233b62b2f6cfa7ff93bae35202",
-    "synth_22": "53512f4d26f1b767c6cbf3cefcdfd6c2382a8c41cb028481577f54cb25d61889",
-    "synth_23": "c5a146ca03d709ba4eee8f6b7f7252859602e75a691f9fb7fa9ae2e45a50861e",
-    "sine_220": "471d4f39329c1e9f1e66c4fa02d1abacbe689e1319109d000e8984a3e9f0f7e7",
-    "sawtooth_100": "a7e20b1968f6da58d9ada345ca57ecc149b0792798c5d2fc6566ea63f0d8655b",
-    "silence": "d046fa286eec2ed6a0eb514b4c112ef36050c316f553f7f534821171caf8aee4",
-    "vowel": "134a1c7cc75ac59892b3e5e9018170566efd1d45fd31242fe8d1342efdf6bf40",
-    "vowel_gap": "7bf837c393b257a41911f9800cd219a3e3e1e66183f1784bf23228b41f706abf",
-    "noise": "bfe057317e07f08babac841b5c4e552a92795d9d2c489ad418a0695d8f1c1642",
+    "synth_00": "e806f190296e3a209cd4b937a7a889d8dc02ae1036f170d1ea0de6280c2f098a",
+    "synth_01": "eb1dd2c0f2546700734da3c491d839bb160750a68cc12a928be269401f1578a0",
+    "synth_02": "e009079bf732055371509e77e44690017876f6bea8acc4d98d766c55e4a34fdf",
+    "synth_03": "9e0293a78bd683c41fd92694000c41c2c03df1200323f314508d0b39b89231f6",
+    "synth_04": "a78b6204a6e1cca7b13d322a332e908b7069588888131f96d0e6a1746450e1f8",
+    "synth_05": "e8b5e7dd3561b6d576fa92b03b25c3e7ce087319b7908ea2b6478759f4b556a8",
+    "synth_06": "08ded8d074b09d581ab567a7c69009292e4e2d48146b13cc7d3482335bcd8ced",
+    "synth_07": "425d334c3ff2e171837b24f7f71c926a907676a1c79a748824726ad84255241f",
+    "synth_08": "b66363c20b740fda627a786d4de84c1424f1cd34cb0f19774343bee8f874983e",
+    "synth_09": "4efdea7370a85b19d7acc5dd27c86742f1480d97818eb57f42c0a3aa0283d251",
+    "synth_10": "38570ba2244e0778e641799f2e3b973934bc9cce3decc13dcccd4e932717959b",
+    "synth_11": "ff2ed6a81ba5037656f5db3498c89a204eb39cfbd9e7feff58802ebbe6da5b57",
+    "synth_12": "90bdf6a9aa6e5e5f05481fcb721e6a97d94379f973858d48ea7c4cc81c238b0c",
+    "synth_13": "95a7e5dd7e6092c8553e5a538930e56473c8f1b1131318abcfb9a46385582edd",
+    "synth_14": "59158bc61c196844e9e3cdd22fd7bf796ba8e3916fe38565800c2471e3b18837",
+    "synth_15": "ef09f142f75c0a288486c049c61aab52da50d06df6a2673fe689009b4a167e29",
+    "synth_16": "b5c86840be3ef3bffc1748518a0c7e54be89191b6e0ecff58ce18587c9460ba3",
+    "synth_17": "b7edb38c2f375f741766161ca3945a88d9e358e78b64baa19ec110b095e0d953",
+    "synth_18": "f66f5f569b83b66fad501859820791af96dba2fd3779e6b18496a08686da38c9",
+    "synth_19": "3ea84b1b91aae1442d9ea427e524992a753274620658cf6043218f9bc3559f42",
+    "synth_20": "ae3d4a1ee7b0a4185540eef94e65a1eebf9bcce3efa423509c22407390c90e51",
+    "synth_21": "7bb9e74fc9eaa01108ecde3b6043116b784abfe7dfde2f72ea6d851a52288629",
+    "synth_22": "a44e69541b50c7493b0bac5a1cbc62a9f919aa1359843d634599e86c4242496a",
+    "synth_23": "2773feccaaf74490a94fb0222e8d7512c13aacc7834875a421b7d1d2ff00750d",
+    "sine_220": "f2c9fbe251a7a211d4db5800543ba5585b78fd17ef0aa7095c9a5e572230a159",
+    "sawtooth_100": "71cbd8ca748827b2e636777fc691e945c22f60242647366d615b9d8bf246be3d",
+    "silence": "6f5a451528c9a32c8c5f66a54649e2a6651399481d991c63ee342880522e671a",
+    "vowel": "505a60588bf35481718f2e3dd7a30c5a8000e269a9af0094c0abc379bfa6c2ca",
+    "vowel_gap": "46f6e853e56857a10c723bc12de6e7cb54e5caab80d83b485ebd5f7b249bf3f3",
+    "noise": "6f5a451528c9a32c8c5f66a54649e2a6651399481d991c63ee342880522e671a",
 }
 
 
-def record_digest(name: str, x: FixedWaveform) -> str:
-    line = json.dumps(annotation_to_record(name, annotate_waveform(x)))
-    return hashlib.sha256(line.encode("utf-8")).hexdigest()
+# sha256 of json.dumps(annotation_to_record("vowel", ...)), the cache line
+# of the "vowel" input without its key
+VOWEL_LINE_SHA256 = "7e42ad45f91260ca98ac60fea862d936e4cefee7c6f271656a5435c9c001febe"
+
+
+def track_digest(x: FixedWaveform) -> str:
+    """sha256 over the little-endian float64 bytes of f0, F1 and F2."""
+    ann = annotate_waveform(x)
+    h = hashlib.sha256()
+    for track in (ann.f0_hz, ann.f1_hz, ann.f2_hz):
+        h.update(np.asarray(track, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def test_tracker_keys_unchanged():
@@ -96,9 +110,20 @@ def test_tracker_keys_unchanged():
     assert FormantConfig().key() == "burg:10:0.97:512:256:50.0:5500.0:400.0:0.16666666666666666"
 
 
-def test_cache_records_bit_identical():
-    got = {name: record_digest(name, x) for name, x in golden_inputs().items()}
+def test_tracks_bit_identical():
+    got = {name: track_digest(x) for name, x in golden_inputs().items()}
     assert got == GOLDEN_SHA256
+
+
+def test_cache_line_format():
+    ann = annotate_waveform(golden_inputs()["vowel"])
+    line = json.dumps(annotation_to_record("vowel", ann))
+    assert hashlib.sha256(line.encode("utf-8")).hexdigest() == VOWEL_LINE_SHA256
+    record = json.loads(line)
+    assert list(record) == ["utt_id", "f0", "f1", "f2"]
+    for name in ("f0", "f1", "f2"):
+        track = np.frombuffer(bytes.fromhex(record[name]), "<f8")
+        assert track.tobytes() == getattr(ann, f"{name}_hz").tobytes()
 
 
 def reference_viterbi(candidates_per_frame, cfg: PitchConfig) -> np.ndarray:
@@ -274,3 +299,10 @@ def test_resonances_of_mixed_degrees_match_np_roots():
         np.testing.assert_array_equal(
             got, np.array(reference_resonances(a, SAMPLE_RATE)).reshape(-1, 2))
         np.testing.assert_array_equal(lpc_resonances(a, SAMPLE_RATE), got)
+
+
+if __name__ == "__main__":
+    print("GOLDEN_SHA256 = {")
+    for name, x in golden_inputs().items():
+        print(f'    "{name}": "{track_digest(x)}",')
+    print("}")

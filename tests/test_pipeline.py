@@ -1,13 +1,15 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from spoofnet.cache import annotate_corpus
+from spoofnet.cache import annotate_corpus, content_key
 from spoofnet.config import (load_corpus_spec, load_run_config, parse_kv,
                              write_config)
 from spoofnet.dsp import write_wav
 from spoofnet.errors import DuplicateId, InsufficientData, ParseError
+from spoofnet.formants import FormantConfig
 from spoofnet.manifest import (Manifest, ManifestEntry, load_manifest,
                                save_manifest, split_90_10)
 from spoofnet.model import ModelConfig
@@ -188,6 +190,53 @@ class TestSyntheticCorpus:
         assert [e.codec_tag for e in m] == ["aac", "mp3", "aac", "mp3"]
 
 
+def assert_bit_equal(got, want):
+    for name in ("f0_hz", "f1_hz", "f2_hz", "voiced"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def per_frame_cache_text(manifest, annotations) -> str:
+    """A cache file in the older per-frame record format: one
+    {"t", "f0", "f1", "f2", "voiced"} row per frame, f0 null when
+    unvoiced, under the same content keys."""
+    lines = []
+    for e in sorted(manifest, key=lambda e: e.utt_id):
+        ann = annotations[e.utt_id]
+        frames = [{"t": t, "f0": float(f0) if v else None, "f1": float(f1),
+                   "f2": float(f2), "voiced": bool(v)}
+                  for t, (f0, f1, f2, v) in enumerate(
+                      zip(ann.f0_hz, ann.f1_hz, ann.f2_hz, ann.voiced))]
+        key = content_key(e.audio_path, PitchConfig(), FormantConfig())
+        lines.append(json.dumps({"utt_id": e.utt_id, "frames": frames, "key": key}) + "\n")
+    return "".join(lines)
+
+
+def _set_frame(name, value):
+    """A damage that sets frame 3 of one track, re-encoded as the cache
+    encodes it."""
+    def damage(row):
+        track = np.frombuffer(bytes.fromhex(row[name]), "<f8").copy()
+        track[3] = value
+        row[name] = track.tobytes().hex()
+    return damage
+
+
+# one case per kind of record the decoder rejects
+RECORD_DAMAGE = {
+    "missing_track": lambda row: row.pop("f1"),
+    "non_string_track": lambda row: row.update(
+        f1=np.frombuffer(bytes.fromhex(row["f1"]), "<f8").tolist()),
+    "bad_hex": lambda row: row.update(f1="zz" + row["f1"][2:]),
+    "partial_float": lambda row: row.update(f1=row["f1"][:-2]),
+    "unequal_lengths": lambda row: row.update(f2=row["f2"][:-16]),
+    "f0_inf": _set_frame("f0", np.inf),
+    "f0_minus_inf": _set_frame("f0", -np.inf),
+    "f1_nan": _set_frame("f1", np.nan),
+    "f2_inf": _set_frame("f2", np.inf),
+}
+
+
 class TestAnnotationCache:
     def corpus(self, tmp_path, seed=5):
         spec = SyntheticCorpusSpec(n_real=2, n_fake=2, seed=seed, duration_s=1.0)
@@ -270,28 +319,42 @@ class TestAnnotationCache:
                      "--cache", str(torn)]) == 0
         assert (torn / "annotations.jsonl").read_bytes() == expected
 
-    @pytest.mark.parametrize("damage", ["frame_index", "missing_field"])
+    @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
     def test_malformed_record_is_a_cache_miss(self, tmp_path, damage):
-        import json
-
         m = self.corpus(tmp_path)
         cache = tmp_path / "cache"
         annotate_corpus(m, cache)
         path = cache / "annotations.jsonl"
         expected = path.read_bytes()
         rows = [json.loads(line) for line in expected.splitlines()]
-        frames = rows[1]["frames"]
-        if damage == "frame_index":
-            frames[3]["t"] = 2  # frame 3 would be left unset
-        else:
-            del frames[3]["f1"]
+        RECORD_DAMAGE[damage](rows[1])
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         anns, stats = annotate_corpus(m, cache)
         assert stats.computed == 1 and stats.cached == 3
         assert path.read_bytes() == expected
         fresh, _ = annotate_corpus(m, tmp_path / "fresh")
-        got, want = anns[rows[1]["utt_id"]], fresh[rows[1]["utt_id"]]
-        assert got.f1_hz.tobytes() == want.f1_hz.tobytes()
+        assert_bit_equal(anns[rows[1]["utt_id"]], fresh[rows[1]["utt_id"]])
+
+    def test_per_frame_cache_is_recomputed_once_and_rewritten(self, tmp_path):
+        m = self.corpus(tmp_path)
+        fresh_dir, old_dir = tmp_path / "fresh", tmp_path / "old"
+        cold, _ = annotate_corpus(m, fresh_dir)
+        expected = (fresh_dir / "annotations.jsonl").read_bytes()
+        old_dir.mkdir()
+        path = old_dir / "annotations.jsonl"
+        path.write_text(per_frame_cache_text(m, cold), encoding="utf-8")
+        # the keys still match: only the record format makes these misses
+        old_keys = [json.loads(line)["key"] for line in path.read_bytes().splitlines()]
+        assert old_keys == [json.loads(line)["key"] for line in expected.splitlines()]
+
+        upgraded, first = annotate_corpus(m, old_dir)
+        assert first.computed == 4 and first.cached == 0
+        assert path.read_bytes() == expected
+        warm, second = annotate_corpus(m, old_dir)
+        assert second.computed == 0 and second.cached == 4
+        for utt_id, want in cold.items():
+            assert_bit_equal(upgraded[utt_id], want)
+            assert_bit_equal(warm[utt_id], want)
 
     def test_failed_write_keeps_old_cache(self, tmp_path):
         from spoofnet.cache import _write_cache_file
