@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import InvalidAudio, ShapeError, SilentAudio
 
@@ -81,68 +80,106 @@ class FeatureGrid:
             )
 
 
-def _data_chunk_end(path) -> tuple[int, int]:
-    """(offset where the data chunk's declared payload ends, file size)
-    of a WAV that scipy has parsed. RIFX sizes are big-endian; an RF64
-    file keeps the data size in its ds64 chunk."""
-    with open(path, "rb") as f:
-        form = f.read(12)[:4]
-        order = ">I" if form == b"RIFX" else "<I"
-        rf64_data_size = 0
-        end = 0
-        while len(head := f.read(8)) == 8:
-            chunk_id, size = head[:4], struct.unpack(order, head[4:])[0]
-            if chunk_id == b"data":
-                end = f.tell() + (rf64_data_size if form == b"RF64" else size)
-                break
-            if chunk_id == b"ds64":
-                rf64_data_size = struct.unpack("<Q", f.read(16)[8:])[0]
-                size -= 16
-            f.seek(size + size % 2, 1)
-        return end, os.fstat(f.fileno()).st_size
+# fmt chunk format tags, and the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE
+# subformat GUID, whose first 4 bytes hold the format tag; the GUID's
+# middle fields follow the file's byte order
+WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT, WAVE_FORMAT_EXTENSIBLE = 1, 3, 0xFFFE
+_SUBFORMAT_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+                        ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+_SAMPLE_DTYPES = {(WAVE_FORMAT_PCM, 16): "i2", (WAVE_FORMAT_IEEE_FLOAT, 32): "f4",
+                  (WAVE_FORMAT_IEEE_FLOAT, 64): "f8"}
+
+
+def _sample_format(fmt: bytes, order: str, path) -> tuple[int, int, np.dtype]:
+    """(sample rate, channels, sample dtype) from a fmt chunk's payload."""
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", fmt)
+    if (tag == WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 40
+            and fmt[28:40] == _SUBFORMAT_GUID_TAIL[order]):
+        tag = struct.unpack_from(order + "I", fmt, 24)[0]
+    code = _SAMPLE_DTYPES.get((tag, bits))
+    if code is None or channels == 0 or block_align != channels * bits // 8:
+        raise InvalidAudio(
+            f"unsupported WAV sample format (tag {tag:#x}, {bits} bits, "
+            f"{channels} channels, block align {block_align}) in {path}; "
+            "expected 16-bit PCM or 32/64-bit float")
+    return rate, channels, np.dtype(order + code)
+
+
+def _parse_wav(blob: bytes, path) -> tuple[int, np.ndarray]:
+    """(sample rate, first-channel samples) of a WAV file's bytes.
+
+    One pass over the chunk headers: `fmt ` gives the sample format and
+    `data` the samples. RIFX sizes, fields and samples are big-endian;
+    an RF64 file keeps the data size in its ds64 chunk. Chunks after
+    `data`, and a trailing partial sample frame, are ignored."""
+    form = blob[:4]
+    if form not in (b"RIFF", b"RIFX", b"RF64") or blob[8:12] != b"WAVE":
+        raise InvalidAudio(f"not a RIFF/RIFX/RF64 WAVE file: {path}")
+    order = ">" if form == b"RIFX" else "<"
+    sample_format = None
+    rf64_data_size = 0
+    pos = 12
+    while True:
+        if pos + 8 > len(blob):
+            raise InvalidAudio(f"no data chunk in WAV file {path}")
+        chunk_id, size = blob[pos:pos + 4], struct.unpack_from(order + "I", blob, pos + 4)[0]
+        pos += 8
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            sample_format = _sample_format(blob[pos:pos + size], order, path)
+        elif chunk_id == b"ds64":
+            rf64_data_size = struct.unpack_from("<Q", blob, pos + 8)[0]
+        pos += size + size % 2
+    if sample_format is None:
+        raise InvalidAudio(f"no fmt chunk before the data chunk in WAV file {path}")
+    end = pos + (rf64_data_size if form == b"RF64" else size)
+    if end > len(blob):
+        raise InvalidAudio(f"truncated WAV file {path}: its data chunk ends at "
+                           f"byte {end} but the file has {len(blob)} bytes")
+    rate, channels, dtype = sample_format
+    n_frames = (end - pos) // (channels * dtype.itemsize)
+    data = np.frombuffer(blob, dtype, count=n_frames * channels, offset=pos)
+    return rate, data[::channels]
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM or float WAV file, little-endian (RIFF) or
-    big-endian (RIFX).
+    """Read a 16-bit PCM or 32/64-bit float WAV file: little-endian
+    (RIFF), big-endian (RIFX) or RF64, any channel count, with a plain or
+    WAVE_FORMAT_EXTENSIBLE fmt chunk.
 
-    Stereo files are reduced to their first channel. Returns an
-    un-ingested Waveform at the file's native rate; pass it through
-    :func:`ingest` before any further processing. A file whose data
-    chunk ends before the size its header declares (cut short by an
-    interrupted copy, say) raises InvalidAudio: scipy would only warn
-    and return the samples present.
+    Returns the first channel through :func:`ingest`: a mono 16 kHz
+    Waveform. A file whose data chunk ends before the size its header
+    declares (cut short by an interrupted copy, say) raises InvalidAudio
+    rather than yielding the samples present, as does any other sample
+    format.
     """
     try:
-        rate, data = wavfile.read(path)
-        end, file_size = _data_chunk_end(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        rate, data = _parse_wav(blob, path)
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, struct.error) as exc:  # struct.error: a header cut off
         raise InvalidAudio(f"cannot read WAV file {path}: {exc}") from exc
-    if end > file_size:
-        raise InvalidAudio(f"truncated WAV file {path}: its data chunk ends at "
-                           f"byte {end} but the file has {file_size} bytes")
-    if data.ndim == 2:
-        data = data[:, 0]
     if data.size == 0:
         raise InvalidAudio(f"empty WAV file: {path}")
-    if data.dtype.kind == "i" and data.dtype.itemsize == 2:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype.kind == "f":
-        samples = data.astype(np.float64)
-    else:
-        raise InvalidAudio(
-            f"unsupported WAV sample format {data.dtype} in {path}; "
-            "expected 16-bit PCM or 32-bit float"
-        )
+    samples = data.astype(np.float64)
+    if data.dtype.kind == "i":
+        samples /= 32768.0
     return ingest(samples, rate)
 
 
 def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
-    """Write samples in [-1, 1] as a 16-bit PCM WAV file."""
+    """Write samples in [-1, 1] as a mono 16-bit PCM WAV file: the
+    44-byte canonical header, then the samples."""
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    wavfile.write(path, rate, (clipped * 32767.0).astype(np.int16))
+    pcm = (clipped * 32767.0).astype("<i2")
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                         b"fmt ", 16, WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16,
+                         b"data", pcm.nbytes)
+    with open(path, "wb") as f:
+        f.write(header + pcm.tobytes())
 
 
 def ingest(raw_samples, rate: int) -> Waveform:
@@ -234,10 +271,9 @@ def hann_window(n: int) -> np.ndarray:
 
 def frame_signal(x: np.ndarray, frame_len: int = FRAME_LEN,
                  hop: int = HOP_LEN) -> np.ndarray:
-    """Slice a 1-D signal into (n_frames, frame_len) without padding."""
-    n_frames = (x.size - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    """Slice a 1-D signal into (n_frames, frame_len) without padding, as a
+    read-only view of x."""
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def stft_features(x: FixedWaveform) -> FeatureGrid:

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ClassMissing, ParseError, read_utf8
 
@@ -35,11 +34,25 @@ def _split_scores(records) -> tuple[np.ndarray, np.ndarray]:
     return fake, real
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie group given the mean of its ranks, as
+    scipy.stats.rankdata(x, method="average"): a NaN makes every rank NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def compute_auc(records) -> float:
     """Probability that a random fake outscores a random real; ties get
     half credit. Computed by the rank-sum identity."""
     fake, real = _split_scores(records)
-    ranks = rankdata(np.concatenate([fake, real]), method="average")
+    ranks = _average_ranks(np.concatenate([fake, real]))
     r_fake = ranks[: fake.size].sum()
     return float((r_fake - fake.size * (fake.size + 1) / 2.0) / (fake.size * real.size))
 
@@ -159,7 +172,8 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
 
 def read_scores(path) -> list[ScoreRecord]:
     """Parse a score file; a line that is not a score record raises a
-    ParseError naming it."""
+    ParseError naming it. A score must be a probability in [0, 1] and a
+    label 0 or 1."""
     records = []
     for i, line in enumerate(read_utf8(path), start=1):
         line = line.strip()
@@ -169,10 +183,16 @@ def read_scores(path) -> list[ScoreRecord]:
             row = json.loads(line)
             if not isinstance(row, dict):
                 raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+            score = float(row["score"])
+            if not 0.0 <= score <= 1.0:  # NaN fails this too
+                raise ValueError(f"score {score} is not in [0, 1]")
+            label = int(row["label"])
+            if label not in (0, 1) or label != row["label"]:
+                raise ValueError(f"label {row['label']!r} is not 0 or 1")
             records.append(ScoreRecord(
                 utt_id=row["utt_id"],
-                score=float(row["score"]),
-                label=int(row["label"]),
+                score=score,
+                label=label,
                 dataset_tag=row.get("dataset_tag", "default"),
                 codec_tag=row.get("codec_tag"),
                 frame_weights=None if row.get("frame_weights") is None

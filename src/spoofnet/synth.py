@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dsp import SAMPLE_RATE, write_wav
 from .manifest import Manifest, ManifestEntry, save_manifest
@@ -43,6 +42,9 @@ def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):
 
 def _voiced_segment(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     """Harmonic source through two formant resonators."""
+    # imported here so that only corpus synthesis loads scipy.signal (~50 MB)
+    from scipy.signal import lfilter
+
     t = np.arange(n) / sr
     f0_base = rng.uniform(110.0, 240.0)
     vib_rate = rng.uniform(3.0, 6.0)
@@ -64,6 +66,8 @@ def _voiced_segment(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
 
 def _noise_burst(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     """High-passed noise, fricative-like: energetic but aperiodic."""
+    from scipy.signal import lfilter
+
     noise = rng.standard_normal(n)
     b, a = _resonator_coeffs(4500.0, 2000.0, sr)
     shaped = lfilter(b, a, noise)

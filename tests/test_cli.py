@@ -167,6 +167,36 @@ class TestPipelineCommands:
         assert not out.exists()
 
 
+# Run in a fresh interpreter: every spoofnet module, then infer and eval.
+# Only corpus synthesis may load these; each costs import time and memory
+# (scipy.signal alone about 50 MB) in every other command.
+LEAN_IMPORT_PROBE = """
+import importlib, json, pkgutil, sys
+import spoofnet
+from spoofnet.cli import main
+for module in pkgutil.iter_modules(spoofnet.__path__):
+    importlib.import_module("spoofnet." + module.name)
+wav, ckpt, manifest, cache, scores = sys.argv[1:]
+assert main(["infer", "--wav", wav, "--ckpt", ckpt]) == 0
+assert main(["eval", "--manifest", manifest, "--ckpt", ckpt,
+             "--scores", scores, "--cache", cache]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in ("scipy.signal", "scipy.stats", "scipy.io", "scipy.sparse"))))
+"""
+
+
+def test_pipeline_commands_load_no_heavy_scipy_module(workspace, tmp_path):
+    src = str(Path(spoofnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_PROBE, str(wav), str(workspace["ckpt"]),
+         str(workspace["manifest"]), str(workspace["cache"]), str(tmp_path / "s.jsonl")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 class TestTrainSplitHandling:
     def test_test_split_entries_excluded_from_training(self, workspace, tmp_path,
                                                        capsys):
@@ -269,7 +299,16 @@ class TestExitCodes:
                      "--report", str(tmp_path / "r.json")]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize("line", [b'{"utt_id": "a", "score": 0.5, "label": 7}',
+                                      b'{"utt_id": "a", "score": NaN, "label": 1}'])
+    def test_invalid_score_record_is_2(self, tmp_path, workspace, line, capsys):
+        scores = tmp_path / "bad.jsonl"
+        scores.write_bytes(workspace["scores"].read_bytes() + line + b"\n")
+        n_lines = len(scores.read_bytes().splitlines())
+        assert main(["explain", "--scores", str(scores),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert f"line {n_lines}" in capsys.readouterr().err
+
     def test_truncated_wav_is_2(self, tmp_path, workspace, capsys):
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
         cut = tmp_path / "cut.wav"

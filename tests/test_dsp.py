@@ -174,6 +174,18 @@ def test_frame_count_formula():
     assert frame_signal(np.zeros(FIXED_NUM_SAMPLES)).shape == (128, FRAME_LEN)
 
 
+@pytest.mark.parametrize("n, frame_len, hop", [(FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN),
+                                               (1000, 512, 256), (512, 512, 256),
+                                               (1001, 100, 7)])
+def test_frame_signal_is_a_read_only_view_of_the_gathered_frames(n, frame_len, hop):
+    x = np.random.default_rng(n).standard_normal(n)
+    frames = frame_signal(x, frame_len, hop)
+    starts = hop * np.arange((n - frame_len) // hop + 1)
+    np.testing.assert_array_equal(frames, x[starts[:, None] + np.arange(frame_len)])
+    assert np.shares_memory(frames, x)
+    assert not frames.flags.writeable
+
+
 class TestWavIO:
     def test_pcm16_round_trip(self, tmp_path):
         from spoofnet.dsp import read_wav, write_wav
@@ -243,7 +255,6 @@ FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 
 DATA = b"data" + struct.pack("<I", PCM.nbytes) + PCM.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 class TestTruncatedWav:
     @pytest.mark.parametrize("cut", [1, 2, 100, 239])
     def test_data_chunk_cut_short_is_invalid(self, tmp_path, cut):

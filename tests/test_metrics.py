@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spoofnet.errors import ClassMissing, ParseError
-from spoofnet.metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
-                              format_breakdown, read_scores, write_scores)
+from spoofnet.metrics import (ScoreRecord, _average_ranks, breakdown, compute_auc,
+                              compute_eer, format_breakdown, read_scores, write_scores)
 
 
 def records(fake_scores, real_scores, tag="default", codec=None):
@@ -76,6 +76,28 @@ class TestAuc:
         got = compute_auc(records(fake, real))
         want = auc_by_pair_enumeration(fake.tolist(), real.tolist())
         assert abs(got - want) < 1e-12
+
+
+class TestAverageRanks:
+    def test_bit_equal_to_scipy_rankdata_on_tied_sets(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 41))
+            # few distinct values, so most sets have ties, some all-tied
+            x = rng.integers(0, int(rng.integers(1, 12)), n) / 7.0
+            got, want = _average_ranks(x), rankdata(x, method="average")
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), x
+
+    @pytest.mark.parametrize("x", [[np.nan], [0.5, np.nan, 0.2], [np.nan, np.nan, 1.0]])
+    def test_any_nan_makes_every_rank_nan(self, x):
+        from scipy.stats import rankdata
+
+        x = np.array(x)
+        assert np.isnan(_average_ranks(x)).all()
+        assert np.isnan(rankdata(x, method="average")).all()
 
 
 class TestEer:
@@ -211,3 +233,27 @@ class TestScoreFiles:
         path.write_bytes(b'{"utt_id": "a", "score": 0.5, "label": 1}\n' + line + b"\n")
         with pytest.raises(ParseError, match=f"line 2.*{reason}"):
             read_scores(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        (b'{"utt_id": "b", "score": NaN, "label": 0}', "score nan is not in"),
+        (b'{"utt_id": "b", "score": Infinity, "label": 0}', "score inf is not in"),
+        (b'{"utt_id": "b", "score": -0.25, "label": 0}', r"score -0.25 is not in \[0, 1\]"),
+        (b'{"utt_id": "b", "score": 1.5, "label": 1}', "score 1.5 is not in"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 7}', "label 7 is not 0 or 1"),
+        (b'{"utt_id": "b", "score": 0.5, "label": -1}', "label -1 is not 0 or 1"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0.5}', "label 0.5 is not 0 or 1"),
+        (b'{"utt_id": "b", "score": 0.5, "label": "1"}', "label '1' is not 0 or 1"),
+    ])
+    def test_invalid_score_or_label_is_a_parse_error_naming_it(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"utt_id": "a", "score": 0.5, "label": 1}\n' + line + b"\n")
+        with pytest.raises(ParseError, match=f"line 2.*{reason}"):
+            read_scores(path)
+
+    def test_bounds_and_both_labels_load(self, tmp_path):
+        path = tmp_path / "edge.jsonl"
+        path.write_text('{"utt_id": "a", "score": 0.0, "label": 0}\n'
+                        '{"utt_id": "b", "score": 1, "label": 1.0}\n')
+        back = read_scores(path)
+        assert [(r.score, r.label) for r in back] == [(0.0, 0), (1.0, 1)]
+        assert all(type(r.label) is int for r in back)
