@@ -84,8 +84,7 @@ def _cmd_train(args) -> int:
         train_m, val_m = split_90_10(Manifest(pool), seed=train_cfg.seed)
         train_entries, val_entries = train_m.entries, val_m.entries
 
-    scaler = fit_scaler([annotations[e.utt_id] for e in train_entries],
-                        ranges=model_cfg.formant_ranges)
+    scaler = fit_scaler([annotations[e.utt_id] for e in train_entries])
     train_entries = balance_classes(train_entries)
 
     print(f"training on {len(train_entries)} utterances "

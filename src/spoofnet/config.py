@@ -1,8 +1,7 @@
 """Human-readable key=value config documents.
 
 One flat file covers the model and training sections; `#` starts a
-comment. Values are typed after the dataclass defaults they override,
-e.g. `formant_ranges = 60:400,200:850,800:2700`.
+comment. Values are typed after the dataclass defaults they override.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from pathlib import Path
 
 from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
-from .model import ModelConfig
+from .model import FORMANT_RANGES, ModelConfig
 from .synth import SyntheticCorpusSpec
 from .train import TrainConfig
 
@@ -33,8 +32,6 @@ def parse_kv(path) -> dict[str, str]:
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ",".join(f"{lo:g}:{hi:g}" for lo, hi in value)
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -46,16 +43,7 @@ def _coerce(text: str, default, key: str):
         if isinstance(default, float):
             return float(text)
         if isinstance(default, tuple):
-            if not text:
-                return ()
-            parts = [p.strip() for p in text.split(",") if p.strip()]
-            if default and isinstance(default[0], tuple):
-                ranges = []
-                for p in parts:
-                    lo, hi = p.split(":")
-                    ranges.append((float(lo), float(hi)))
-                return tuple(ranges)
-            return tuple(parts)
+            return tuple(p.strip() for p in text.split(",") if p.strip())
         return text
     except (ValueError, TypeError) as exc:
         raise ParseError(f"cannot parse {key} = {text!r}: {exc}") from exc
@@ -97,14 +85,21 @@ _LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 
 # the frontend emits one token grid size; a model of any other cannot train
 _GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
 _DTYPES = ("float32", "float64")
+# keys sidecars once carried, each with the one value the model honours
+_RETIRED = {"formant_ranges": ",".join(f"{lo:g}:{hi:g}" for lo, hi in FORMANT_RANGES)}
 
 
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
     keys belonging to neither are rejected as likely typos, and so are
     sizes below 1, negative layer counts, a token grid other than the
-    frontend's 128 x 256 and a dtype other than float32/float64."""
+    frontend's 128 x 256, a dtype other than float32/float64 and a
+    retired key holding any value but its fixed one."""
     kv = parse_kv(path)
+    for name, fixed in _RETIRED.items():
+        value = kv.pop(name, fixed)
+        if value != fixed:
+            raise ParseError(f"{name} = {value}, expected {fixed} (no longer settable)")
     known = {f.name for f in dataclasses.fields(ModelConfig)} \
         | {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = sorted(set(kv) - known)

@@ -9,9 +9,9 @@ are whole frames (one token per time step, all frequency bins).
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,14 +32,16 @@ DEFAULT_SILENCE_THRESHOLD_DB = -40.0
 F0_RANGE_HZ = (60.0, 400.0)
 F1_RANGE_HZ = (200.0, 850.0)
 F2_RANGE_HZ = (800.0, 2700.0)
+# the lowest input rate whose Nyquist band still holds all of F2
+MIN_SAMPLE_RATE = int(2 * F2_RANGE_HZ[1])
 
 
 @dataclass
 class Waveform:
-    """Mono audio, at 16 kHz once ingested."""
+    """Mono audio at 16 kHz."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    sample_rate: ClassVar[int] = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -64,15 +66,13 @@ class FixedWaveform:
 
 @dataclass
 class FeatureGrid:
-    """Paired log-magnitude and sin-phase grids of n_frames x n_bins."""
+    """Paired log-magnitude and sin-phase grids of 128 frames x 256 bins."""
 
     log_mag: np.ndarray
     sin_phase: np.ndarray
-    n_frames: int = NUM_FRAMES
-    n_bins: int = NUM_BINS
 
     def __post_init__(self):
-        expected = (self.n_frames, self.n_bins)
+        expected = (NUM_FRAMES, NUM_BINS)
         if self.log_mag.shape != expected or self.sin_phase.shape != expected:
             raise ShapeError(
                 f"feature grids must be {expected}, got log_mag "
@@ -164,7 +164,9 @@ def read_wav(path) -> Waveform:
         raise InvalidAudio(f"cannot read WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise InvalidAudio(f"empty WAV file: {path}")
-    samples = data.astype(np.float64)
+    # a NaN payload may warn in the cast; ingest rejects it next anyway
+    with np.errstate(invalid="ignore"):
+        samples = data.astype(np.float64)
     if data.dtype.kind == "i":
         samples /= 32768.0
     return ingest(samples, rate)
@@ -183,14 +185,13 @@ def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
 
 
 def ingest(raw_samples, rate: int) -> Waveform:
-    """Convert raw samples at any rate into a mono 16 kHz Waveform.
-
-    Resampling is linear interpolation; adequate at this scale and
-    trivially replaceable by a polyphase resampler if fidelity at high
-    frequencies ever matters.
-    """
-    if rate <= 0:
-        raise InvalidAudio(f"sample rate must be positive, got {rate}")
+    """Convert raw samples at MIN_SAMPLE_RATE or above into a mono 16 kHz
+    Waveform by linear interpolation, adequate at this scale. A lower rate,
+    whose audio cannot carry F2 and whose upsampling could blow a tiny file
+    up into a huge array, raises InvalidAudio before any resampling."""
+    if rate < MIN_SAMPLE_RATE:
+        raise InvalidAudio(f"sample rate {rate} Hz is below the least usable "
+                           f"{MIN_SAMPLE_RATE} Hz")
     x = np.asarray(raw_samples, dtype=np.float64)
     if x.ndim == 2:
         x = x[:, 0]
@@ -200,13 +201,13 @@ def ingest(raw_samples, rate: int) -> Waveform:
     if n_bad:
         raise InvalidAudio(f"{n_bad} of {x.size} samples are non-finite (NaN or inf)")
     if rate == SAMPLE_RATE:
-        return Waveform(x.copy(), SAMPLE_RATE)
+        return Waveform(x.copy())
     n_out = int(round(x.size * SAMPLE_RATE / rate))
     if n_out == 0:
         raise InvalidAudio(f"input too short to resample: {x.size} samples at {rate} Hz")
     positions = np.arange(n_out) * (rate / SAMPLE_RATE)
     resampled = np.interp(positions, np.arange(x.size), x)
-    return Waveform(resampled, SAMPLE_RATE)
+    return Waveform(resampled)
 
 
 def trim_silence(
@@ -221,7 +222,7 @@ def trim_silence(
     peak = np.max(np.abs(x))
     if peak == 0.0:
         raise SilentAudio("all-zero signal")
-    block = max(1, int(round(TRIM_BLOCK_SECONDS * w.sample_rate)))
+    block = max(1, int(round(TRIM_BLOCK_SECONDS * SAMPLE_RATE)))
     n_blocks = int(np.ceil(x.size / block))
     padded = np.zeros(n_blocks * block)
     padded[: x.size] = np.abs(x)
@@ -233,7 +234,7 @@ def trim_silence(
         raise SilentAudio(f"no blocks above {threshold_db} dB relative to peak")
     start = active[0] * block
     end = min((active[-1] + 1) * block, x.size)
-    return Waveform(x[start:end].copy(), w.sample_rate)
+    return Waveform(x[start:end].copy())
 
 
 def peak_normalize(w: Waveform) -> Waveform:
@@ -241,7 +242,7 @@ def peak_normalize(w: Waveform) -> Waveform:
     peak = np.max(np.abs(w.samples))
     if peak == 0.0:
         raise SilentAudio("cannot normalize an all-zero signal")
-    return Waveform(w.samples / peak, w.sample_rate)
+    return Waveform(w.samples / peak)
 
 
 def fix_length(w: Waveform) -> FixedWaveform:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidWeights
 from .metrics import ScoreRecord
+from .model import VOICING_THRESHOLD
 
 WEIGHT_SUM_TOL = 1e-5
 
@@ -74,7 +75,7 @@ def top_frames(frame_weights: np.ndarray, voicing_prob: np.ndarray,
     if k > w.size:
         raise InvalidWeights(f"k={k} exceeds {w.size} frames")
     order = np.argsort(-w, kind="stable")[:k]
-    voiced = np.asarray(voicing_prob) >= 0.5
+    voiced = np.asarray(voicing_prob) >= VOICING_THRESHOLD
     return [(int(i), float(w[i]), bool(voiced[i])) for i in order]
 
 
@@ -100,7 +101,7 @@ def aggregate(
                 continue
             voicing = r.gt_voiced
         else:
-            voicing = r.voicing_prob >= 0.5
+            voicing = r.voicing_prob >= VOICING_THRESHOLD
         voiced_share, unvoiced_share = utterance_reliance(r.frame_weights, voicing)
         per_utt.append(UtteranceReliance(
             utt_id=r.utt_id, dataset_tag=r.dataset_tag, label=r.label,

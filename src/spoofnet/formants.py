@@ -24,10 +24,12 @@ compute it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .dsp import F1_RANGE_HZ, F2_RANGE_HZ, FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
+from .dsp import (F1_RANGE_HZ, F2_RANGE_HZ, FRAME_LEN, HOP_LEN, SAMPLE_RATE, FixedWaveform,
+                  frame_signal)
 
 F1_FALLBACK_HZ = sum(F1_RANGE_HZ) / 2.0  # range midpoints
 F2_FALLBACK_HZ = sum(F2_RANGE_HZ) / 2.0
@@ -37,8 +39,8 @@ F2_FALLBACK_HZ = sum(F2_RANGE_HZ) / 2.0
 class FormantConfig:
     order: int = 10
     preemphasis: float = 0.97
-    frame_len: int = FRAME_LEN
-    hop: int = HOP_LEN
+    frame_len: ClassVar[int] = FRAME_LEN
+    hop: ClassVar[int] = HOP_LEN
     min_freq_hz: float = 50.0
     max_freq_hz: float = 5500.0
     max_bandwidth_hz: float = 400.0
@@ -129,13 +131,12 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
 
 
 def track_formants(
-    x: FixedWaveform, cfg: FormantConfig = FormantConfig(), sample_rate: int = 16000
+    x: FixedWaveform, cfg: FormantConfig = FormantConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f1, f2) arrays aligned with the STFT framing."""
-    emphasized = preemphasize(x.samples, cfg.preemphasis)
-    frames = frame_signal(emphasized, cfg.frame_len, cfg.hop)
-    window = gaussian_window(cfg.frame_len, cfg.window_std_fraction)
-    resonances = lpc_resonances(burg(frames * window, cfg.order), sample_rate)
+    frames = frame_signal(preemphasize(x.samples, cfg.preemphasis))
+    window = gaussian_window(FRAME_LEN, cfg.window_std_fraction)
+    resonances = lpc_resonances(burg(frames * window, cfg.order), SAMPLE_RATE)
     freq, bandwidth = resonances[..., 0], resonances[..., 1]
     qualifies = ((cfg.min_freq_hz < freq) & (freq < cfg.max_freq_hz)
                  & (bandwidth < cfg.max_bandwidth_hz))

@@ -10,6 +10,7 @@ The pooling weights double as the frame-importance explanation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,7 +19,13 @@ from .autodiff import Tensor
 from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ, NUM_BINS, NUM_FRAMES
 from .errors import ShapeError
 
-DEFAULT_FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
+# the (f0, F1, F2) output ranges in Hz, and their bounds as float64 arrays
+FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
+FORMANT_LO = np.array([r[0] for r in FORMANT_RANGES])
+FORMANT_HI = np.array([r[1] for r in FORMANT_RANGES])
+FORMANT_LO.flags.writeable = FORMANT_HI.flags.writeable = False
+# a frame whose voicing probability reaches this is voiced
+VOICING_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class ModelConfig:
     pool_heads: int = 4
     n_frames: int = NUM_FRAMES  # the frontend's fixed token grid; tests
     n_bins: int = NUM_BINS      # build smaller models directly
-    formant_ranges: tuple = DEFAULT_FORMANT_RANGES
+    formant_ranges: ClassVar[tuple] = FORMANT_RANGES
     dtype: str = "float32"
 
     def np_dtype(self):
@@ -56,7 +63,7 @@ class ModelOutput:
 
     formants_hz: np.ndarray   # (L, 3)
     voicing_prob: np.ndarray  # (L,)
-    v_mask: np.ndarray        # (L,) bool, prob >= 0.5
+    v_mask: np.ndarray        # (L,) bool, prob >= VOICING_THRESHOLD
     score: float              # P(fake) in (0, 1)
     frame_weights: np.ndarray  # (L,), non-negative, sums to 1
 
@@ -254,7 +261,7 @@ class SpoofNet:
 
     def decode_formants(self, z_enc: Tensor) -> Tensor:
         """Per-frame formant trajectories in Hz, each squashed into its
-        configured open range (lo, hi) via lo + sigmoid(z) * (hi - lo).
+        open range (lo, hi) of FORMANT_RANGES via lo + sigmoid(z) * (hi - lo).
 
         Where rounding has already carried the squash onto a bound (a
         saturated sigmoid, or a product that rounds up to hi), the value
@@ -262,18 +269,17 @@ class SpoofNet:
         everywhere else the clamp leaves it unchanged."""
         raw = ad.add(ad.matmul(z_enc, self.params["formant.w"]), self.params["formant.b"])
         dtype = raw.data.dtype
-        lo = np.array([r[0] for r in self.cfg.formant_ranges], dtype=dtype)
-        hi = np.array([r[1] for r in self.cfg.formant_ranges], dtype=dtype)
-        span = np.array([r[1] - r[0] for r in self.cfg.formant_ranges], dtype=dtype)
+        lo, hi = FORMANT_LO.astype(dtype), FORMANT_HI.astype(dtype)
+        span = (FORMANT_HI - FORMANT_LO).astype(dtype)
         hz = ad.add(ad.mul(ad.sigmoid(raw), span), lo)
         return ad.clip(hz, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
     def decode_voicing(self, z_enc: Tensor) -> tuple[Tensor, np.ndarray]:
-        """(per-frame voicing probability, boolean mask at the 0.5
-        threshold; the boundary counts as voiced)."""
+        """(per-frame voicing probability, boolean mask at
+        VOICING_THRESHOLD; the boundary counts as voiced)."""
         raw = ad.add(ad.matmul(z_enc, self.params["voicing.w"]), self.params["voicing.b"])
         prob = ad.sigmoid(raw)  # (..., L, 1)
-        return prob, prob.data[..., 0] >= 0.5
+        return prob, prob.data[..., 0] >= VOICING_THRESHOLD
 
     def pool_and_score(self, z_enc: Tensor) -> tuple[Tensor, Tensor]:
         """(synthesis score (..., 1, 1), frame weights (..., L, 1))."""
@@ -308,7 +314,7 @@ class SpoofNet:
         return ModelOutput(
             formants_hz=out.formants_hz.data.copy(),
             voicing_prob=prob.copy(),
-            v_mask=prob >= 0.5,
+            v_mask=prob >= VOICING_THRESHOLD,
             score=float(out.score.data[0, 0]),
             frame_weights=out.frame_weights.data[:, 0].copy(),
         )

@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .dsp import F0_RANGE_HZ, FRAME_LEN, HOP_LEN, FixedWaveform, frame_signal
+from .dsp import F0_RANGE_HZ, FRAME_LEN, HOP_LEN, SAMPLE_RATE, FixedWaveform, frame_signal
 
 
 @dataclass(frozen=True)
 class PitchConfig:
     fmin_hz: float = F0_RANGE_HZ[0]
     fmax_hz: float = F0_RANGE_HZ[1]
-    frame_len: int = FRAME_LEN
-    hop: int = HOP_LEN
+    frame_len: ClassVar[int] = FRAME_LEN
+    hop: ClassVar[int] = HOP_LEN
     # uniform prior over YIN thresholds in (0, threshold_max]
     threshold_max: float = 0.35
     n_thresholds: int = 100
@@ -249,10 +250,7 @@ def viterbi_track(
     return np.clip(f0, cfg.fmin_hz, cfg.fmax_hz)
 
 
-def track_pitch(
-    x: FixedWaveform, cfg: PitchConfig = PitchConfig(), sample_rate: int = 16000
-) -> np.ndarray:
+def track_pitch(x: FixedWaveform, cfg: PitchConfig = PitchConfig()) -> np.ndarray:
     """Per-frame f0 in Hz aligned with the STFT framing; NaN = unvoiced."""
-    frames = frame_signal(x.samples, cfg.frame_len, cfg.hop)
-    candidates = [frame_candidates(f, sample_rate, cfg) for f in frames]
+    candidates = [frame_candidates(f, SAMPLE_RATE, cfg) for f in frame_signal(x.samples)]
     return viterbi_track(candidates, cfg)

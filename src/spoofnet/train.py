@@ -19,11 +19,13 @@ from . import autodiff as ad
 from .annotate import FrameAnnotation
 from .autodiff import Tensor
 from .errors import AlignmentError, ClassMissing, DegenerateData, NumericalError
-from .model import DEFAULT_FORMANT_RANGES, ForwardPass, SpoofNet
+from .model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet
 from .optim import AdamW
 
 BCE_EPS = 1e-7
 STD_FLOOR = 1e-6
+# (score BCE, voicing BCE, formant MSE)
+LOSS_WEIGHTS = (1.0, 0.3, 0.3)
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,9 @@ class TrainConfig:
     decay_factor: float = 0.5
     early_stop_patience: int = 20
     max_epochs: int = 100
-    weight_score: float = 1.0
-    weight_voicing: float = 0.3
-    weight_formant: float = 0.3
+    weight_score: float = LOSS_WEIGHTS[0]
+    weight_voicing: float = LOSS_WEIGHTS[1]
+    weight_formant: float = LOSS_WEIGHTS[2]
     weight_decay: float = 0.01
     improve_tol: float = 1e-5
     seed: int = 0
@@ -48,12 +50,9 @@ class FormantScaler:
 
     log_mean: np.ndarray  # (3,)
     log_std: np.ndarray   # (3,)
-    ranges: tuple = DEFAULT_FORMANT_RANGES
 
     def clamp(self, hz: np.ndarray) -> np.ndarray:
-        lo = np.array([r[0] for r in self.ranges])
-        hi = np.array([r[1] for r in self.ranges])
-        return np.clip(hz, lo, hi)
+        return np.clip(hz, FORMANT_LO, FORMANT_HI)
 
     def transform(self, hz: np.ndarray) -> np.ndarray:
         """Hz -> standardized log; expects values already inside range."""
@@ -63,17 +62,12 @@ class FormantScaler:
         return {"scaler.log_mean": self.log_mean, "scaler.log_std": self.log_std}
 
 
-def fit_scaler(
-    annotations: list[FrameAnnotation],
-    ranges: tuple = DEFAULT_FORMANT_RANGES,
-) -> FormantScaler:
+def fit_scaler(annotations: list[FrameAnnotation]) -> FormantScaler:
     """Fit standardization stats on voiced frames of the training set.
 
     Targets are clamped into the decoder's output ranges first, so every
     standardized target is reachable by the model.
     """
-    lo = np.array([r[0] for r in ranges])
-    hi = np.array([r[1] for r in ranges])
     columns = [[], [], []]
     for ann in annotations:
         v = ann.voiced
@@ -84,7 +78,7 @@ def fit_scaler(
         columns[2].append(ann.f2_hz[v])
     if not columns[0]:
         raise DegenerateData("no voiced frames in the training set")
-    logs = [np.log(np.clip(np.concatenate(c), lo[i], hi[i]))
+    logs = [np.log(np.clip(np.concatenate(c), FORMANT_LO[i], FORMANT_HI[i]))
             for i, c in enumerate(columns)]
     mean = np.array([x.mean() for x in logs])
     std = np.array([x.std() for x in logs])
@@ -93,7 +87,7 @@ def fit_scaler(
             f"formant log-std {std} below floor {STD_FLOOR}; "
             "targets carry no usable variance"
         )
-    return FormantScaler(log_mean=mean, log_std=std, ranges=ranges)
+    return FormantScaler(log_mean=mean, log_std=std)
 
 
 def compound_loss(
@@ -101,7 +95,7 @@ def compound_loss(
     truth: FrameAnnotation | list[FrameAnnotation],
     label: int | list[int],
     scaler: FormantScaler,
-    weights: tuple[float, float, float] = (1.0, 0.3, 0.3),
+    weights: tuple[float, float, float] = LOSS_WEIGHTS,
 ) -> tuple[Tensor, dict[str, np.ndarray]]:
     """Weighted sum of score BCE, voicing BCE and voiced-frame formant MSE.
 
@@ -145,7 +139,7 @@ def compound_loss(
     # unvoiced frames get an in-range stand-in target; the mask zeroes them
     tracks = np.stack([np.stack([a.f0_hz, a.f1_hz, a.f2_hz], axis=-1) for a in anns])
     target_hz = np.where(voiced[..., None], tracks.reshape(*lead, n_frames, 3),
-                         [r[0] for r in scaler.ranges])
+                         FORMANT_LO)
     target_std = scaler.transform(scaler.clamp(target_hz))
     # x - c as x + (-c): IEEE rounds the two the same
     pred_std = ad.mul(ad.add(ad.log(out.formants_hz), -scaler.log_mean),
@@ -240,7 +234,7 @@ def _batch_forward(model: SpoofNet, samples: list[TrainSample], scaler: FormantS
 
 def evaluate_loss(
     model: SpoofNet, samples: list[TrainSample], scaler: FormantScaler,
-    weights: tuple[float, float, float] = (1.0, 0.3, 0.3),
+    weights: tuple[float, float, float] = LOSS_WEIGHTS,
 ) -> tuple[float, dict[str, float]]:
     """Mean compound loss over a sample set: one forward, no graph."""
     if not samples:

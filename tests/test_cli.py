@@ -10,6 +10,7 @@ import pytest
 import spoofnet
 from spoofnet.cli import main
 from spoofnet.config import write_config
+from spoofnet.dsp import write_wav
 from spoofnet.model import toy_config
 from spoofnet.synth import SyntheticCorpusSpec
 from spoofnet.train import TrainConfig
@@ -138,12 +139,12 @@ class TestPipelineCommands:
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen([sys.executable, "-m", "spoofnet.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=env)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        return proc.wait(timeout=120), err
+        with subprocess.Popen([sys.executable, "-m", "spoofnet.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            return proc.wait(timeout=120), err
 
     def test_infer_into_closed_pipe_exits_quietly(self, workspace):
         # buffered stdout: the pipe error shows up once infer is done
@@ -315,6 +316,28 @@ class TestExitCodes:
         cut.write_bytes(wav.read_bytes()[:-1])
         assert main(["infer", "--wav", str(cut), "--ckpt", str(workspace["ckpt"])]) == 2
         assert "truncated WAV file" in capsys.readouterr().err
+
+    def test_sample_rate_below_the_floor_is_2(self, tmp_path, workspace, capsys):
+        # 2,000 samples at 1 Hz would resample to 32,000,000
+        wav = tmp_path / "slow.wav"
+        write_wav(wav, np.sin(np.arange(2000) / 5.0), rate=1)
+        assert main(["infer", "--wav", str(wav), "--ckpt", str(workspace["ckpt"])]) == 2
+        assert "sample rate 1 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranges, code", [("60:400,200:850,800:2700", 0),
+                                              ("60:400,150:900,800:2700", 2)])
+    def test_formant_ranges_in_the_sidecar(self, tmp_path, workspace, ranges, code,
+                                           capsys):
+        # sidecars written while formant_ranges was a field hold the first value
+        import shutil
+
+        ckpt = tmp_path / "m.ckpt"
+        shutil.copy(workspace["ckpt"], ckpt)
+        sidecar = Path(str(workspace["ckpt"]) + ".config").read_text()
+        Path(str(ckpt) + ".config").write_text(sidecar + f"formant_ranges = {ranges}\n")
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        assert main(["infer", "--wav", str(wav), "--ckpt", str(ckpt)]) == code
+        assert ("formant_ranges" in capsys.readouterr().err) == (code == 2)
 
     def test_missing_checkpoint_is_2(self, tmp_path, workspace):
         assert main(["infer", "--wav", "missing.wav",

@@ -1,13 +1,15 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN, LOG_FLOOR,
-                          NUM_BINS, NUM_FRAMES, SAMPLE_RATE, FixedWaveform,
-                          Waveform, frame_signal, hann_window, ingest,
-                          preprocess, stft_features, tokenize, trim_silence)
+                          MIN_SAMPLE_RATE, NUM_BINS, NUM_FRAMES, SAMPLE_RATE,
+                          FixedWaveform, Waveform, frame_signal, hann_window,
+                          ingest, preprocess, stft_features, tokenize,
+                          trim_silence, write_wav)
 from spoofnet.errors import InvalidAudio, SilentAudio
 
 
@@ -49,6 +51,17 @@ class TestIngest:
         stereo = np.stack([np.ones(100), np.zeros(100)], axis=1)
         w = ingest(stereo, 16000)
         np.testing.assert_array_equal(w.samples, np.ones(100))
+
+    @pytest.mark.parametrize("rate", [-16000, 0, 1, 8, MIN_SAMPLE_RATE - 1])
+    def test_rate_below_the_f2_nyquist_floor_rejected(self, rate):
+        # below twice the top of the F2 band the audio cannot carry F2
+        with pytest.raises(InvalidAudio, match=f"sample rate {rate} Hz"):
+            ingest(np.ones(100), rate)
+
+    def test_rate_at_the_floor_accepted(self):
+        assert MIN_SAMPLE_RATE == 5400
+        w = ingest(np.ones(5400), MIN_SAMPLE_RATE)
+        assert w.samples.size == 16000
 
 
 class TestPreprocess:
@@ -231,6 +244,28 @@ class TestWavIO:
         with pytest.raises(InvalidAudio, match="2 of 4000 samples are non-finite"):
             read_wav(tmp_path / "n.wav")
 
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        from scipy.io import wavfile
+
+        from spoofnet.dsp import read_wav
+
+        x = np.zeros(4000, dtype=np.float32)
+        x.view(np.uint32)[10] = 0x7F800001  # widening it to float64 sets FE_INVALID
+        wavfile.write(tmp_path / "s.wav", SAMPLE_RATE, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidAudio, match="1 of 4000 samples are non-finite"):
+                read_wav(tmp_path / "s.wav")
+
+    def test_header_rate_below_the_floor_rejected(self, tmp_path):
+        # 4,044 bytes that would resample to 32,000,000 samples
+        from spoofnet.dsp import read_wav
+
+        write_wav(tmp_path / "slow.wav", np.sin(np.arange(2000) / 5.0), rate=1)
+        assert (tmp_path / "slow.wav").stat().st_size == 4044
+        with pytest.raises(InvalidAudio, match="sample rate 1 Hz"):
+            read_wav(tmp_path / "slow.wav")
+
     def test_unsupported_format_rejected(self, tmp_path):
         from scipy.io import wavfile
 
@@ -265,7 +300,7 @@ class TestTruncatedWav:
             read_wav(tmp_path / "t.wav")
 
     def test_data_size_beyond_file_is_invalid(self, tmp_path):
-        # the RIFF size matches the file, so scipy does not even warn
+        # the RIFF size matches the file; only the data size claims too much
         from spoofnet.dsp import read_wav
 
         lying = b"data" + struct.pack("<I", 10_000_000) + PCM.tobytes()
@@ -274,7 +309,7 @@ class TestTruncatedWav:
             read_wav(tmp_path / "t.wav")
 
     def test_unknown_chunk_still_loads(self, tmp_path):
-        # an odd-sized chunk scipy does not know, with its pad byte
+        # an odd-sized chunk of an unknown kind, with its pad byte
         from spoofnet.dsp import read_wav
 
         unknown = b"abcd" + struct.pack("<I", 3) + b"xyz\0"

@@ -404,7 +404,10 @@ class TestConfigFiles:
                                       "max_epochs = 0", "dtype = float16",
                                       # the frontend's token grid is fixed at 128 x 256
                                       "n_frames = 64", "n_frames = 129",
-                                      "n_bins = 128", "n_bins = 512"])
+                                      "n_bins = 128", "n_bins = 512",
+                                      # the model's voice ranges are fixed
+                                      "formant_ranges = 60:400,150:900,800:2700",
+                                      "formant_ranges = 60:400"])
     def test_unusable_run_config_value_rejected(self, tmp_path, line):
         p = tmp_path / "run.cfg"
         p.write_text(line + "\n")
@@ -418,15 +421,25 @@ class TestConfigFiles:
         assert (mc.enc_layers, mc.pred_layers, mc.dtype) == (0, 0, "float64")
 
     def test_round_trip_model_and_train(self, tmp_path):
-        mc = ModelConfig(embed_dim=24, enc_layers=2, enc_heads=3, enc_head_dim=8,
-                         formant_ranges=((60.0, 400.0), (150.0, 900.0),
-                                         (700.0, 2600.0)))
+        mc = ModelConfig(embed_dim=24, enc_layers=2, enc_heads=3, enc_head_dim=8)
         tc = TrainConfig(batch_size=4, lr=5e-4, seed=11)
         path = tmp_path / "run.cfg"
         write_config(path, mc, tc)
         mc2, tc2 = load_run_config(path)
         assert mc2 == mc
         assert tc2 == tc
+
+    def test_sidecar_with_the_fixed_formant_ranges_loads(self, tmp_path):
+        # every sidecar written while formant_ranges was a field holds this line
+        p = tmp_path / "run.cfg"
+        p.write_text("embed_dim = 24\nformant_ranges = 60:400,200:850,800:2700\n")
+        mc, _ = load_run_config(p)
+        assert mc == ModelConfig(embed_dim=24)
+
+    def test_formant_ranges_not_written(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(path, ModelConfig(), TrainConfig())
+        assert "formant_ranges" not in path.read_text()
 
     def test_unknown_run_config_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
