@@ -38,7 +38,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NotScalar, ShapeError
 
@@ -236,15 +235,110 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(y, (a,), backward_fn)
 
 
+# Cephes ndtr.c (after Cody 1969), the erf that scipy.special.erf evaluates:
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - exp(-x^2) P(|x|) / Q(|x|)
+# with the sign of x beyond. Coefficients run from the highest power down;
+# U and Q have an implied leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+# float64 elements per pass: the three scratch rows stay in L2 cache
+_ERF_CHUNK = 1 << 15
+
+
+def _horner(x: np.ndarray, coefs, out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (p1evl when monic) of x into out: one multiply and one
+    add per coefficient, rounded separately as C without FMA rounds them."""
+    if monic:
+        np.add(x, coefs[0], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[2 - monic:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Overwrite a C-contiguous float32 or float64 array with its error
+    function, and return it.
+
+    Every element takes the float64 steps of Cephes' erf, so a float32
+    result is scipy.special.erf's bit for bit and a float64 result is
+    within one ulp of it (np.exp may round differently from the C
+    library's exp). The |x| <= 1 rational runs over cache-sized chunks of
+    every element, with x clamped to [-1, 1] so that no lane overflows;
+    the elements beyond are set aside as each chunk is overwritten, and
+    their results then replace the chunk's. Cephes switches erfc to a
+    third rational at |x| >= 8, but there erfc < 1.2e-29 and 1 - erfc
+    rounds to exactly 1, so P/Q evaluated at min(|x|, 8) gives the same
+    result without it, and +-inf needs no case of its own. It works in
+    place, with three scratch rows, so that a call touches little fresh
+    memory: at gelu's sizes the page faults of a new array cost as much as
+    a few of the passes."""
+    if not x.flags.c_contiguous:
+        raise ValueError("_erf works in place: it needs a C-contiguous array")
+    flat = x.reshape(-1)
+    if not flat.size:
+        return x
+    scratch = np.empty((3, min(flat.size, _ERF_CHUNK)))
+    beyond, values = [], []
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        xs = flat[lo:lo + _ERF_CHUNK]
+        c, z, p = scratch[:, :xs.size]
+        np.maximum(xs, -1.0, out=c)
+        np.minimum(c, 1.0, out=c)
+        big = np.flatnonzero((xs > 1.0) | (xs < -1.0))
+        beyond.append(big + lo)
+        values.append(xs[big])
+        np.multiply(c, c, out=z)
+        _horner(z, _ERF_T, p)
+        p *= c
+        q = _horner(z, _ERF_U, c, monic=True)  # c is spent: its row takes U
+        np.divide(p, q, out=xs)
+    beyond, values = np.concatenate(beyond), np.concatenate(values)
+    for lo in range(0, beyond.size, _ERF_CHUNK):
+        xb = values[lo:lo + _ERF_CHUNK]
+        b, e, pq = scratch[:, :xb.size]
+        np.abs(xb, out=b)
+        np.minimum(b, 8.0, out=b)
+        np.multiply(b, b, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        e *= _horner(b, _ERFC_P, pq)  # P, then Q, in one row
+        e /= _horner(b, _ERFC_Q, pq, monic=True)
+        np.subtract(1.0, e, out=e)
+        flat[beyond[lo:lo + _ERF_CHUNK]] = np.copysign(e, xb, out=e)
+    return x
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error linear unit, x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # in the dtype of x, in the order of x * (0.5 * (1.0 + erf(x / sqrt(2))))
+    cdf = _erf(np.divide(x, math.sqrt(2.0), order="C"))
+    cdf += 1.0
+    cdf *= 0.5
     y = x * cdf
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accumulate(a, g * (cdf + x * pdf), owned=True)
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+        d = np.multiply(x, -0.5)
+        d *= x
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi)
+        d *= x
+        d += cdf
+        d *= g
+        _accumulate(a, d, owned=True)
 
     return _result(y, (a,), backward_fn)
 

@@ -89,8 +89,8 @@ def _cmd_train(args) -> int:
 
     print(f"training on {len(train_entries)} utterances "
           f"(balanced), validating on {len(val_entries)}")
-    train_samples = build_samples(train_entries, annotations)
-    val_samples = build_samples(val_entries, annotations)
+    train_samples = build_samples(train_entries, annotations, model_cfg.np_dtype())
+    val_samples = build_samples(val_entries, annotations, model_cfg.np_dtype())
 
     model = SpoofNet(model_cfg, seed=train_cfg.seed)
     result = train_loop(model, train_samples, val_samples, train_cfg, scaler)

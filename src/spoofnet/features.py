@@ -20,8 +20,10 @@ def utterance_tokens(audio_path) -> tuple[np.ndarray, np.ndarray]:
 def build_samples(
     entries: list[ManifestEntry],
     annotations: dict[str, FrameAnnotation],
+    dtype,
 ) -> list[TrainSample]:
-    """Assemble TrainSamples for every entry with a usable annotation.
+    """Assemble TrainSamples for every entry with a usable annotation,
+    with tokens stored in the model's dtype (the cast a batch would make).
 
     Entries without annotations (skipped upstream) are silently omitted;
     the caller already has the skip report.
@@ -33,6 +35,7 @@ def build_samples(
             continue
         mag, phase = utterance_tokens(e.audio_path)
         samples.append(TrainSample(
-            utt_id=e.utt_id, mag=mag, phase=phase, annotation=ann, label=e.label_int,
+            utt_id=e.utt_id, mag=mag.astype(dtype, copy=False),
+            phase=phase.astype(dtype, copy=False), annotation=ann, label=e.label_int,
         ))
     return samples

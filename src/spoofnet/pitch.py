@@ -6,27 +6,30 @@ uniform threshold prior it would be selected under. A Viterbi pass over
 a log-spaced pitch grid plus one unvoiced state smooths the track.
 Frames with no winning pitch state are reported as NaN (unvoiced).
 
-Both stages are array code that performs the same floating-point
-operations, in the same order, as a plain per-trough, per-threshold and
-per-state loop, so the tracks (and the cache records built from them)
-are bit-for-bit those of the loop:
+Both stages perform the same floating-point operations, in the same
+order, as a plain per-trough, per-threshold and per-state loop over the
+full grid, so the tracks (and the cache records built from them) are
+bit-for-bit those of the loop:
 
 - A threshold's winner is the first trough whose running-minimum depth
   falls below it, found with searchsorted. A candidate's probability is
   its win count looked up in a running sum of 1/n_thresholds, because
   repeated addition and count * weight round differently.
-- In the Viterbi step a bin holds a finite score only if it had a
-  candidate in the previous frame; every other score is -inf and loses
-  every comparison. Taking the voiced-to-voiced max over the few finite
-  rows therefore gives the full O(B^2) max exactly, including its
-  first-index tie-breaking. The L1 distance transform (O(B) per frame)
-  is not used: paths that tie in exact arithmetic are separated only by
-  rounding, and the transform rounds differently.
+- In the Viterbi step a bin holds a finite score only if it has a
+  candidate of non-zero probability in its frame; every other score is
+  -inf and loses every comparison. So the decoder keeps scores only for
+  each frame's few candidate bins and the unvoiced state, and each max
+  over them, taken in ascending bin order, is the full O(B^2) max
+  exactly, including its first-index tie-breaking. The L1 distance
+  transform (O(B) per frame) is not used: paths that tie in exact
+  arithmetic are separated only by rounding, and the transform rounds
+  differently.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -160,8 +163,7 @@ def viterbi_track(
     between voiced frames costs jump_cost_per_bin * k nats; switching
     voicing state costs -log(switch_prob).
     """
-    grid = _pitch_grid(cfg)
-    n_bins = grid.size
+    n_bins = _pitch_grid(cfg).size
     unvoiced = n_bins
     n_frames = len(candidates_per_frame)
     counts = [len(cands) for cands in candidates_per_frame]
@@ -201,52 +203,58 @@ def viterbi_track(
     total = np.cumsum(padded, axis=1)[:, -1]
     obs_unvoiced = np.log(np.maximum(1.0 - total, 1e-9))
 
-    switch = -np.log(cfg.switch_prob)
-    stay = -np.log(1.0 - cfg.switch_prob)
-    jump = cfg.jump_cost_per_bin * np.abs(np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :])
+    # the decoder runs over each frame's finite states only: the bins with
+    # a candidate of non-zero probability, ascending, then the unvoiced state
+    rows, cols = np.nonzero(np.isfinite(obs_voiced))
+    ends = np.cumsum(np.bincount(rows, minlength=n_frames)).tolist()
+    states = [list(zip(cols[lo:hi].tolist(), obs_voiced[rows[lo:hi], cols[lo:hi]].tolist()))
+              for lo, hi in zip([0] + ends[:-1], ends)]
+    obs_unvoiced = obs_unvoiced.tolist()
+    switch = float(-np.log(cfg.switch_prob))
+    stay = float(-np.log(1.0 - cfg.switch_prob))
+    prior = float(np.log(0.5))
 
-    dp = np.full((n_frames, n_bins + 1), -np.inf)
-    bp = np.zeros((n_frames, n_bins + 1), dtype=np.int32)
-    dp[0, :n_bins] = obs_voiced[0] + np.log(0.5)
-    dp[0, unvoiced] = obs_unvoiced[0] + np.log(0.5)
-
+    # Python floats add, subtract and compare as numpy's float64 elementwise
+    # ops do. Scanning in ascending bin order and keeping only a strictly
+    # better score (as max does) keeps the first index on ties, as argmax
+    # does, with the voiced bins before the unvoiced state.
+    score_of = operator.itemgetter(1)
+    prev = [(b, o + prior) for b, o in states[0]]
+    prev_u = obs_unvoiced[0] + prior
+    back = []  # per frame from the second: (bin -> previous state, unvoiced's previous)
     for t in range(1, n_frames):
-        prev_v = dp[t - 1, :n_bins]
-        prev_u = dp[t - 1, unvoiced]
-
-        # only bins that held a candidate are finite; the rest are -inf and
-        # can never win, so the max over the finite rows is the full max
-        finite = np.flatnonzero(np.isfinite(prev_v))
-        if finite.size:
-            vv = prev_v[finite, None] - jump[finite] - stay
-            best_vv = vv.max(axis=0)
-            argbest_vv = finite[vv.argmax(axis=0)]
-        else:
-            best_vv = np.full(n_bins, -np.inf)
-            argbest_vv = np.zeros(n_bins, dtype=np.intp)
         from_u = prev_u - switch
-        take_u = from_u > best_vv
-        dp[t, :n_bins] = obs_voiced[t] + np.where(take_u, from_u, best_vv)
-        bp[t, :n_bins] = np.where(take_u, unvoiced, argbest_vv)
-
-        from_v = prev_v.max() - switch
+        score, came_from = [], {}
+        for j, o in states[t]:
+            best, arg = -np.inf, unvoiced
+            for i, s in prev:
+                v = s - cfg.jump_cost_per_bin * abs(i - j) - stay
+                if v > best:
+                    best, arg = v, i
+            if from_u > best:
+                best, arg = from_u, unvoiced
+            score.append((j, o + best))
+            came_from[j] = arg
+        arg_v, best_v = max(prev, key=score_of, default=(unvoiced, -np.inf))
+        from_v = best_v - switch
         from_uu = prev_u - stay
         if from_v > from_uu:
-            dp[t, unvoiced] = obs_unvoiced[t] + from_v
-            bp[t, unvoiced] = int(prev_v.argmax())
+            prev_u, u_from = obs_unvoiced[t] + from_v, arg_v
         else:
-            dp[t, unvoiced] = obs_unvoiced[t] + from_uu
-            bp[t, unvoiced] = unvoiced
+            prev_u, u_from = obs_unvoiced[t] + from_uu, unvoiced
+        back.append((came_from, u_from))
+        prev = score
 
-    path = np.empty(n_frames, dtype=np.int32)
-    path[-1] = int(dp[-1].argmax())
-    for t in range(n_frames - 2, -1, -1):
-        path[t] = bp[t + 1, path[t + 1]]
-
-    voiced = path != unvoiced
-    state = np.where(voiced, path, 0)
-    f = cand_freq[np.arange(n_frames), state]
-    f0 = np.where(voiced, np.where(np.isfinite(f), f, grid[state]), np.nan)
+    state, best = max(prev, key=score_of, default=(unvoiced, -np.inf))
+    if prev_u > best:
+        state = unvoiced
+    f0 = np.full(n_frames, np.nan)
+    for t in range(n_frames - 1, -1, -1):
+        if state != unvoiced:
+            f0[t] = cand_freq[t, state]
+        if t:
+            came_from, u_from = back[t - 1]
+            state = u_from if state == unvoiced else came_from[state]
     return np.clip(f0, cfg.fmin_hz, cfg.fmax_hz)
 
 

@@ -221,11 +221,11 @@ def test_criterion_7_toy_end_to_end(tmp_path):
     fakes = [e for e in manifest if e.label == "fake"]
     train_entries = reals[:16] + fakes[:16]   # 32 train
     val_entries = reals[16:] + fakes[16:]     # 8 val
-    train_samples = build_samples(train_entries, annotations)
-    val_samples = build_samples(val_entries, annotations)
+    cfg = toy_config()
+    train_samples = build_samples(train_entries, annotations, cfg.np_dtype())
+    val_samples = build_samples(val_entries, annotations, cfg.np_dtype())
     assert len(train_samples) == 32 and len(val_samples) == 8
 
-    cfg = toy_config()
     tcfg = TrainConfig(batch_size=16, lr=1e-3, max_epochs=25, seed=5)
     scaler = fit_scaler([s.annotation for s in train_samples])
 

@@ -1,4 +1,6 @@
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,70 @@ class TestForwardValues:
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4, 5))))
         with pytest.raises(ShapeError, match=r"transpose.*\(4,\)"):
             ad.transpose(Tensor(np.zeros(4)))
+
+
+class TestErf:
+    """ad._erf is Cephes' erf, the one scipy.special.erf evaluates, so
+    gelu gives scipy's values without importing scipy."""
+
+    def test_float32_equals_scipy_bit_for_bit(self):
+        from scipy.special import erf
+        # every 509th float32 bit pattern in [0, 10], with both signs
+        pos = np.arange(0, np.float32(10.0).view(np.uint32) + 1, 509,
+                        dtype=np.uint32).view(np.float32)
+        x = np.concatenate([pos, -pos])
+        got = ad._erf(x.copy())
+        assert got.dtype == np.float32
+        assert got.tobytes() == erf(x).tobytes()
+
+    def test_float64_within_one_ulp_of_scipy(self):
+        from scipy.special import erf
+        rng = np.random.default_rng(9)
+        x = np.concatenate([rng.standard_normal(100_000) * 3, rng.uniform(-9, 9, 100_000),
+                            np.exp(rng.uniform(-700, 0, 10_000))])
+        got, want = ad._erf(x.copy()), erf(x)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 1
+
+    def test_special_values_without_warnings(self):
+        from scipy.special import erf
+        x = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0,
+                      np.nextafter(8.0, 0.0), 30.0, -30.0, 1e300, -1e300,
+                      np.inf, -np.inf, np.nan, 5e-324])
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)  # +-1e300 become +-inf
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            got = ad._erf(x.copy())
+            got32 = ad._erf(x32.copy())
+        assert got.tobytes() == erf(x).tobytes()
+        assert got32.tobytes() == erf(x32).tobytes()
+        np.testing.assert_array_equal(got[[8, 9, 10, 11, 12, 13]], [1, -1, 1, -1, 1, -1])
+        assert np.signbit(got[1]) and np.isnan(got[14])
+
+    def test_works_in_place_on_any_shape(self):
+        from scipy.special import erf
+        x = (np.random.default_rng(10).standard_normal((70_000, 3)) * 2).astype(np.float32)
+        for view in (x, x.T, x[::2, 1:], x[:0], x[5, 1]):
+            y = np.array(view, order="C")
+            assert ad._erf(y) is y
+            assert y.tobytes() == erf(np.array(view, order="C")).tobytes()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ad._erf(np.array(x.T, order="F"))
+
+    def test_gelu_takes_any_layout(self):
+        x = (np.random.default_rng(12).standard_normal((64, 48)) * 3).astype(np.float32)
+        want = ad.gelu(Tensor(x)).data
+        for view in (np.asfortranarray(x), x[:, ::-1][:, ::-1]):
+            assert ad.gelu(Tensor(view)).data.tobytes() == want.tobytes()
+
+    def test_gelu_is_the_scipy_formula_bit_for_bit(self):
+        from scipy.special import erf
+        x = (np.random.default_rng(11).standard_normal((3, 40_000)) * 3).astype(np.float32)
+        want = x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
+        got = ad.gelu(Tensor(x)).data
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 class TestConstantDtype:

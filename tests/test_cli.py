@@ -182,7 +182,8 @@ assert main(["infer", "--wav", wav, "--ckpt", ckpt]) == 0
 assert main(["eval", "--manifest", manifest, "--ckpt", ckpt,
              "--scores", scores, "--cache", cache]) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("scipy.signal", "scipy.stats", "scipy.io", "scipy.sparse"))))
+                        if m in ("scipy.special", "scipy.signal", "scipy.stats",
+                                 "scipy.io", "scipy.sparse"))))
 """
 
 
@@ -196,6 +197,22 @@ def test_pipeline_commands_load_no_heavy_scipy_module(workspace, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_build_samples_stores_tokens_in_the_model_dtype(workspace, dtype):
+    from spoofnet.cache import annotate_corpus
+    from spoofnet.features import build_samples, utterance_tokens
+    from spoofnet.manifest import load_manifest
+
+    manifest = load_manifest(workspace["manifest"])
+    annotations, _ = annotate_corpus(manifest, workspace["cache"])
+    entries = manifest.entries[:2]
+    for sample, entry in zip(build_samples(entries, annotations, dtype), entries):
+        mag, phase = utterance_tokens(entry.audio_path)
+        assert sample.mag.dtype == dtype and sample.phase.dtype == dtype
+        assert sample.mag.tobytes() == mag.astype(dtype).tobytes()
+        assert sample.phase.tobytes() == phase.astype(dtype).tobytes()
 
 
 class TestTrainSplitHandling:

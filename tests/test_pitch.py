@@ -2,7 +2,7 @@ import numpy as np
 
 from spoofnet.dsp import FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform
 from spoofnet.pitch import (PitchConfig, cmndf, difference_function,
-                            frame_candidates, track_pitch)
+                            frame_candidates, track_pitch, viterbi_track)
 
 
 class TestTrackPitch:
@@ -43,6 +43,13 @@ class TestTrackPitch:
         a = track_pitch(sine_220)
         b = track_pitch(sine_220)
         np.testing.assert_array_equal(a, b)
+
+
+    def test_viterbi_final_tie_goes_to_the_voiced_state(self):
+        # one frame and one candidate of probability 0.5: the voiced and the
+        # unvoiced state both score log(0.5) + log(0.5), and the decoder's
+        # argmax order puts the voiced bins first
+        assert viterbi_track([[(220.0, 0.5)]], PitchConfig())[0] == 220.0
 
 
 class TestYinPieces:
