@@ -18,8 +18,8 @@ import numpy as np
 
 from .dsp import NUM_FRAMES, FixedWaveform
 from .errors import AlignmentError, DataError
-from .formants import FormantConfig, track_formants
-from .pitch import PitchConfig, track_pitch
+from .formants import track_formants
+from .pitch import track_pitch
 
 @dataclass
 class FrameAnnotation:
@@ -52,14 +52,10 @@ def derive_voicing(f0_track: np.ndarray) -> np.ndarray:
     return np.isfinite(f0_track)
 
 
-def annotate_waveform(
-    x: FixedWaveform,
-    pitch_cfg: PitchConfig = PitchConfig(),
-    formant_cfg: FormantConfig = FormantConfig(),
-) -> FrameAnnotation:
+def annotate_waveform(x: FixedWaveform) -> FrameAnnotation:
     """Run both trackers and assemble the aligned annotation."""
-    f0 = track_pitch(x, pitch_cfg)
-    f1, f2 = track_formants(x, formant_cfg)
+    f0 = track_pitch(x)
+    f1, f2 = track_formants(x)
     if not (f0.shape[0] == f1.shape[0] == NUM_FRAMES):
         raise AlignmentError(
             f"trackers produced {f0.shape[0]}/{f1.shape[0]} frames, expected {NUM_FRAMES}"

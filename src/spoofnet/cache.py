@@ -1,9 +1,10 @@
 """Annotation cache: preprocess + annotate each utterance once.
 
 Records live in one line-delimited JSON file per cache directory, keyed
-by a content hash of (audio bytes, DSP parameters, annotator
-parameters); changing any parameter invalidates exactly the affected
-records. Annotation of missing entries can fan out over a process pool
+by a hash of the audio bytes, the silence trim's threshold and the two
+tracker keys (`pitch.PITCH_KEY`, `formants.FORMANT_KEY`); editing a
+tracker key invalidates every record, a changed audio file only its
+own. Annotation of missing entries can fan out over a process pool
 (each utterance is independent); results are merged and written in one
 atomic pass (a temp file of the writer's own + rename), so the cache
 content never depends on worker count or completion order. Each record
@@ -24,12 +25,12 @@ from pathlib import Path
 
 from .annotate import (FrameAnnotation, annotate_waveform, annotation_from_record,
                        annotation_to_record)
-from .dsp import DEFAULT_SILENCE_THRESHOLD_DB, preprocess, read_wav
+from .dsp import SILENCE_THRESHOLD_DB, preprocess, read_wav
 from .errors import DataError
 from .fileio import replace_atomically
-from .formants import FormantConfig
+from .formants import FORMANT_KEY
 from .manifest import Manifest
-from .pitch import PitchConfig
+from .pitch import PITCH_KEY
 
 CACHE_FILENAME = "annotations.jsonl"
 
@@ -41,14 +42,13 @@ class AnnotateStats:
     skipped: list = field(default_factory=list)  # (utt_id, reason)
 
 
-def content_key(audio_path, pitch_cfg: PitchConfig, formant_cfg: FormantConfig) -> str:
-    """Hash of file bytes and every parameter that shapes the annotation,
-    the silence trim's threshold among them."""
+def content_key(audio_path) -> str:
+    """Hash of the file bytes, the silence trim's threshold and the two
+    tracker keys."""
     h = hashlib.sha256()
     with open(audio_path, "rb") as fh:
         h.update(fh.read())
-    h.update(f"|trim:{DEFAULT_SILENCE_THRESHOLD_DB}|{pitch_cfg.key()}|{formant_cfg.key()}"
-             .encode("utf-8"))
+    h.update(f"|trim:{SILENCE_THRESHOLD_DB}|{PITCH_KEY}|{FORMANT_KEY}".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -77,11 +77,9 @@ def _write_cache_file(path: Path, rows: dict[str, dict]) -> None:
 
 def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
     """Worker body: (utt_id, annotation, error) for one utterance."""
-    utt_id, audio_path, pitch_cfg, formant_cfg = job
+    utt_id, audio_path = job
     try:
-        wave = read_wav(audio_path)
-        fixed = preprocess(wave)
-        return utt_id, annotate_waveform(fixed, pitch_cfg, formant_cfg), None
+        return utt_id, annotate_waveform(preprocess(read_wav(audio_path))), None
     except DataError as exc:
         return utt_id, None, str(exc)
 
@@ -89,8 +87,6 @@ def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
 def annotate_corpus(
     manifest: Manifest,
     cache_dir,
-    pitch_cfg: PitchConfig = PitchConfig(),
-    formant_cfg: FormantConfig = FormantConfig(),
     workers: int = 1,
 ) -> tuple[dict[str, FrameAnnotation], AnnotateStats]:
     """Annotate every readable utterance, reusing fresh cache records.
@@ -113,7 +109,7 @@ def annotate_corpus(
             stats.skipped.append((entry.utt_id, "missing audio file"))
             continue
         try:
-            key = content_key(entry.audio_path, pitch_cfg, formant_cfg)
+            key = content_key(entry.audio_path)
         except OSError as exc:
             stats.skipped.append((entry.utt_id, f"unreadable: {exc}"))
             continue
@@ -127,7 +123,7 @@ def annotate_corpus(
                 stats.cached += 1
                 continue
         keys[entry.utt_id] = key
-        jobs.append((entry.utt_id, entry.audio_path, pitch_cfg, formant_cfg))
+        jobs.append((entry.utt_id, entry.audio_path))
 
     if jobs:
         if workers > 1:

@@ -1,12 +1,14 @@
 """Human-readable key=value config documents.
 
 One flat file covers the model and training sections; `#` starts a
-comment. Values are typed after the dataclass defaults they override.
+comment. Values are typed after the dataclass defaults they override;
+a float must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .dsp import NUM_BINS, NUM_FRAMES
@@ -41,7 +43,10 @@ def _coerce(text: str, default, key: str):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         if isinstance(default, tuple):
             return tuple(p.strip() for p in text.split(",") if p.strip())
         return text

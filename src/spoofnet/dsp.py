@@ -26,7 +26,7 @@ NUM_FRAMES = (FIXED_NUM_SAMPLES - FRAME_LEN) // HOP_LEN + 1  # 128
 LOG_FLOOR = 1e-10
 
 TRIM_BLOCK_SECONDS = 0.020
-DEFAULT_SILENCE_THRESHOLD_DB = -40.0
+SILENCE_THRESHOLD_DB = -40.0
 
 # plausible voice ranges in Hz, shared by the trackers and the model's outputs
 F0_RANGE_HZ = (60.0, 400.0)
@@ -210,10 +210,8 @@ def ingest(raw_samples, rate: int) -> Waveform:
     return Waveform(resampled)
 
 
-def trim_silence(
-    w: Waveform, threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB
-) -> Waveform:
-    """Drop leading/trailing blocks quieter than threshold_db below peak.
+def trim_silence(w: Waveform) -> Waveform:
+    """Drop leading/trailing blocks quieter than SILENCE_THRESHOLD_DB below peak.
 
     Activity is measured as the peak amplitude of 20 ms blocks relative
     to the global peak. Raises SilentAudio when nothing survives.
@@ -229,9 +227,9 @@ def trim_silence(
     block_peaks = padded.reshape(n_blocks, block).max(axis=1)
     with np.errstate(divide="ignore"):
         block_db = 20.0 * np.log10(block_peaks / peak)
-    active = np.flatnonzero(block_db >= threshold_db)
+    active = np.flatnonzero(block_db >= SILENCE_THRESHOLD_DB)
     if active.size == 0:
-        raise SilentAudio(f"no blocks above {threshold_db} dB relative to peak")
+        raise SilentAudio(f"no blocks above {SILENCE_THRESHOLD_DB} dB relative to peak")
     start = active[0] * block
     end = min((active[-1] + 1) * block, x.size)
     return Waveform(x[start:end].copy())
@@ -254,15 +252,13 @@ def fix_length(w: Waveform) -> FixedWaveform:
     return FixedWaveform(np.tile(x, reps)[:FIXED_NUM_SAMPLES])
 
 
-def preprocess(
-    w: Waveform, silence_threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB
-) -> FixedWaveform:
+def preprocess(w: Waveform) -> FixedWaveform:
     """Trim silence, normalize to peak 1.0 and fix the length.
 
     The trim/normalize steps deliberately destroy absolute-level and
     edge-silence cues so the detector cannot shortcut on them.
     """
-    return fix_length(peak_normalize(trim_silence(w, silence_threshold_db)))
+    return fix_length(peak_normalize(trim_silence(w)))
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -23,9 +23,6 @@ compute it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .dsp import (F1_RANGE_HZ, F2_RANGE_HZ, FRAME_LEN, HOP_LEN, SAMPLE_RATE, FixedWaveform,
@@ -34,24 +31,20 @@ from .dsp import (F1_RANGE_HZ, F2_RANGE_HZ, FRAME_LEN, HOP_LEN, SAMPLE_RATE, Fix
 F1_FALLBACK_HZ = sum(F1_RANGE_HZ) / 2.0  # range midpoints
 F2_FALLBACK_HZ = sum(F2_RANGE_HZ) / 2.0
 
+LPC_ORDER = 10
+PREEMPHASIS = 0.97
+# a qualifying resonance lies strictly inside this band, narrower than MAX_BANDWIDTH_HZ
+MIN_FREQ_HZ = 50.0
+MAX_FREQ_HZ = 5500.0
+MAX_BANDWIDTH_HZ = 400.0
+# the Gaussian taper's standard deviation, as a fraction of the frame length
+WINDOW_STD_FRACTION = 1.0 / 6.0
 
-@dataclass(frozen=True)
-class FormantConfig:
-    order: int = 10
-    preemphasis: float = 0.97
-    frame_len: ClassVar[int] = FRAME_LEN
-    hop: ClassVar[int] = HOP_LEN
-    min_freq_hz: float = 50.0
-    max_freq_hz: float = 5500.0
-    max_bandwidth_hz: float = 400.0
-    window_std_fraction: float = 1.0 / 6.0
-
-    def key(self) -> str:
-        return (
-            f"burg:{self.order}:{self.preemphasis}:{self.frame_len}:{self.hop}:"
-            f"{self.min_freq_hz}:{self.max_freq_hz}:{self.max_bandwidth_hz}:"
-            f"{self.window_std_fraction}"
-        )
+# Part of every cache key. The text is a label, not a full description:
+# the algorithm itself is not in it, so edit it by hand with any change
+# that alters the tracks.
+FORMANT_KEY = (f"burg:{LPC_ORDER}:{PREEMPHASIS}:{FRAME_LEN}:{HOP_LEN}:{MIN_FREQ_HZ}:"
+               f"{MAX_FREQ_HZ}:{MAX_BANDWIDTH_HZ}:{WINDOW_STD_FRACTION}")
 
 
 def burg(x: np.ndarray, order: int) -> np.ndarray:
@@ -81,7 +74,7 @@ def burg(x: np.ndarray, order: int) -> np.ndarray:
     return a if np.ndim(x) == 2 else a[0]
 
 
-def lpc_resonances(a: np.ndarray, sample_rate: int) -> np.ndarray:
+def lpc_resonances(a: np.ndarray) -> np.ndarray:
     """(frequency_hz, bandwidth_hz) of each upper-half-plane pole, in
     ascending order.
 
@@ -105,12 +98,12 @@ def lpc_resonances(a: np.ndarray, sample_rate: int) -> np.ndarray:
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         roots[sel, :d] = np.linalg.eigvals(companion)
     upper = roots.imag > 0.0
-    freq = np.where(upper, np.angle(roots) * sample_rate / (2.0 * np.pi), np.nan)
+    freq = np.where(upper, np.angle(roots) * SAMPLE_RATE / (2.0 * np.pi), np.nan)
     # hypot, not np.abs: abs of a complex array takes a vectorized path that
     # differs in the last bit from abs of a single root
     magnitude = np.hypot(roots.real, roots.imag)
     with np.errstate(divide="ignore"):
-        bandwidth = np.where(upper, -np.log(magnitude) * sample_rate / np.pi, np.nan)
+        bandwidth = np.where(upper, -np.log(magnitude) * SAMPLE_RATE / np.pi, np.nan)
     # sort by (frequency, bandwidth), NaN padding last
     idx = np.lexsort((bandwidth, freq), axis=-1)[:, : upper.sum(axis=1).max(initial=0)]
     out = np.stack([np.take_along_axis(freq, idx, -1),
@@ -130,16 +123,13 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
     return y
 
 
-def track_formants(
-    x: FixedWaveform, cfg: FormantConfig = FormantConfig()
-) -> tuple[np.ndarray, np.ndarray]:
+def track_formants(x: FixedWaveform) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f1, f2) arrays aligned with the STFT framing."""
-    frames = frame_signal(preemphasize(x.samples, cfg.preemphasis))
-    window = gaussian_window(FRAME_LEN, cfg.window_std_fraction)
-    resonances = lpc_resonances(burg(frames * window, cfg.order), SAMPLE_RATE)
+    frames = frame_signal(preemphasize(x.samples, PREEMPHASIS))
+    window = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
+    resonances = lpc_resonances(burg(frames * window, LPC_ORDER))
     freq, bandwidth = resonances[..., 0], resonances[..., 1]
-    qualifies = ((cfg.min_freq_hz < freq) & (freq < cfg.max_freq_hz)
-                 & (bandwidth < cfg.max_bandwidth_hz))
+    qualifies = (MIN_FREQ_HZ < freq) & (freq < MAX_FREQ_HZ) & (bandwidth < MAX_BANDWIDTH_HZ)
     # the two lowest qualifying frequencies per frame; NaN marks a shortfall
     lowest = np.sort(np.where(qualifies, freq, np.nan), axis=1)
     lowest = np.pad(lowest, ((0, 0), (0, 2)), constant_values=np.nan)[:, :2]

@@ -13,7 +13,7 @@ bit-for-bit those of the loop:
 
 - A threshold's winner is the first trough whose running-minimum depth
   falls below it, found with searchsorted. A candidate's probability is
-  its win count looked up in a running sum of 1/n_thresholds, because
+  its win count looked up in a running sum of 1/N_THRESHOLDS, because
   repeated addition and count * weight round differently.
 - In the Viterbi step a bin holds a finite score only if it has a
   candidate of non-zero probability in its frame; every other score is
@@ -28,39 +28,39 @@ bit-for-bit those of the loop:
 
 from __future__ import annotations
 
-import functools
 import operator
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .dsp import F0_RANGE_HZ, FRAME_LEN, HOP_LEN, SAMPLE_RATE, FixedWaveform, frame_signal
 
+FMIN_HZ, FMAX_HZ = F0_RANGE_HZ
+# uniform prior over YIN thresholds in (0, THRESHOLD_MAX]
+THRESHOLD_MAX = 0.35
+N_THRESHOLDS = 100
+# Viterbi grid: 10-cent bins spanning [FMIN_HZ, FMAX_HZ]
+CENTS_PER_BIN = 10.0
+N_BINS = int(np.floor(1200.0 * np.log2(FMAX_HZ / FMIN_HZ) / CENTS_PER_BIN)) + 1
+# cost in nats per grid bin of pitch movement between frames
+JUMP_COST_PER_BIN = 0.1
+# probability of flipping voiced<->unvoiced between frames
+SWITCH_PROB = 0.01
+ENERGY_FLOOR = 1e-12
 
-@dataclass(frozen=True)
-class PitchConfig:
-    fmin_hz: float = F0_RANGE_HZ[0]
-    fmax_hz: float = F0_RANGE_HZ[1]
-    frame_len: ClassVar[int] = FRAME_LEN
-    hop: ClassVar[int] = HOP_LEN
-    # uniform prior over YIN thresholds in (0, threshold_max]
-    threshold_max: float = 0.35
-    n_thresholds: int = 100
-    # Viterbi grid: 10-cent bins spanning [fmin, fmax]
-    cents_per_bin: float = 10.0
-    # cost in nats per grid bin of pitch movement between frames
-    jump_cost_per_bin: float = 0.1
-    # probability of flipping voiced<->unvoiced between frames
-    switch_prob: float = 0.01
-    energy_floor: float = 1e-12
+# Part of every cache key. The text is a label, not a full description:
+# ENERGY_FLOOR and the algorithm itself are not in it, so edit it by hand
+# with any change that alters the tracks.
+PITCH_KEY = (f"pyin:{FMIN_HZ}:{FMAX_HZ}:{FRAME_LEN}:{HOP_LEN}:{THRESHOLD_MAX}:"
+             f"{N_THRESHOLDS}:{CENTS_PER_BIN}:{JUMP_COST_PER_BIN}:{SWITCH_PROB}")
 
-    def key(self) -> str:
-        return (
-            f"pyin:{self.fmin_hz}:{self.fmax_hz}:{self.frame_len}:{self.hop}:"
-            f"{self.threshold_max}:{self.n_thresholds}:{self.cents_per_bin}:"
-            f"{self.jump_cost_per_bin}:{self.switch_prob}"
-        )
+# The threshold grid and the probability mass of 0..N_THRESHOLDS wins,
+# shared read-only by every frame. The mass after `wins` sequential
+# additions of 1/N_THRESHOLDS: add.accumulate sums in order, so this is
+# exact where wins * weight is not.
+_THRESHOLDS = THRESHOLD_MAX * (np.arange(1, N_THRESHOLDS + 1) / N_THRESHOLDS)
+_WIN_MASS = np.concatenate([[0.0], np.cumsum(np.full(N_THRESHOLDS, 1.0 / N_THRESHOLDS))])
+_THRESHOLDS.flags.writeable = False
+_WIN_MASS.flags.writeable = False
 
 
 def difference_function(frame: np.ndarray, tau_max: int) -> np.ndarray:
@@ -89,33 +89,17 @@ def cmndf(d: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _threshold_prior(cfg: PitchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The threshold grid and the probability mass of 0..n_thresholds wins,
-    built once per config and shared read-only by every frame."""
-    thresholds = cfg.threshold_max * (np.arange(1, cfg.n_thresholds + 1) / cfg.n_thresholds)
-    # probability after `wins` sequential additions of 1/n_thresholds;
-    # add.accumulate sums in order, so this is exact where wins * weight is not
-    weight = 1.0 / cfg.n_thresholds
-    mass = np.concatenate([[0.0], np.cumsum(np.full(cfg.n_thresholds, weight))])
-    thresholds.flags.writeable = False
-    mass.flags.writeable = False
-    return thresholds, mass
-
-
-def frame_candidates(
-    frame: np.ndarray, sample_rate: int, cfg: PitchConfig
-) -> list[tuple[float, float]]:
+def frame_candidates(frame: np.ndarray) -> list[tuple[float, float]]:
     """Pitch candidates (frequency_hz, probability) for one frame.
 
     Troughs of the normalized difference inside the lag range are scored
     by the fraction of thresholds under which plain YIN (pick the first
     trough below threshold) would select them.
     """
-    if float(np.dot(frame, frame)) < cfg.energy_floor:
+    if float(np.dot(frame, frame)) < ENERGY_FLOOR:
         return []
-    tau_min = max(2, int(np.floor(sample_rate / cfg.fmax_hz)))
-    tau_max = min(frame.size - 2, int(np.ceil(sample_rate / cfg.fmin_hz)))
+    tau_min = max(2, int(np.floor(SAMPLE_RATE / FMAX_HZ)))
+    tau_max = min(frame.size - 2, int(np.ceil(SAMPLE_RATE / FMIN_HZ)))
     d = difference_function(frame, tau_max + 1)
     nd = cmndf(d)
     lags = np.arange(tau_min, tau_max + 1)
@@ -137,41 +121,31 @@ def frame_candidates(
 
     # plain YIN under threshold s picks the first trough below s, which is
     # where the running minimum of the depths first drops below s
-    thresholds, mass = _threshold_prior(cfg)
     running_min = np.minimum.accumulate(depth)
-    winner = np.searchsorted(-running_min, -thresholds, side="right")
+    winner = np.searchsorted(-running_min, -_THRESHOLDS, side="right")
     wins = np.bincount(winner, minlength=depth.size + 1)[: depth.size]
-    probs = mass[wins]
+    probs = _WIN_MASS[wins]
 
     keep = probs > 0.0
-    freqs = np.clip(sample_rate / lag[keep], cfg.fmin_hz, cfg.fmax_hz)
+    freqs = np.clip(SAMPLE_RATE / lag[keep], FMIN_HZ, FMAX_HZ)
     return list(zip(freqs.tolist(), probs[keep].tolist()))
 
 
-def _pitch_grid(cfg: PitchConfig) -> np.ndarray:
-    """Geometric pitch grid from fmin upward in cents_per_bin steps."""
-    n_bins = int(np.floor(1200.0 * np.log2(cfg.fmax_hz / cfg.fmin_hz) / cfg.cents_per_bin)) + 1
-    return cfg.fmin_hz * 2.0 ** (cfg.cents_per_bin * np.arange(n_bins) / 1200.0)
-
-
-def viterbi_track(
-    candidates_per_frame: list[list[tuple[float, float]]], cfg: PitchConfig
-) -> np.ndarray:
+def viterbi_track(candidates_per_frame: list[list[tuple[float, float]]]) -> np.ndarray:
     """Decode a smooth f0 track; NaN marks unvoiced frames.
 
     States are the pitch grid bins plus one unvoiced state. Moving k bins
-    between voiced frames costs jump_cost_per_bin * k nats; switching
-    voicing state costs -log(switch_prob).
+    between voiced frames costs JUMP_COST_PER_BIN * k nats; switching
+    voicing state costs -log(SWITCH_PROB).
     """
-    n_bins = _pitch_grid(cfg).size
-    unvoiced = n_bins
+    n_bins = unvoiced = N_BINS
     n_frames = len(candidates_per_frame)
     counts = [len(cands) for cands in candidates_per_frame]
     flat = [fp for cands in candidates_per_frame for fp in cands]
     freqs = np.array([f for f, _ in flat], dtype=np.float64)
     probs = np.array([p for _, p in flat], dtype=np.float64)
     frame_of = np.repeat(np.arange(n_frames), counts)
-    bins = np.clip(np.round(1200.0 * np.log2(freqs / cfg.fmin_hz) / cfg.cents_per_bin),
+    bins = np.clip(np.round(1200.0 * np.log2(freqs / FMIN_HZ) / CENTS_PER_BIN),
                    0, n_bins - 1).astype(np.intp)
 
     # a bin's probability is the sum of its candidates, accumulated in
@@ -210,8 +184,8 @@ def viterbi_track(
     states = [list(zip(cols[lo:hi].tolist(), obs_voiced[rows[lo:hi], cols[lo:hi]].tolist()))
               for lo, hi in zip([0] + ends[:-1], ends)]
     obs_unvoiced = obs_unvoiced.tolist()
-    switch = float(-np.log(cfg.switch_prob))
-    stay = float(-np.log(1.0 - cfg.switch_prob))
+    switch = float(-np.log(SWITCH_PROB))
+    stay = float(-np.log(1.0 - SWITCH_PROB))
     prior = float(np.log(0.5))
 
     # Python floats add, subtract and compare as numpy's float64 elementwise
@@ -228,7 +202,7 @@ def viterbi_track(
         for j, o in states[t]:
             best, arg = -np.inf, unvoiced
             for i, s in prev:
-                v = s - cfg.jump_cost_per_bin * abs(i - j) - stay
+                v = s - JUMP_COST_PER_BIN * abs(i - j) - stay
                 if v > best:
                     best, arg = v, i
             if from_u > best:
@@ -255,10 +229,9 @@ def viterbi_track(
         if t:
             came_from, u_from = back[t - 1]
             state = u_from if state == unvoiced else came_from[state]
-    return np.clip(f0, cfg.fmin_hz, cfg.fmax_hz)
+    return np.clip(f0, FMIN_HZ, FMAX_HZ)
 
 
-def track_pitch(x: FixedWaveform, cfg: PitchConfig = PitchConfig()) -> np.ndarray:
+def track_pitch(x: FixedWaveform) -> np.ndarray:
     """Per-frame f0 in Hz aligned with the STFT framing; NaN = unvoiced."""
-    candidates = [frame_candidates(f, SAMPLE_RATE, cfg) for f in frame_signal(x.samples)]
-    return viterbi_track(candidates, cfg)
+    return viterbi_track([frame_candidates(f) for f in frame_signal(x.samples)])

@@ -254,8 +254,9 @@ def train_loop(
 ) -> TrainResult:
     """Full optimization loop with plateau decay and early stopping.
 
-    Aborts with NumericalError (naming epoch, batch and components) the
-    moment a non-finite loss appears, rather than training through NaNs.
+    Aborts with NumericalError (naming the epoch, and the batch for a
+    training loss, with the loss components) the moment a non-finite
+    training or validation loss appears, rather than training through NaNs.
     """
     if scaler is None:
         scaler = fit_scaler([s.annotation for s in train_samples])
@@ -290,7 +291,9 @@ def train_loop(
             opt.step()
 
         n_train = len(train_samples)
-        val_total, _ = evaluate_loss(model, val_samples, scaler, weights)
+        val_total, val_comps = evaluate_loss(model, val_samples, scaler, weights)
+        if not np.isfinite(val_total):
+            raise NumericalError(f"non-finite validation loss at epoch {epoch}: {val_comps}")
         history.append({
             "epoch": epoch,
             "lr": sched.lr,

@@ -7,7 +7,7 @@ input. The digests were computed on a tree whose cache lines still
 matched those of the per-frame loop trackers, so they pin the loops'
 output (numpy 2.4, OpenBLAS 0.3, x86-64). A tracker change that alters
 any of them changes cached annotations, so it must also bump the
-`pyin:`/`burg:` key that invalidates them. Another FFT, BLAS or LAPACK
+`pyin:`/`burg:` key (`PITCH_KEY`, `FORMANT_KEY`) that invalidates them. Another FFT, BLAS or LAPACK
 build may differ in the last bit. To print the digests of the current
 tree:
 
@@ -24,11 +24,12 @@ import numpy as np
 import pytest
 
 from spoofnet.annotate import annotate_waveform, annotation_to_record
-from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform, Waveform,
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform, Waveform,
                           frame_signal, preprocess)
-from spoofnet.formants import (FormantConfig, burg, gaussian_window, lpc_resonances,
-                               preemphasize)
-from spoofnet.pitch import PitchConfig, _pitch_grid, viterbi_track
+from spoofnet.formants import (FORMANT_KEY, LPC_ORDER, PREEMPHASIS, WINDOW_STD_FRACTION,
+                               burg, gaussian_window, lpc_resonances, preemphasize)
+from spoofnet.pitch import (CENTS_PER_BIN, FMAX_HZ, FMIN_HZ, JUMP_COST_PER_BIN, N_BINS,
+                            PITCH_KEY, SWITCH_PROB, viterbi_track)
 from spoofnet.synth import SyntheticCorpusSpec, synth_utterance
 from tests.conftest import synth_vowel
 
@@ -106,8 +107,8 @@ def track_digest(x: FixedWaveform) -> str:
 
 def test_tracker_keys_unchanged():
     # any change to these strings invalidates every cached annotation
-    assert PitchConfig().key() == "pyin:60.0:400.0:512:256:0.35:100:10.0:0.1:0.01"
-    assert FormantConfig().key() == "burg:10:0.97:512:256:50.0:5500.0:400.0:0.16666666666666666"
+    assert PITCH_KEY == "pyin:60.0:400.0:512:256:0.35:100:10.0:0.1:0.01"
+    assert FORMANT_KEY == "burg:10:0.97:512:256:50.0:5500.0:400.0:0.16666666666666666"
 
 
 def test_tracks_bit_identical():
@@ -126,10 +127,13 @@ def test_cache_line_format():
         assert track.tobytes() == getattr(ann, f"{name}_hz").tobytes()
 
 
-def reference_viterbi(candidates_per_frame, cfg: PitchConfig) -> np.ndarray:
+# the geometric pitch grid: N_BINS bins from FMIN_HZ upward in CENTS_PER_BIN steps
+PITCH_GRID = FMIN_HZ * 2.0 ** (CENTS_PER_BIN * np.arange(N_BINS) / 1200.0)
+
+
+def reference_viterbi(candidates_per_frame) -> np.ndarray:
     """The per-candidate, full O(B^2) decoder that viterbi_track replaces."""
-    grid = _pitch_grid(cfg)
-    n_bins = grid.size
+    n_bins = N_BINS
     unvoiced = n_bins
     n_frames = len(candidates_per_frame)
 
@@ -139,7 +143,7 @@ def reference_viterbi(candidates_per_frame, cfg: PitchConfig) -> np.ndarray:
     for t, cands in enumerate(candidates_per_frame):
         total = 0.0
         for f, p in cands:
-            b = int(np.clip(np.round(1200.0 * np.log2(f / cfg.fmin_hz) / cfg.cents_per_bin),
+            b = int(np.clip(np.round(1200.0 * np.log2(f / FMIN_HZ) / CENTS_PER_BIN),
                             0, n_bins - 1))
             if not np.isfinite(obs_voiced[t, b]) or p > np.exp(obs_voiced[t, b]):
                 cand_freq[t, b] = f
@@ -148,9 +152,9 @@ def reference_viterbi(candidates_per_frame, cfg: PitchConfig) -> np.ndarray:
             total += p
         obs_unvoiced[t] = np.log(max(1.0 - total, 1e-9))
 
-    switch = -np.log(cfg.switch_prob)
-    stay = -np.log(1.0 - cfg.switch_prob)
-    jump = cfg.jump_cost_per_bin * np.abs(np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :])
+    switch = -np.log(SWITCH_PROB)
+    stay = -np.log(1.0 - SWITCH_PROB)
+    jump = JUMP_COST_PER_BIN * np.abs(np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :])
 
     dp = np.full((n_frames, n_bins + 1), -np.inf)
     bp = np.zeros((n_frames, n_bins + 1), dtype=np.int32)
@@ -185,48 +189,43 @@ def reference_viterbi(candidates_per_frame, cfg: PitchConfig) -> np.ndarray:
         if state == unvoiced:
             continue
         f = cand_freq[t, state]
-        f0[t] = f if np.isfinite(f) else grid[state]
-    return np.clip(f0, cfg.fmin_hz, cfg.fmax_hz)
+        f0[t] = f if np.isfinite(f) else PITCH_GRID[state]
+    return np.clip(f0, FMIN_HZ, FMAX_HZ)
 
 
-def random_candidates(rng, n_frames: int, cfg: PitchConfig, on_grid: bool):
+def random_candidates(rng, n_frames: int, on_grid: bool):
     """Sparse candidate sets. On the grid, candidates sit on five bins ten
     apart with probabilities in {0, 1/4, 1/2}, so distinct paths tie
     exactly and candidates share bins; off the grid, frequencies and
     probabilities are arbitrary."""
-    grid = _pitch_grid(cfg)
     frames = []
     for _ in range(n_frames):
         k = int(rng.integers(0, 5))
         if on_grid:
-            freqs = grid[100 + 10 * rng.integers(0, 5, k)]
+            freqs = PITCH_GRID[100 + 10 * rng.integers(0, 5, k)]
             probs = rng.integers(0, 3, k) / 4.0
             probs = probs / max(1.0, probs.sum())
         else:
-            freqs = rng.uniform(cfg.fmin_hz * 0.9, cfg.fmax_hz * 1.1, k)
+            freqs = rng.uniform(FMIN_HZ * 0.9, FMAX_HZ * 1.1, k)
             probs = rng.dirichlet(np.ones(k + 1))[:k] if k else np.zeros(0)
         frames.append([(float(f), float(p)) for f, p in zip(freqs, probs)])
     return frames
 
 
-def assert_matches_reference(cands, cfg):
+def assert_matches_reference(cands):
     with np.errstate(divide="ignore"):  # zero-probability candidates: log(0)
-        np.testing.assert_array_equal(viterbi_track(cands, cfg),
-                                      reference_viterbi(cands, cfg))
+        np.testing.assert_array_equal(viterbi_track(cands), reference_viterbi(cands))
 
 
 @pytest.mark.parametrize("on_grid", [True, False])
 def test_viterbi_matches_reference(on_grid):
-    cfg = PitchConfig()
     rng = np.random.default_rng(11 if on_grid else 12)
     for _ in range(20):
-        assert_matches_reference(random_candidates(rng, 48, cfg, on_grid), cfg)
+        assert_matches_reference(random_candidates(rng, 48, on_grid))
 
 
 def test_viterbi_ties_and_shared_bins():
-    cfg = PitchConfig()
-    grid = _pitch_grid(cfg)
-    lo, mid, hi = float(grid[100]), float(grid[110]), float(grid[120])
+    lo, mid, hi = float(PITCH_GRID[100]), float(PITCH_GRID[110]), float(PITCH_GRID[120])
     cands = [
         [(hi, 0.5), (lo, 0.5)],           # two equal states
         [(mid, 1.0)],                       # equidistant from both: an exact tie
@@ -234,8 +233,8 @@ def test_viterbi_ties_and_shared_bins():
         [],
         [(lo, 1.0)],
     ]
-    assert_matches_reference(cands, cfg)
-    assert viterbi_track(cands, cfg)[0] == lo  # ties go to the lowest bin
+    assert_matches_reference(cands)
+    assert viterbi_track(cands)[0] == lo  # ties go to the lowest bin
 
 
 def reference_burg(x: np.ndarray, order: int) -> np.ndarray:
@@ -256,33 +255,32 @@ def reference_burg(x: np.ndarray, order: int) -> np.ndarray:
     return a
 
 
-def reference_resonances(a: np.ndarray, sample_rate: int) -> list[tuple[float, float]]:
+def reference_resonances(a: np.ndarray) -> list[tuple[float, float]]:
     """np.roots and per-root arithmetic, the loop lpc_resonances() batches."""
     out = []
     for r in np.roots(a):
         if r.imag <= 0.0:
             continue
-        freq = float(np.angle(r)) * sample_rate / (2.0 * np.pi)
-        out.append((freq, float(-np.log(abs(r)) * sample_rate / np.pi)))
+        freq = float(np.angle(r)) * SAMPLE_RATE / (2.0 * np.pi)
+        out.append((freq, float(-np.log(abs(r)) * SAMPLE_RATE / np.pi)))
     return sorted(out)
 
 
 def test_burg_and_resonances_match_per_frame_reference():
-    cfg = FormantConfig()
-    window = gaussian_window(cfg.frame_len, cfg.window_std_fraction)
+    window = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
     for name, x in golden_inputs().items():
-        frames = frame_signal(preemphasize(x.samples, cfg.preemphasis)) * window
+        frames = frame_signal(preemphasize(x.samples, PREEMPHASIS)) * window
         if name == "sine_220":
             frames[5] = 0.0
             frames[5, 7] = 1.0  # an impulse: every reflection coefficient is 0
-        coeffs = burg(frames, cfg.order)
-        resonances = lpc_resonances(coeffs, SAMPLE_RATE)
+        coeffs = burg(frames, LPC_ORDER)
+        resonances = lpc_resonances(coeffs)
         for t, frame in enumerate(frames):
-            expected = reference_burg(frame, cfg.order)
+            expected = reference_burg(frame, LPC_ORDER)
             np.testing.assert_array_equal(coeffs[t], expected)
             got = resonances[t][~np.isnan(resonances[t, :, 0])]
             np.testing.assert_array_equal(
-                got, np.array(reference_resonances(expected, SAMPLE_RATE)).reshape(-1, 2))
+                got, np.array(reference_resonances(expected)).reshape(-1, 2))
 
 
 def test_resonances_of_mixed_degrees_match_np_roots():
@@ -293,12 +291,12 @@ def test_resonances_of_mixed_degrees_match_np_roots():
     for row, degree in enumerate([10, 4, 2, 0, 7, 10]):
         stack[row, 1 : degree + 1] = rng.uniform(-0.5, 0.5, degree)
     stack[5, 3] = 0.0  # an inner zero stays in the polynomial
-    resonances = lpc_resonances(stack, SAMPLE_RATE)
+    resonances = lpc_resonances(stack)
     for row, a in enumerate(stack):
         got = resonances[row][~np.isnan(resonances[row, :, 0])]
         np.testing.assert_array_equal(
-            got, np.array(reference_resonances(a, SAMPLE_RATE)).reshape(-1, 2))
-        np.testing.assert_array_equal(lpc_resonances(a, SAMPLE_RATE), got)
+            got, np.array(reference_resonances(a)).reshape(-1, 2))
+        np.testing.assert_array_equal(lpc_resonances(a), got)
 
 
 if __name__ == "__main__":

@@ -296,6 +296,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ckpt")]) == 2
         assert line.split(" ")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_is_2_before_training(self, tmp_path, workspace, lr, capsys):
+        run_cfg = tmp_path / "run.cfg"
+        write_config(run_cfg, toy_config(), TrainConfig(batch_size=8, lr=lr, max_epochs=1))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(workspace["cache"]), "--config", str(run_cfg),
+                     "--out", str(ckpt)]) == 2
+        assert f"lr = '{lr}'" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_token_grid_mismatch_is_2_before_annotating(self, tmp_path, workspace,
                                                         capsys):
         run_cfg = tmp_path / "run.cfg"

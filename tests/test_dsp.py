@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN, LOG_FLOOR,
                           MIN_SAMPLE_RATE, NUM_BINS, NUM_FRAMES, SAMPLE_RATE,
-                          FixedWaveform, Waveform, frame_signal, hann_window,
-                          ingest, preprocess, stft_features, tokenize,
-                          trim_silence, write_wav)
+                          FixedWaveform, Waveform, fix_length, frame_signal,
+                          hann_window, ingest, peak_normalize, preprocess,
+                          stft_features, tokenize, trim_silence, write_wav)
 from spoofnet.errors import InvalidAudio, SilentAudio
 
 
@@ -106,7 +106,7 @@ class TestPreprocess:
         rng = np.random.default_rng(seed)
         s = rng.uniform(-1, 1, n)
         s[np.argmax(np.abs(s))] = 1.0
-        out = preprocess(Waveform(s), silence_threshold_db=-200.0).samples
+        out = fix_length(peak_normalize(Waveform(s))).samples
         period = s.size
         for i in (0, 1, period - 1):
             if i + period < FIXED_NUM_SAMPLES:

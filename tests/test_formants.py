@@ -21,7 +21,7 @@ class TestBurg:
     def test_recovers_ar2_pole_frequency(self):
         x = ar2_process(800.0, 0.95, 8192, seed=0)
         a = burg(x[1000:], order=2)
-        resonances = lpc_resonances(a, SAMPLE_RATE)
+        resonances = lpc_resonances(a)
         assert len(resonances) == 1
         freq, bandwidth = resonances[0]
         assert abs(freq - 800.0) <= 10.0

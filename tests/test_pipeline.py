@@ -9,11 +9,11 @@ from spoofnet.config import (load_corpus_spec, load_run_config, parse_kv,
                              write_config)
 from spoofnet.dsp import write_wav
 from spoofnet.errors import DuplicateId, InsufficientData, ParseError
-from spoofnet.formants import FormantConfig
+from spoofnet.formants import FORMANT_KEY
 from spoofnet.manifest import (Manifest, ManifestEntry, load_manifest,
                                save_manifest, split_90_10)
 from spoofnet.model import ModelConfig
-from spoofnet.pitch import PitchConfig
+from spoofnet.pitch import PITCH_KEY
 from spoofnet.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 from spoofnet.train import TrainConfig
 
@@ -207,7 +207,7 @@ def per_frame_cache_text(manifest, annotations) -> str:
                    "f2": float(f2), "voiced": bool(v)}
                   for t, (f0, f1, f2, v) in enumerate(
                       zip(ann.f0_hz, ann.f1_hz, ann.f2_hz, ann.voiced))]
-        key = content_key(e.audio_path, PitchConfig(), FormantConfig())
+        key = content_key(e.audio_path)
         lines.append(json.dumps({"utt_id": e.utt_id, "frames": frames, "key": key}) + "\n")
     return "".join(lines)
 
@@ -270,20 +270,18 @@ class TestAnnotationCache:
     def test_key_text_keeps_the_trim_threshold(self, tmp_path):
         # caches written while the trim threshold was a parameter hashed
         # it into the key text; the same text keeps those records valid
-        from spoofnet.cache import content_key
-        from spoofnet.formants import FormantConfig
-
         path = tmp_path / "a.wav"
         path.write_bytes(b"audio bytes")
-        pitch, formant = PitchConfig(), FormantConfig()
-        text = f"audio bytes|trim:-40.0|{pitch.key()}|{formant.key()}"
-        assert content_key(path, pitch, formant) == hashlib.sha256(text.encode()).hexdigest()
+        text = f"audio bytes|trim:-40.0|{PITCH_KEY}|{FORMANT_KEY}"
+        assert content_key(path) == hashlib.sha256(text.encode()).hexdigest()
 
-    def test_parameter_change_invalidates(self, tmp_path):
+    @pytest.mark.parametrize("name", ["PITCH_KEY", "FORMANT_KEY"])
+    def test_tracker_key_edit_invalidates(self, tmp_path, monkeypatch, name):
         m = self.corpus(tmp_path)
         cache = tmp_path / "cache"
         annotate_corpus(m, cache)
-        _, stats = annotate_corpus(m, cache, pitch_cfg=PitchConfig(fmax_hz=350.0))
+        monkeypatch.setattr(f"spoofnet.cache.{name}", "edited")
+        _, stats = annotate_corpus(m, cache)
         assert stats.computed == 4 and stats.cached == 0
 
     def test_worker_pool_matches_serial(self, tmp_path):
@@ -407,7 +405,9 @@ class TestConfigFiles:
                                       "n_bins = 128", "n_bins = 512",
                                       # the model's voice ranges are fixed
                                       "formant_ranges = 60:400,150:900,800:2700",
-                                      "formant_ranges = 60:400"])
+                                      "formant_ranges = 60:400",
+                                      # a float must be finite
+                                      "lr = nan", "lr = inf", "weight_decay = -inf"])
     def test_unusable_run_config_value_rejected(self, tmp_path, line):
         p = tmp_path / "run.cfg"
         p.write_text(line + "\n")

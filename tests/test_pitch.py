@@ -1,8 +1,8 @@
 import numpy as np
 
 from spoofnet.dsp import FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform
-from spoofnet.pitch import (PitchConfig, cmndf, difference_function,
-                            frame_candidates, track_pitch, viterbi_track)
+from spoofnet.pitch import (cmndf, difference_function, frame_candidates, track_pitch,
+                            viterbi_track)
 
 
 class TestTrackPitch:
@@ -49,7 +49,7 @@ class TestTrackPitch:
         # one frame and one candidate of probability 0.5: the voiced and the
         # unvoiced state both score log(0.5) + log(0.5), and the decoder's
         # argmax order puts the voiced bins first
-        assert viterbi_track([[(220.0, 0.5)]], PitchConfig())[0] == 220.0
+        assert viterbi_track([[(220.0, 0.5)]])[0] == 220.0
 
 
 class TestYinPieces:
@@ -69,12 +69,11 @@ class TestYinPieces:
         assert np.all(np.isfinite(nd))
 
     def test_silence_yields_no_candidates(self):
-        assert frame_candidates(np.zeros(512), SAMPLE_RATE, PitchConfig()) == []
+        assert frame_candidates(np.zeros(512)) == []
 
     def test_sine_frame_candidate_near_truth(self):
         t = np.arange(512) / SAMPLE_RATE
-        cands = frame_candidates(np.sin(2 * np.pi * 220.0 * t), SAMPLE_RATE,
-                                 PitchConfig())
+        cands = frame_candidates(np.sin(2 * np.pi * 220.0 * t))
         assert cands
         best = max(cands, key=lambda c: c[1])
         assert abs(best[0] - 220.0) <= 2.0

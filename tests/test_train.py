@@ -424,6 +424,18 @@ class TestTrainLoop:
         with pytest.raises(NumericalError, match="batch 0, utterance u3:"):
             train_loop(net, samples, samples[:1], tcfg, default_scaler())
 
+    def test_non_finite_validation_loss_aborts(self, tiny_cfg):
+        # one batch per epoch: the training loss is finite (it is taken
+        # before the step), and the NaN step poisons only the validation loss
+        from spoofnet.errors import NumericalError
+
+        rng = np.random.default_rng(10)
+        samples = build_toy_samples(tiny_cfg, rng, n=4)
+        net = SpoofNet(tiny_cfg, seed=0)
+        tcfg = TrainConfig(batch_size=4, lr=float("nan"), max_epochs=3, seed=0)
+        with pytest.raises(NumericalError, match="validation loss at epoch 1:"):
+            train_loop(net, samples, samples[:2], tcfg, default_scaler())
+
     def test_evaluate_loss_averages(self, tiny_cfg):
         rng = np.random.default_rng(9)
         samples = build_toy_samples(tiny_cfg, rng, n=2)
