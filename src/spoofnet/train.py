@@ -11,14 +11,15 @@ checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .annotate import FrameAnnotation
 from .autodiff import Tensor
-from .errors import AlignmentError, ClassMissing, DegenerateData, NumericalError
+from .errors import AlignmentError, ClassMissing, DataError, DegenerateData, NumericalError
 from .model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet
 from .optim import AdamW
 
@@ -254,10 +255,16 @@ def train_loop(
 ) -> TrainResult:
     """Full optimization loop with plateau decay and early stopping.
 
-    Aborts with NumericalError (naming the epoch, and the batch for a
-    training loss, with the loss components) the moment a non-finite
-    training or validation loss appears, rather than training through NaNs.
+    Raises DataError naming the field, before any step, if a float field
+    of ``cfg`` is not finite. Aborts with NumericalError (naming the epoch,
+    and the batch for a training loss, with the loss components) the
+    moment a non-finite training or validation loss appears, rather than
+    training through NaNs.
     """
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"TrainConfig.{field.name} = {value} is not a finite number")
     if scaler is None:
         scaler = fit_scaler([s.annotation for s in train_samples])
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 
-from spoofnet.dsp import FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform
-from spoofnet.pitch import (cmndf, difference_function, frame_candidates, track_pitch,
-                            viterbi_track)
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform, Waveform,
+                          frame_signal, preprocess)
+from spoofnet.pitch import (TAU_MAX, cmndf, difference_function, frame_candidates,
+                            frame_troughs, track_pitch, viterbi_track)
+from spoofnet.synth import SyntheticCorpusSpec, synth_utterance
+from tests.conftest import synth_vowel
 
 
 class TestTrackPitch:
@@ -69,12 +73,48 @@ class TestYinPieces:
         assert np.all(np.isfinite(nd))
 
     def test_silence_yields_no_candidates(self):
-        assert frame_candidates(np.zeros(512)) == []
+        (lag, depth), = frame_troughs(np.zeros((1, 512)))
+        assert frame_candidates(lag, depth) == []
 
     def test_sine_frame_candidate_near_truth(self):
         t = np.arange(512) / SAMPLE_RATE
-        cands = frame_candidates(np.sin(2 * np.pi * 220.0 * t))
+        (lag, depth), = frame_troughs(np.sin(2 * np.pi * 220.0 * t)[None, :])
+        cands = frame_candidates(lag, depth)
         assert cands
         best = max(cands, key=lambda c: c[1])
         assert abs(best[0] - 220.0) <= 2.0
         assert best[1] > 0.9  # a clean sine clears nearly every threshold
+
+
+@pytest.fixture(scope="module")
+def golden_frames() -> np.ndarray:
+    """The frames of the golden inputs synth_00, synth_04 and vowel_gap
+    (tests/test_annotation_golden.py), then one all-zero frame."""
+    waves = []
+    for i in (0, 4):
+        spec = SyntheticCorpusSpec(duration_s=float(np.linspace(1.0, 3.2, 24)[i]))
+        x = synth_utterance(np.random.default_rng(100 + i), spec, fake=bool(i % 2))
+        waves.append(preprocess(Waveform(x)).samples)
+    gapped = synth_vowel().samples.copy()
+    gapped[40 * 256: 44 * 256] = 0.0
+    waves.append(gapped)
+    return np.concatenate([frame_signal(x) for x in waves] + [np.zeros((1, 512))])
+
+
+class TestBatchedFrontEnd:
+    # the tracks are pinned bit for bit, so a stack of frames must give
+    # exactly the bytes of the single-frame calls, row by row
+    def test_difference_function_stack_equals_rows(self, golden_frames):
+        stacked = difference_function(golden_frames, TAU_MAX + 1)
+        rows = np.stack([difference_function(f, TAU_MAX + 1) for f in golden_frames])
+        assert stacked.tobytes() == rows.tobytes()
+
+    def test_cmndf_stack_equals_rows(self, golden_frames):
+        d = difference_function(golden_frames, TAU_MAX + 1)
+        assert cmndf(d).tobytes() == np.stack([cmndf(row) for row in d]).tobytes()
+
+    def test_all_zero_frame_has_flat_cmndf_and_no_trough(self, golden_frames):
+        nd = cmndf(difference_function(golden_frames[-1:], TAU_MAX + 1))
+        assert np.all(nd == 1.0)
+        lag, depth = frame_troughs(golden_frames)[-1]
+        assert lag.size == depth.size == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from spoofnet import autodiff as ad
 from spoofnet.annotate import FrameAnnotation
 from spoofnet.autodiff import Tensor
-from spoofnet.errors import AlignmentError, ClassMissing, DegenerateData
+from spoofnet.errors import AlignmentError, ClassMissing, DataError, DegenerateData
 from spoofnet.model import ForwardPass, SpoofNet
 from spoofnet.optim import AdamW
 from spoofnet.train import (FormantScaler, PlateauScheduler, TrainConfig,
@@ -425,16 +426,34 @@ class TestTrainLoop:
             train_loop(net, samples, samples[:1], tcfg, default_scaler())
 
     def test_non_finite_validation_loss_aborts(self, tiny_cfg):
-        # one batch per epoch: the training loss is finite (it is taken
-        # before the step), and the NaN step poisons only the validation loss
+        # the training samples are finite; only the validation set holds a NaN
         from spoofnet.errors import NumericalError
 
         rng = np.random.default_rng(10)
+        samples = build_toy_samples(tiny_cfg, rng, n=6)
+        samples[5].mag[3, 5] = np.nan
+        net = SpoofNet(tiny_cfg, seed=0)
+        tcfg = TrainConfig(batch_size=4, lr=1e-3, max_epochs=3, seed=0)
+        with pytest.raises(NumericalError, match="validation loss at epoch 1:"):
+            train_loop(net, samples[:4], samples[4:], tcfg, default_scaler())
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)
+                                       if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_config_float_rejected_before_any_step(self, tiny_cfg, field, value):
+        rng = np.random.default_rng(10)
         samples = build_toy_samples(tiny_cfg, rng, n=4)
         net = SpoofNet(tiny_cfg, seed=0)
-        tcfg = TrainConfig(batch_size=4, lr=float("nan"), max_epochs=3, seed=0)
-        with pytest.raises(NumericalError, match="validation loss at epoch 1:"):
-            train_loop(net, samples, samples[:2], tcfg, default_scaler())
+        before = net.state_dict()
+        tcfg = dataclasses.replace(TrainConfig(batch_size=4, max_epochs=2, seed=0),
+                                   **{field: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match=f"TrainConfig.{field} = "):
+                train_loop(net, samples, samples[:2], tcfg, default_scaler())
+        assert caught == []
+        for name, array in before.items():
+            assert net.params[name].data.tobytes() == array.tobytes()
 
     def test_evaluate_loss_averages(self, tiny_cfg):
         rng = np.random.default_rng(9)
