@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,6 +126,10 @@ def annotate_corpus(
 
     if jobs:
         if workers > 1:
+            # imported here: every other command, infer included, skips
+            # concurrent.futures.process's import time
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_annotate_one, jobs))
         else:

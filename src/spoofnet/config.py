@@ -14,7 +14,7 @@ from pathlib import Path
 from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
 from .model import FORMANT_RANGES, ModelConfig
-from .synth import SyntheticCorpusSpec
+from .synth import MIN_DURATION_S, SyntheticCorpusSpec
 from .train import TrainConfig
 
 
@@ -63,8 +63,27 @@ def _from_kv(cls, kv: dict[str, str]):
     return cls(**kwargs)
 
 
+def _reject_unknown(kv: dict[str, str], *classes) -> None:
+    known = {f.name for cls in classes for f in dataclasses.fields(cls)}
+    unknown = sorted(set(kv) - known)
+    if unknown:
+        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+
+
 def load_corpus_spec(path) -> SyntheticCorpusSpec:
-    return _from_kv(SyntheticCorpusSpec, parse_kv(path))
+    """A synthetic corpus spec; unknown keys are rejected as likely typos,
+    and so are negative counts and seeds and a duration too short for
+    the recipe's edges, burst and voiced segments."""
+    kv = parse_kv(path)
+    _reject_unknown(kv, SyntheticCorpusSpec)
+    spec = _from_kv(SyntheticCorpusSpec, kv)
+    for name in ("n_real", "n_fake", "seed"):
+        if getattr(spec, name) < 0:
+            raise ParseError(f"{name} = {getattr(spec, name)} is negative")
+    if spec.duration_s < MIN_DURATION_S:
+        raise ParseError(f"duration_s = {spec.duration_s} is below the shortest "
+                         f"usable duration {MIN_DURATION_S:g}")
+    return spec
 
 
 def write_config(path, *configs, header: str | None = None) -> None:
@@ -105,11 +124,7 @@ def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
         value = kv.pop(name, fixed)
         if value != fixed:
             raise ParseError(f"{name} = {value}, expected {fixed} (no longer settable)")
-    known = {f.name for f in dataclasses.fields(ModelConfig)} \
-        | {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(kv) - known)
-    if unknown:
-        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+    _reject_unknown(kv, ModelConfig, TrainConfig)
     model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)
     values = {**vars(model_cfg), **vars(train_cfg)}
     for name, least in _LEAST_SIZE.items():

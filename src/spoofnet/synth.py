@@ -7,6 +7,14 @@ silence at the edges (so trimming has work to do). "Fake" items run the
 same recipe and then apply deterministic spectral perturbations: ring
 modulation plus an inharmonic tone, the kind of stationary artifact a
 detector can genuinely learn.
+
+The resonators are second-order all-pole filters run by a Python-float
+loop, so synthesis needs numpy alone. The loop costs a few milliseconds
+per resonator per second of audio where a compiled filter costs a
+fraction of one; against the about 1 s that importing a compiled filter
+library adds to every `synth-corpus` process, it comes out ahead for
+corpora of up to about a hundred 2 s utterances, and behind for larger
+ones.
 """
 
 from __future__ import annotations
@@ -16,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SAMPLE_RATE, write_wav
+from .dsp import FRAME_LEN, SAMPLE_RATE, write_wav
 from .manifest import Manifest, ManifestEntry, save_manifest
+
+EDGE_S = 0.08              # silence at each end, for the trim to remove
+BURST_S = (0.15, 0.3)      # range of the noise burst's length
+VOICED_SPLIT = (0.4, 0.6)  # range of the first voiced segment's share
+# the shortest duration whose two voiced segments each still fill one
+# analysis frame next to the edges and the longest burst
+MIN_DURATION_S = 2 * EDGE_S + BURST_S[1] + FRAME_LEN / SAMPLE_RATE / VOICED_SPLIT[0]
 
 
 @dataclass(frozen=True)
@@ -35,16 +50,31 @@ class SyntheticCorpusSpec:
 
 
 def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):
+    """a1, a2 of the all-pole resonator 1 / (1 + a1 z^-1 + a2 z^-2), as
+    Python floats: _resonate's loop runs about twice as fast on them as
+    on numpy scalars."""
     r = np.exp(-np.pi * bandwidth_hz / sr)
     theta = 2.0 * np.pi * freq_hz / sr
-    return [1.0], [1.0, -2.0 * r * np.cos(theta), r * r]
+    return float(-2.0 * r * np.cos(theta)), float(r * r)
+
+
+def _resonate(x: np.ndarray, a1: float, a2: float) -> np.ndarray:
+    """x through 1 / (1 + a1 z^-1 + a2 z^-2): the direct-form-II-transposed
+    recurrence of scipy.signal.lfilter([1], [1, a1, a2], x), whose output
+    it equals bit for bit."""
+    out = []
+    append = out.append
+    z0 = z1 = 0.0
+    for xi in x.tolist():
+        y = xi + z0
+        z0 = z1 - a1 * y
+        z1 = -(a2 * y)
+        append(y)
+    return np.array(out)
 
 
 def _voiced_segment(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     """Harmonic source through two formant resonators."""
-    # imported here so that only corpus synthesis loads scipy.signal (~50 MB)
-    from scipy.signal import lfilter
-
     t = np.arange(n) / sr
     f0_base = rng.uniform(110.0, 240.0)
     vib_rate = rng.uniform(3.0, 6.0)
@@ -58,19 +88,15 @@ def _voiced_segment(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
         k += 1
     f1 = rng.uniform(350.0, 750.0)
     f2 = rng.uniform(1100.0, 2200.0)
-    b1, a1 = _resonator_coeffs(f1, 80.0, sr)
-    b2, a2 = _resonator_coeffs(f2, 120.0, sr)
-    voiced = lfilter(b2, a2, lfilter(b1, a1, src))
+    voiced = _resonate(_resonate(src, *_resonator_coeffs(f1, 80.0, sr)),
+                       *_resonator_coeffs(f2, 120.0, sr))
     return voiced / np.max(np.abs(voiced))
 
 
 def _noise_burst(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     """High-passed noise, fricative-like: energetic but aperiodic."""
-    from scipy.signal import lfilter
-
     noise = rng.standard_normal(n)
-    b, a = _resonator_coeffs(4500.0, 2000.0, sr)
-    shaped = lfilter(b, a, noise)
+    shaped = _resonate(noise, *_resonator_coeffs(4500.0, 2000.0, sr))
     return 0.35 * shaped / np.max(np.abs(shaped))
 
 
@@ -79,10 +105,10 @@ def synth_utterance(rng: np.random.Generator, spec: SyntheticCorpusSpec,
     """One deterministic utterance; all randomness comes from rng."""
     sr = SAMPLE_RATE
     n_total = int(spec.duration_s * sr)
-    n_edge = int(0.08 * sr)
-    n_burst = int(rng.uniform(0.15, 0.3) * sr)
+    n_edge = int(EDGE_S * sr)
+    n_burst = int(rng.uniform(*BURST_S) * sr)
     n_voiced_total = n_total - 2 * n_edge - n_burst
-    n_a = int(n_voiced_total * rng.uniform(0.4, 0.6))
+    n_a = int(n_voiced_total * rng.uniform(*VOICED_SPLIT))
     n_b = n_voiced_total - n_a
 
     x = np.concatenate([

@@ -168,35 +168,41 @@ class TestPipelineCommands:
         assert not out.exists()
 
 
-# Run in a fresh interpreter: every spoofnet module, then infer and eval.
-# Only corpus synthesis may load these; each costs import time and memory
-# (scipy.signal alone about 50 MB) in every other command.
+# Run in a fresh interpreter with scipy unimportable: every spoofnet
+# module, then synth-corpus, infer and eval. scipy serves only as a test
+# oracle, so any import of it here fails the probe. The process pool
+# serves `annotate --workers N` alone, so no other command, infer
+# included, should pay its import time.
 LEAN_IMPORT_PROBE = """
 import importlib, json, pkgutil, sys
+sys.modules["scipy"] = None
 import spoofnet
 from spoofnet.cli import main
 for module in pkgutil.iter_modules(spoofnet.__path__):
     importlib.import_module("spoofnet." + module.name)
-wav, ckpt, manifest, cache, scores = sys.argv[1:]
+spec, corpus, wav, ckpt, manifest, cache, scores = sys.argv[1:]
+assert main(["synth-corpus", "--spec", spec, "--out", corpus]) == 0
 assert main(["infer", "--wav", wav, "--ckpt", ckpt]) == 0
 assert main(["eval", "--manifest", manifest, "--ckpt", ckpt,
              "--scores", scores, "--cache", cache]) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("scipy.special", "scipy.signal", "scipy.stats",
-                                 "scipy.io", "scipy.sparse"))))
+print(json.dumps("concurrent.futures.process" in sys.modules))
 """
 
 
-def test_pipeline_commands_load_no_heavy_scipy_module(workspace, tmp_path):
+def test_commands_run_without_scipy_or_process_pool(workspace, tmp_path):
     src = str(Path(spoofnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    spec = tmp_path / "corpus.cfg"
+    write_config(spec, SyntheticCorpusSpec(n_real=1, n_fake=1, duration_s=1.0))
     wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
     proc = subprocess.run(
-        [sys.executable, "-c", LEAN_IMPORT_PROBE, str(wav), str(workspace["ckpt"]),
-         str(workspace["manifest"]), str(workspace["cache"]), str(tmp_path / "s.jsonl")],
+        [sys.executable, "-c", LEAN_IMPORT_PROBE, str(spec), str(tmp_path / "corpus"),
+         str(wav), str(workspace["ckpt"]), str(workspace["manifest"]),
+         str(workspace["cache"]), str(tmp_path / "s.jsonl")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) is False
+    assert (tmp_path / "corpus" / "manifest.csv").exists()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -306,6 +312,18 @@ class TestExitCodes:
                      "--out", str(ckpt)]) == 2
         assert f"lr = '{lr}'" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("line", ["duration_s = 0.3", "duration_s = 0.1",
+                                      "n_reals = 3", "n_real = -2", "n_fake = -1",
+                                      "seed = -1"])
+    def test_unusable_corpus_spec_is_2_before_writing(self, tmp_path, line, capsys):
+        spec, out = tmp_path / "corpus.cfg", tmp_path / "corpus"
+        spec.write_text("n_real = 1\nn_fake = 1\n" + line + "\n")
+        assert main(["synth-corpus", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert line.split(" ")[0] in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_token_grid_mismatch_is_2_before_annotating(self, tmp_path, workspace,
                                                         capsys):

@@ -7,14 +7,16 @@ import pytest
 from spoofnet.cache import annotate_corpus, content_key
 from spoofnet.config import (load_corpus_spec, load_run_config, parse_kv,
                              write_config)
-from spoofnet.dsp import write_wav
+from spoofnet.dsp import SAMPLE_RATE, write_wav
 from spoofnet.errors import DuplicateId, InsufficientData, ParseError
 from spoofnet.formants import FORMANT_KEY
 from spoofnet.manifest import (Manifest, ManifestEntry, load_manifest,
                                save_manifest, split_90_10)
 from spoofnet.model import ModelConfig
 from spoofnet.pitch import PITCH_KEY
-from spoofnet.synth import SyntheticCorpusSpec, generate_synthetic_corpus
+from spoofnet.synth import (MIN_DURATION_S, SyntheticCorpusSpec, _resonate,
+                            _resonator_coeffs, generate_synthetic_corpus,
+                            synth_utterance)
 from spoofnet.train import TrainConfig
 
 HEADER = "utt_id,audio_path,label,dataset_tag,codec_tag,split\n"
@@ -188,6 +190,60 @@ class TestSyntheticCorpus:
                                    codec_tags=("aac", "mp3"))
         m = generate_synthetic_corpus(spec, tmp_path / "e")
         assert [e.codec_tag for e in m] == ["aac", "mp3", "aac", "mp3"]
+
+    def test_shortest_usable_duration_synthesizes(self):
+        spec = SyntheticCorpusSpec(duration_s=MIN_DURATION_S)
+        rng = np.random.default_rng(0)
+        for fake in [False, True] * 20:
+            x = synth_utterance(rng, spec, fake)
+            assert x.size == int(MIN_DURATION_S * SAMPLE_RATE)
+            assert np.all(np.isfinite(x))
+
+
+def lfilter_resonate(x, a1, a2):
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], [1.0, a1, a2], x)
+
+
+# synth's three resonators: two formants and the fricative burst's
+SYNTH_RESONATORS = [(350.0, 750.0, 80.0), (1100.0, 2200.0, 120.0),
+                    (4500.0, 4500.0, 2000.0)]
+
+
+class TestResonator:
+    """synth's own filter loop is scipy.signal.lfilter's recurrence: the
+    outputs are equal bit for bit, signed zeros included."""
+
+    def test_seeded_random_resonators(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            a = _resonator_coeffs(rng.uniform(50.0, 7950.0), rng.uniform(10.0, 3000.0),
+                                  SAMPLE_RATE)
+            x = rng.standard_normal(int(rng.integers(1, 5000)))
+            assert _resonate(x, *a).tobytes() == lfilter_resonate(x, *a).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, bandwidth", SYNTH_RESONATORS)
+    def test_synth_resonators(self, lo, hi, bandwidth):
+        rng = np.random.default_rng(1)
+        for freq in [lo, hi, *rng.uniform(lo, hi, 8)]:
+            a = _resonator_coeffs(freq, bandwidth, SAMPLE_RATE)
+            x = rng.standard_normal(2000)
+            assert _resonate(x, *a).tobytes() == lfilter_resonate(x, *a).tobytes()
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.7]), np.array([-0.7]), np.array([-0.0]),
+        np.zeros(64), -np.zeros(64),
+        np.concatenate([np.zeros(100), np.random.default_rng(2).standard_normal(400)]),
+        np.concatenate([-np.zeros(100), [-1.0], np.zeros(50)]),
+    ], ids=["one", "one_negative", "negative_zero", "zeros", "negative_zeros",
+            "leading_zeros", "impulse_after_negative_zeros"])
+    def test_cascaded_pair(self, x):
+        a1 = _resonator_coeffs(500.0, 80.0, SAMPLE_RATE)
+        a2 = _resonator_coeffs(1500.0, 120.0, SAMPLE_RATE)
+        own = _resonate(_resonate(x, *a1), *a2)
+        assert own.tobytes() == lfilter_resonate(lfilter_resonate(x, *a1), *a2).tobytes()
+        assert _resonate(x, *a1).tobytes() == lfilter_resonate(x, *a1).tobytes()
 
 
 def assert_bit_equal(got, want):
@@ -446,6 +502,12 @@ class TestConfigFiles:
         p.write_text("embed_dim = 16\nlearning_rate = 0.1\n")  # typo for lr
         with pytest.raises(ParseError, match="learning_rate"):
             load_run_config(p)
+
+    def test_least_usable_corpus_spec_accepted(self, tmp_path):
+        spec = SyntheticCorpusSpec(n_real=0, n_fake=0, seed=0, duration_s=MIN_DURATION_S)
+        path = tmp_path / "spec.cfg"
+        write_config(path, spec)
+        assert load_corpus_spec(path) == spec
 
     def test_corpus_spec_round_trip(self, tmp_path):
         spec = SyntheticCorpusSpec(n_real=5, n_fake=7, seed=3, duration_s=1.5,
