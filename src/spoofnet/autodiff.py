@@ -3,7 +3,12 @@
 A Tensor wraps a numpy array and remembers how it was produced; calling
 :func:`backward` on a scalar walks the recorded graph once in reverse
 topological order and accumulates gradients into every tensor that
-requires them. The op set is deliberately closed: exactly what the
+requires them. The walk frees the graph as it goes: when it returns,
+only the leaves (parameters, and inputs that require grad) keep their
+gradients, and every saved activation is released unless the caller
+still holds that tensor; ``backward(loss, retain_graph=True)`` keeps the
+interior gradients, backward functions and parent links. Either way a
+graph is walked once. The op set is deliberately closed: exactly what the
 detector network and its losses need, nothing speculative.
 
 - elementwise: add, mul
@@ -511,24 +516,41 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss.
+def backward(loss: Tensor, retain_graph: bool = False) -> None:
+    """Populate .grad on every requires_grad leaf reachable from loss.
 
-    The loss must be a single scalar; calling backward twice on the same
-    graph without rebuilding it is an error because saved activations
-    are not reference-counted.
+    The loss must be a single scalar. The walk runs each interior tensor's
+    backward function once, in reverse topological order, and frees the
+    graph as it goes: once a tensor's backward function has run, the
+    tensor drops its gradient, the function (and with it the activations
+    it saved) and its parent links. So an activation dies as soon as the
+    walk has passed it, and nothing of the graph outlives the call, even
+    while the caller still holds the loss. Only the leaves keep their
+    gradients. retain_graph=True keeps every interior gradient, backward
+    function and parent link instead, for code that reads them afterwards.
+
+    Either way the walk marks every interior tensor it passes, and a later
+    walk that reaches a marked tensor (the same loss, or a new loss built
+    on a walked subgraph) raises RuntimeError before touching any
+    gradient: its stale gradient would count twice, or its freed one not
+    at all.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_done:
+    order = _toposort(loss)
+    if any(node._backward_done for node in order):
         raise RuntimeError("backward already called on this graph; rebuild the "
                            "forward pass before differentiating again")
-    loss._backward_done = True
-    order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()  # the list lets go of each node as the walk passes it
+        if node._backward_fn is None:
+            continue
+        node._backward_done = True
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        if not retain_graph:
+            node.grad, node._backward_fn, node._parents = None, None, ()
 
 
 def zero_grads(params) -> None:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -27,6 +28,38 @@ from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
 from .model import SpoofNet
 from .synth import generate_synthetic_corpus
 from .train import TrainConfig, balance_classes, fit_scaler, train_loop
+
+
+# glibc's mallopt(3) parameter numbers (malloc.h) and the values set for
+# them: blocks below 32 MiB (mallopt(3)'s upper limit on 64-bit) come
+# from the heap, and up to 256 MiB of freed heap top stays mapped.
+# Training frees a step's graph as backward walks it; with glibc's
+# defaults the freed pages go back to the OS and the next step faults
+# them in again.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
+_malloc_tuned = False
+
+
+def _keep_freed_pages() -> None:
+    """Set the allocator thresholds above, once per process, where the C
+    library has mallopt (glibc); elsewhere do nothing. Any mallopt call
+    turns off glibc's dynamic thresholds (which a freed large block would
+    raise), so both are set: the mmap threshold, so that a step's arrays
+    come from the heap, and the trim threshold, so that the heap keeps
+    their pages once they are freed."""
+    global _malloc_tuned
+    if _malloc_tuned:
+        return
+    _malloc_tuned = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows wants a name
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,6 +277,7 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

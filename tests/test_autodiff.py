@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -279,6 +280,54 @@ class TestBackwardBasics:
         with ad.no_grad():
             y = ad.tsum(ad.mul(w, 2.0))
         assert y._backward_fn is None and not y.requires_grad
+
+
+class TestFreedGraph:
+    """backward frees the graph it walks, unless asked to retain it, and
+    never walks a tensor twice."""
+
+    @pytest.mark.parametrize("retain_graph", [False, True])
+    def test_second_walk_over_a_walked_subgraph_rejected(self, retain_graph):
+        # h's gradient from the first walk would count again (x.grad 6
+        # where the summed gradient is 4), or, once freed, not at all
+        x = ad.parameter(np.array([1.0]))
+        h = ad.mul(x, 2.0)
+        ad.backward(ad.tsum(h), retain_graph=retain_graph)
+        with pytest.raises(RuntimeError, match="backward already called"):
+            ad.backward(ad.tsum(h), retain_graph=retain_graph)
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    @staticmethod
+    def graph():
+        """A loss, a parameter, and a weak reference to the values of an
+        interior activation that only the graph holds."""
+        rng = np.random.default_rng(4)
+        w = randt(rng, 6, 6)
+        h = ad.gelu(ad.matmul(Tensor(rng.standard_normal((4, 6))), w))
+        return ad.tsum(ad.sigmoid(h)), w, weakref.ref(h.data)
+
+    def test_interior_activation_dies_while_the_loss_is_held(self):
+        loss, w, activation = self.graph()
+        assert activation() is not None
+        ad.backward(loss)
+        assert activation() is None
+        assert loss.grad is None and loss._parents == () and loss._backward_fn is None
+        assert w.grad is not None and w.grad.shape == (6, 6)
+
+    def test_retain_graph_keeps_activations_and_interior_gradients(self):
+        loss, w, activation = self.graph()
+        ad.backward(loss, retain_graph=True)
+        assert activation() is not None
+        interior = [t for t in ad._toposort(loss) if t._backward_fn is not None]
+        assert len(interior) == 4 and all(t.grad is not None for t in interior)
+
+    def test_freed_and_retained_walks_give_equal_gradients(self):
+        grads = []
+        for retain_graph in (False, True):
+            loss, w, _ = self.graph()
+            ad.backward(loss, retain_graph=retain_graph)
+            grads.append(w.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestGradChecks:
@@ -567,7 +616,7 @@ class TestOwnedGradients:
         both = ad.transpose(ad.concat([att, r], axis=-1))             # (2, 12, 4)
         loss = ad.add(ad.tsum(ad.mul(both, rng.standard_normal((2, 12, 4)))),
                       ad.tsum(ad.sigmoid(r)))
-        ad.backward(loss)
+        ad.backward(loss, retain_graph=True)
         grads = [t.grad for t in ad._toposort(loss) if t.grad is not None]
         assert len(grads) > 15
         for i, a in enumerate(grads):

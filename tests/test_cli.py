@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import spoofnet
+from spoofnet import cli
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.dsp import write_wav
@@ -203,6 +205,45 @@ def test_commands_run_without_scipy_or_process_pool(workspace, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) is False
     assert (tmp_path / "corpus" / "manifest.csv").exists()
+
+
+class TestAllocatorHook:
+    """main sets glibc's malloc thresholds once per process, and runs
+    unchanged where there is no mallopt."""
+
+    @staticmethod
+    def infer(workspace) -> int:
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        return main(["infer", "--wav", str(wav), "--ckpt", str(workspace["ckpt"])])
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+    def test_infer_runs_without_mallopt(self, workspace, monkeypatch, capsys, libc):
+        def cdll(name):
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli, "_malloc_tuned", False)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self.infer(workspace) == 0
+        assert "score" in capsys.readouterr().out
+
+    def test_thresholds_set_once_however_often_main_runs(self, workspace,
+                                                         monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli, "_malloc_tuned", False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        for _ in range(3):
+            assert self.infer(workspace) == 0
+        assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20),
+                         (cli._M_TRIM_THRESHOLD, 256 << 20)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

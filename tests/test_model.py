@@ -275,7 +275,7 @@ class TestDtype:
         scaler = FormantScaler(log_mean=np.array([5.2, 6.2, 7.2]),
                                log_std=np.array([0.4, 0.3, 0.3]))
         loss, _ = compound_loss(net.forward(mag, phase), ann, 1, scaler)
-        ad.backward(loss)
+        ad.backward(loss, retain_graph=True)
         graph = ad._toposort(loss)
         assert {t.data.dtype for t in graph} == {want}
         assert {t.grad.dtype for t in graph if t.grad is not None} == {want}
