@@ -16,7 +16,8 @@ detector network and its losses need, nothing speculative.
 - attention: attention (multi-head softmax(q @ k.T / sqrt(d)) @ v of
   (..., L, H*d) projections)
 - nonlinearities: sigmoid, gelu, log, clip
-- reductions and normalization: softmax, logsumexp, layer_norm, tsum, tmean
+- reductions and normalization: softmax, logsumexp (keeps the reduced
+  axis with size 1), layer_norm, tsum, tmean
 - graph: parameter, no_grad, backward, zero_grads
 
 add and mul share one operand rule. The second operand b is either a
@@ -382,19 +383,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), backward_fn)
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(x))) along an axis, max-subtracted for overflow safety."""
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    """log(sum(exp(x))) along an axis, which is kept with size 1;
+    max-subtracted for overflow safety."""
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
     data = m + np.log(s)
     soft = e / s
-    if not keepdims:
-        data = data.squeeze(axis=axis)
 
     def backward_fn(g):
-        gk = g if keepdims else np.expand_dims(g, axis=axis)
-        _accumulate(a, gk * soft, owned=True)
+        _accumulate(a, g * soft, owned=True)
 
     return _result(data, (a,), backward_fn)
 
@@ -452,8 +451,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _result(data, (q, k, v), backward_fn)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of the last dim to mean 0 / variance 1, then
     apply the learned elementwise scale and shift."""
     d = a.data.shape[-1]
@@ -465,7 +466,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     xc = a.data - a.data.mean(axis=-1, keepdims=True)
     # the population variance of np.var, from the one centred array
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 

@@ -2,7 +2,8 @@
 
 One flat file covers the model and training sections; `#` starts a
 comment. Values are typed after the dataclass defaults they override;
-a float must be finite.
+a float must be finite. A key that older documents carried and that is
+now a module constant still loads while it holds that constant's value.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from pathlib import Path
 from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
 from .model import FORMANT_RANGES, ModelConfig
-from .synth import MIN_DURATION_S, SyntheticCorpusSpec
-from .train import TrainConfig
+from .synth import (MIN_DURATION_S, RINGMOD_DEPTH, RINGMOD_HZ, TONE_HZ, TONE_LEVEL,
+                    SyntheticCorpusSpec)
+from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATIENCE,
+                    WEIGHT_DECAY, TrainConfig)
 
 
 def parse_kv(path) -> dict[str, str]:
@@ -63,7 +66,39 @@ def _from_kv(cls, kv: dict[str, str]):
     return cls(**kwargs)
 
 
-def _reject_unknown(kv: dict[str, str], *classes) -> None:
+# keys that documents once carried, by the section that carried them,
+# each with the one value it is now fixed at
+_RETIRED = {
+    ModelConfig: {"formant_ranges": FORMANT_RANGES},
+    TrainConfig: {"plateau_patience": PLATEAU_PATIENCE, "decay_factor": DECAY_FACTOR,
+                  "early_stop_patience": EARLY_STOP_PATIENCE,
+                  "improve_tol": IMPROVE_TOL, "weight_decay": WEIGHT_DECAY},
+    SyntheticCorpusSpec: {"ringmod_hz": RINGMOD_HZ, "ringmod_depth": RINGMOD_DEPTH,
+                          "tone_hz": TONE_HZ, "tone_level": TONE_LEVEL},
+}
+
+
+def _check_keys(kv: dict[str, str], *classes) -> None:
+    """Remove the sections' retired keys from kv, each of which must hold
+    its fixed value, compared after parsing (``improve_tol = 0.00001`` is
+    1e-5); then reject any key that is no field, as a likely typo."""
+    for cls in classes:
+        for name, fixed in _RETIRED[cls].items():
+            if name not in kv:
+                continue
+            text = kv.pop(name)
+            if isinstance(fixed, tuple):  # lo:hi pairs, comma-separated
+                try:
+                    value = tuple(tuple(float(v) for v in pair.split(":"))
+                                  for pair in text.split(","))
+                except ValueError as exc:
+                    raise ParseError(f"cannot parse {name} = {text!r}: {exc}") from exc
+                expected = ",".join(f"{lo:g}:{hi:g}" for lo, hi in fixed)
+            else:
+                value, expected = _coerce(text, fixed, name), fixed
+            if value != fixed:
+                raise ParseError(f"{name} = {text}, expected {expected} "
+                                 f"(no longer settable)")
     known = {f.name for cls in classes for f in dataclasses.fields(cls)}
     unknown = sorted(set(kv) - known)
     if unknown:
@@ -72,10 +107,11 @@ def _reject_unknown(kv: dict[str, str], *classes) -> None:
 
 def load_corpus_spec(path) -> SyntheticCorpusSpec:
     """A synthetic corpus spec; unknown keys are rejected as likely typos,
-    and so are negative counts and seeds and a duration too short for
-    the recipe's edges, burst and voiced segments."""
+    and so are negative counts and seeds, a duration too short for the
+    recipe's edges, burst and voiced segments and a retired key holding
+    any value but its fixed one."""
     kv = parse_kv(path)
-    _reject_unknown(kv, SyntheticCorpusSpec)
+    _check_keys(kv, SyntheticCorpusSpec)
     spec = _from_kv(SyntheticCorpusSpec, kv)
     for name in ("n_real", "n_fake", "seed"):
         if getattr(spec, name) < 0:
@@ -109,8 +145,6 @@ _LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 
 # the frontend emits one token grid size; a model of any other cannot train
 _GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
 _DTYPES = ("float32", "float64")
-# keys sidecars once carried, each with the one value the model honours
-_RETIRED = {"formant_ranges": ",".join(f"{lo:g}:{hi:g}" for lo, hi in FORMANT_RANGES)}
 
 
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
@@ -120,11 +154,7 @@ def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     frontend's 128 x 256, a dtype other than float32/float64 and a
     retired key holding any value but its fixed one."""
     kv = parse_kv(path)
-    for name, fixed in _RETIRED.items():
-        value = kv.pop(name, fixed)
-        if value != fixed:
-            raise ParseError(f"{name} = {value}, expected {fixed} (no longer settable)")
-    _reject_unknown(kv, ModelConfig, TrainConfig)
+    _check_keys(kv, ModelConfig, TrainConfig)
     model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)
     values = {**vars(model_cfg), **vars(train_cfg)}
     for name, least in _LEAST_SIZE.items():

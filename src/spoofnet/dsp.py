@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -38,10 +37,9 @@ MIN_SAMPLE_RATE = int(2 * F2_RANGE_HZ[1])
 
 @dataclass
 class Waveform:
-    """Mono audio at 16 kHz."""
+    """Mono audio at SAMPLE_RATE (16 kHz)."""
 
     samples: np.ndarray
-    sample_rate: ClassVar[int] = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -10,7 +10,6 @@ The pooling weights double as the frame-importance explanation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class ModelConfig:
     pool_heads: int = 4
     n_frames: int = NUM_FRAMES  # the frontend's fixed token grid; tests
     n_bins: int = NUM_BINS      # build smaller models directly
-    formant_ranges: ClassVar[tuple] = FORMANT_RANGES
     dtype: str = "float32"
 
     def np_dtype(self):
@@ -168,7 +166,7 @@ def attention_pool(z: Tensor, w_pool: Tensor) -> tuple[Tensor, Tensor]:
     (weights (..., L, 1), pooled (..., 1, D)).
     """
     scores = ad.matmul(z, w_pool)                       # (..., L, H)
-    s = ad.logsumexp(scores, axis=-1, keepdims=True)    # (..., L, 1)
+    s = ad.logsumexp(scores, axis=-1)                   # (..., L, 1)
     weights = ad.softmax(s, axis=-2)                    # (..., L, 1)
     pooled = ad.matmul(ad.transpose(weights), z)       # (..., 1, D)
     return weights, pooled

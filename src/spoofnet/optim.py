@@ -7,18 +7,20 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ShapeError
 
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamW:
     """Bias-corrected Adam moments plus weight decay applied directly to
     the parameter (never folded into the gradient)."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -37,8 +39,8 @@ class AdamW:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -53,14 +55,14 @@ class AdamW:
             buf_a, buf_b = self._scratch[p.data.dtype]
             a = buf_a[:p.data.size].reshape(p.data.shape)
             b = buf_b[:p.data.size].reshape(p.data.shape)
-            # in place, the float ops of m += (1 - beta1) * g,
-            # v += (1 - beta2) * g * g, p -= lr * wd * p and
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            # in place, the float ops of m += (1 - BETA1) * g,
+            # v += (1 - BETA2) * g * g, p -= lr * wd * p and
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
             v += a
             if self.weight_decay:
@@ -70,6 +72,6 @@ class AdamW:
             np.divide(v, bc2, out=b)
             a *= self.lr
             np.sqrt(b, out=b)
-            b += self.eps
+            b += EPS
             a /= b
             p.data -= a

@@ -5,8 +5,9 @@ modulated f0, shaped by two vocal-tract-like resonators, with a noisy
 burst in the middle (so voiced and unvoiced frames both occur) and
 silence at the edges (so trimming has work to do). "Fake" items run the
 same recipe and then apply deterministic spectral perturbations: ring
-modulation plus an inharmonic tone, the kind of stationary artifact a
-detector can genuinely learn.
+modulation (RINGMOD_HZ, RINGMOD_DEPTH) plus an inharmonic tone (TONE_HZ,
+TONE_LEVEL), the kind of stationary artifact a detector can genuinely
+learn.
 
 The resonators are second-order all-pole filters run by a Python-float
 loop, so synthesis needs numpy alone. The loop costs a few milliseconds
@@ -30,6 +31,11 @@ from .manifest import Manifest, ManifestEntry, save_manifest
 EDGE_S = 0.08              # silence at each end, for the trim to remove
 BURST_S = (0.15, 0.3)      # range of the noise burst's length
 VOICED_SPLIT = (0.4, 0.6)  # range of the first voiced segment's share
+# the fake recipe: ring modulation, then a tone at a share of the peak
+RINGMOD_HZ = 43.0
+RINGMOD_DEPTH = 0.4
+TONE_HZ = 3937.0
+TONE_LEVEL = 0.2
 # the shortest duration whose two voiced segments each still fill one
 # analysis frame next to the edges and the longest burst
 MIN_DURATION_S = 2 * EDGE_S + BURST_S[1] + FRAME_LEN / SAMPLE_RATE / VOICED_SPLIT[0]
@@ -43,10 +49,6 @@ class SyntheticCorpusSpec:
     duration_s: float = 2.5
     dataset_tag: str = "synthetic"
     codec_tags: tuple[str, ...] = ()
-    ringmod_hz: float = 43.0
-    ringmod_depth: float = 0.4
-    tone_hz: float = 3937.0
-    tone_level: float = 0.2
 
 
 def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):
@@ -122,9 +124,8 @@ def synth_utterance(rng: np.random.Generator, spec: SyntheticCorpusSpec,
 
     if fake:
         t = np.arange(x.size) / sr
-        x = x * (1.0 + spec.ringmod_depth * np.sin(2.0 * np.pi * spec.ringmod_hz * t))
-        x = x + spec.tone_level * np.max(np.abs(x)) * np.sin(
-            2.0 * np.pi * spec.tone_hz * t)
+        x = x * (1.0 + RINGMOD_DEPTH * np.sin(2.0 * np.pi * RINGMOD_HZ * t))
+        x = x + TONE_LEVEL * np.max(np.abs(x)) * np.sin(2.0 * np.pi * TONE_HZ * t)
     peak = np.max(np.abs(x))
     return x / peak * 0.9
 

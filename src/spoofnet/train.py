@@ -4,9 +4,11 @@ The loss combines the utterance-level fake/real BCE, a per-frame
 voicing BCE and an MSE on standardized log-formants restricted to
 voiced frames, weighted 1 / 0.3 / 0.3. Formant targets are log-scaled
 and standardized with training-set statistics; evaluation reuses the
-training scaler. The loop halves the learning rate after 10 epochs
-without validation improvement and stops after 20, keeping the best
-checkpoint.
+training scaler. The loop multiplies the learning rate by DECAY_FACTOR
+(0.5) after PLATEAU_PATIENCE (10) epochs without a validation
+improvement of more than IMPROVE_TOL (1e-5) and stops after
+EARLY_STOP_PATIENCE (20), keeping the best checkpoint; AdamW decays the
+weights by WEIGHT_DECAY (0.01).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .annotate import FrameAnnotation
 from .autodiff import Tensor
-from .errors import AlignmentError, ClassMissing, DataError, DegenerateData, NumericalError
+from .errors import (AlignmentError, ClassMissing, DataError, DegenerateData,
+                     InsufficientData, NumericalError)
 from .model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet
 from .optim import AdamW
 
@@ -27,21 +30,22 @@ BCE_EPS = 1e-7
 STD_FLOOR = 1e-6
 # (score BCE, voicing BCE, formant MSE)
 LOSS_WEIGHTS = (1.0, 0.3, 0.3)
+# the plateau schedule and AdamW's decoupled weight decay
+PLATEAU_PATIENCE = 10
+DECAY_FACTOR = 0.5
+EARLY_STOP_PATIENCE = 20
+IMPROVE_TOL = 1e-5
+WEIGHT_DECAY = 0.01
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-4
-    plateau_patience: int = 10
-    decay_factor: float = 0.5
-    early_stop_patience: int = 20
     max_epochs: int = 100
     weight_score: float = LOSS_WEIGHTS[0]
     weight_voicing: float = LOSS_WEIGHTS[1]
     weight_formant: float = LOSS_WEIGHTS[2]
-    weight_decay: float = 0.01
-    improve_tol: float = 1e-5
     seed: int = 0
 
 
@@ -178,20 +182,15 @@ def balance_classes(entries: list) -> list:
 class PlateauScheduler:
     """Validation-loss plateau tracking: lr decay and early stopping."""
 
-    def __init__(self, lr: float, factor: float = 0.5, plateau_patience: int = 10,
-                 stop_patience: int = 20, tol: float = 1e-5):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.factor = factor
-        self.plateau_patience = plateau_patience
-        self.stop_patience = stop_patience
-        self.tol = tol
         self.best = np.inf
         self._plateau = 0
         self._stall = 0
 
     def update(self, val_loss: float) -> tuple[bool, bool]:
         """Feed one epoch's validation loss; returns (is_best, should_stop)."""
-        improved = val_loss < self.best - self.tol
+        improved = val_loss < self.best - IMPROVE_TOL
         if improved:
             self.best = val_loss
             self._plateau = 0
@@ -199,10 +198,10 @@ class PlateauScheduler:
         else:
             self._plateau += 1
             self._stall += 1
-            if self._plateau >= self.plateau_patience:
-                self.lr *= self.factor
+            if self._plateau >= PLATEAU_PATIENCE:
+                self.lr *= DECAY_FACTOR
                 self._plateau = 0
-        return improved, self._stall >= self.stop_patience
+        return improved, self._stall >= EARLY_STOP_PATIENCE
 
 
 @dataclass
@@ -237,9 +236,7 @@ def evaluate_loss(
     model: SpoofNet, samples: list[TrainSample], scaler: FormantScaler,
     weights: tuple[float, float, float] = LOSS_WEIGHTS,
 ) -> tuple[float, dict[str, float]]:
-    """Mean compound loss over a sample set: one forward, no graph."""
-    if not samples:
-        return 0.0, {"total": 0.0, "bce_p": 0.0, "bce_v": 0.0, "mse_f": 0.0}
+    """Mean compound loss over a non-empty sample set: one forward, no graph."""
     with ad.no_grad():
         _, comps = _batch_forward(model, samples, scaler, weights)
     means = {k: float(np.mean(v, dtype=np.float64)) for k, v in comps.items()}
@@ -255,23 +252,25 @@ def train_loop(
 ) -> TrainResult:
     """Full optimization loop with plateau decay and early stopping.
 
-    Raises DataError naming the field, before any step, if a float field
-    of ``cfg`` is not finite. Aborts with NumericalError (naming the epoch,
-    and the batch for a training loss, with the loss components) the
-    moment a non-finite training or validation loss appears, rather than
-    training through NaNs.
+    Raises, before any step, DataError naming the field if a float field
+    of ``cfg`` is not finite, and InsufficientData if there is no
+    validation sample to choose the best epoch by. Aborts with
+    NumericalError (naming the epoch, and the batch for a training loss,
+    with the loss components) the moment a non-finite training or
+    validation loss appears, rather than training through NaNs.
     """
     for field in fields(cfg):
         value = getattr(cfg, field.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"TrainConfig.{field.name} = {value} is not a finite number")
+    if not val_samples:
+        raise InsufficientData("no validation samples to choose the best epoch by")
     if scaler is None:
         scaler = fit_scaler([s.annotation for s in train_samples])
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    sched = PlateauScheduler(cfg.lr, cfg.decay_factor, cfg.plateau_patience,
-                             cfg.early_stop_patience, cfg.improve_tol)
+    opt = AdamW(model.params, lr=cfg.lr, weight_decay=WEIGHT_DECAY)
+    sched = PlateauScheduler(cfg.lr)
     best_state = model.state_dict()
     best_epoch = 0
     history: list[dict] = []

@@ -12,8 +12,8 @@ from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN, LOG_FLOOR,
                           SAMPLE_RATE, FixedWaveform, hann_window, stft_features)
 from spoofnet.explain import aggregate, utterance_reliance
 from spoofnet.metrics import ScoreRecord, compute_auc, compute_eer
-from spoofnet.model import (ModelConfig, SpoofNet, attention_pool, count_params,
-                            toy_config)
+from spoofnet.model import (FORMANT_RANGES, ModelConfig, SpoofNet, attention_pool,
+                            count_params, toy_config)
 from spoofnet.pitch import track_pitch
 from spoofnet.train import FormantScaler, TrainConfig, compound_loss, train_loop
 from tests.conftest import synth_vowel
@@ -84,8 +84,8 @@ def test_criterion_2_gradient_fidelity():
 def test_criterion_3_shape_and_range_suite():
     cfg = toy_config()
     net = SpoofNet(cfg, seed=0)
-    lows = np.array([r[0] for r in cfg.formant_ranges])
-    highs = np.array([r[1] for r in cfg.formant_ranges])
+    lows = np.array([r[0] for r in FORMANT_RANGES])
+    highs = np.array([r[1] for r in FORMANT_RANGES])
     rng = np.random.default_rng(2)
     failures = []
     for trial in range(100):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import spoofnet
-from spoofnet import cli
+from spoofnet import cli, config
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.dsp import write_wav
-from spoofnet.model import toy_config
+from spoofnet.model import ModelConfig, toy_config
 from spoofnet.synth import SyntheticCorpusSpec
 from spoofnet.train import TrainConfig
 
@@ -285,6 +285,59 @@ class TestTrainSplitHandling:
         # 14 non-test utterances: 12 train (balanced) + 2 val
         assert "validating on 2" in out
 
+    def test_empty_validation_split_is_2_without_a_checkpoint(self, workspace, tmp_path,
+                                                              capsys):
+        # 5 + 5 utterances: the 90/10 split rounds each class's 0.5 down to 0
+        from spoofnet.manifest import Manifest, load_manifest, save_manifest
+
+        entries = load_manifest(workspace["manifest"]).entries
+        five_each = ([e for e in entries if e.label == "real"][:5]
+                     + [e for e in entries if e.label == "fake"][:5])
+        manifest2 = tmp_path / "manifest2.csv"
+        save_manifest(manifest2, Manifest(five_each))
+
+        run_cfg = tmp_path / "run.cfg"
+        write_config(run_cfg, toy_config(),
+                     TrainConfig(batch_size=8, lr=1e-3, max_epochs=40, seed=3))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(manifest2),
+                     "--cache", str(workspace["cache"]),
+                     "--config", str(run_cfg), "--out", str(ckpt)]) == 2
+        assert "no validation samples" in capsys.readouterr().err
+        assert list(tmp_path.glob("m.ckpt*")) == []
+
+
+class TestEvalSplit:
+    @pytest.fixture
+    def split_manifest(self, workspace, tmp_path):
+        from spoofnet.manifest import load_manifest, save_manifest
+
+        manifest = load_manifest(workspace["manifest"])
+        for i, e in enumerate(manifest.entries):
+            e.split = "val" if i % 4 == 1 else "train"
+        path = tmp_path / "split.csv"
+        save_manifest(path, manifest)
+        return path, [e.utt_id for e in manifest.entries if e.split == "val"]
+
+    def test_split_val_scores_exactly_the_val_entries(self, workspace, tmp_path,
+                                                      split_manifest):
+        from spoofnet.metrics import read_scores
+
+        path, val_ids = split_manifest
+        scores = tmp_path / "val.jsonl"
+        assert main(["eval", "--manifest", str(path), "--ckpt", str(workspace["ckpt"]),
+                     "--scores", str(scores), "--split", "val"]) == 0
+        assert [r.utt_id for r in read_scores(scores)] == val_ids
+
+    def test_split_without_entries_is_2(self, workspace, tmp_path, split_manifest,
+                                        capsys):
+        path, _ = split_manifest
+        scores = tmp_path / "test.jsonl"
+        assert main(["eval", "--manifest", str(path), "--ckpt", str(workspace["ckpt"]),
+                     "--scores", str(scores), "--split", "test"]) == 2
+        assert "no usable entries" in capsys.readouterr().err
+        assert not scores.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -461,3 +514,67 @@ class TestExitCodes:
         shutil.copy(str(workspace["ckpt"]) + ".config", str(broken) + ".config")
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
         assert main(["infer", "--wav", str(wav), "--ckpt", str(broken)]) == 3
+
+
+# every retired key: the value write_config wrote while the key was a
+# field, an equivalent spelling of it, and another value
+RETIRED_VALUES = {
+    "formant_ranges": ("60:400,200:850,800:2700", "60.0:400.0, 200.0:850.0, 800.0:2700.0",
+                       "60:400,150:900,800:2700"),
+    "plateau_patience": ("10", "010", "5"),
+    "decay_factor": ("0.5", "5e-1", "0.25"),
+    "early_stop_patience": ("20", "+20", "30"),
+    "improve_tol": ("1e-05", "0.00001", "1e-4"),
+    "weight_decay": ("0.01", "1e-2", "0.0"),
+    "ringmod_hz": ("43.0", "43", "50.0"),
+    "ringmod_depth": ("0.4", "4e-1", "0.5"),
+    "tone_hz": ("3937.0", "3937", "4000.0"),
+    "tone_level": ("0.2", ".2", "nan"),
+}
+
+
+class TestRetiredKeys:
+    """A key that is now a module constant loads from an old run config
+    or corpus spec while it holds that constant's value, and exits 2
+    naming the key otherwise."""
+
+    @staticmethod
+    def run_with(workspace, tmp_path, key, value) -> int:
+        """The exit code of the command that reads key's document, with
+        ``key = value`` appended to a document that loads."""
+        import shutil
+
+        line = f"{key} = {value}\n"
+        if key in config._RETIRED[SyntheticCorpusSpec]:
+            spec = tmp_path / "corpus.cfg"
+            spec.write_text("n_real = 0\nn_fake = 0\n" + line)
+            return main(["synth-corpus", "--spec", str(spec),
+                         "--out", str(tmp_path / "corpus")])
+        ckpt = tmp_path / "m.ckpt"
+        shutil.copy(workspace["ckpt"], ckpt)
+        sidecar = Path(str(workspace["ckpt"]) + ".config").read_text()
+        Path(str(ckpt) + ".config").write_text(sidecar + line)
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        return main(["infer", "--wav", str(wav), "--ckpt", str(ckpt)])
+
+    def test_every_retired_key_is_covered(self):
+        assert set(RETIRED_VALUES) == {k for keys in config._RETIRED.values() for k in keys}
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_VALUES))
+    @pytest.mark.parametrize("spelling", [0, 1], ids=["as_written", "equivalent"])
+    def test_fixed_value_loads(self, workspace, tmp_path, capsys, key, spelling):
+        assert self.run_with(workspace, tmp_path, key, RETIRED_VALUES[key][spelling]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_VALUES))
+    def test_other_value_is_2_naming_the_key(self, workspace, tmp_path, capsys, key):
+        assert self.run_with(workspace, tmp_path, key, RETIRED_VALUES[key][2]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+
+    def test_write_config_writes_no_retired_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(path, ModelConfig(), TrainConfig())
+        written = set(config.parse_kv(path))
+        write_config(path, SyntheticCorpusSpec())
+        written |= set(config.parse_kv(path))
+        assert written.isdisjoint(RETIRED_VALUES)

@@ -4,8 +4,8 @@ import pytest
 from spoofnet import autodiff as ad
 from spoofnet.autodiff import Tensor
 from spoofnet.errors import ShapeError
-from spoofnet.model import (ModelConfig, SpoofNet, attention_pool, count_params,
-                            parameter_shapes, toy_config)
+from spoofnet.model import (FORMANT_RANGES, ModelConfig, SpoofNet, attention_pool,
+                            count_params, parameter_shapes, toy_config)
 
 
 def rand_tokens(cfg, seed=0):
@@ -142,8 +142,8 @@ class TestFormantDecoder:
         z[0, 0], z[1, 0] = 1.0, -1.0  # logits +1e4 and -1e4
         f = net.decode_formants(Tensor(z)).data
         assert f.dtype == cfg.np_dtype()
-        lows = np.array([r[0] for r in cfg.formant_ranges], dtype=f.dtype)
-        highs = np.array([r[1] for r in cfg.formant_ranges], dtype=f.dtype)
+        lows = np.array([r[0] for r in FORMANT_RANGES], dtype=f.dtype)
+        highs = np.array([r[1] for r in FORMANT_RANGES], dtype=f.dtype)
         assert np.all(f > lows) and np.all(f < highs)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -153,8 +153,8 @@ class TestFormantDecoder:
         z = Tensor(np.random.default_rng(7).uniform(-3, 3, (64, cfg.embed_dim))
                    .astype(cfg.np_dtype()))
         raw = ad.add(ad.matmul(z, net.params["formant.w"]), net.params["formant.b"])
-        lo = np.array([r[0] for r in cfg.formant_ranges], dtype=cfg.np_dtype())
-        span = np.array([r[1] - r[0] for r in cfg.formant_ranges], dtype=cfg.np_dtype())
+        lo = np.array([r[0] for r in FORMANT_RANGES], dtype=cfg.np_dtype())
+        span = np.array([r[1] - r[0] for r in FORMANT_RANGES], dtype=cfg.np_dtype())
         unclamped = ad.add(ad.mul(ad.sigmoid(raw), span), lo).data
         np.testing.assert_array_equal(net.decode_formants(z).data, unclamped)
 
@@ -206,8 +206,8 @@ class TestPooling:
 class TestInvariants:
     def test_output_contract_on_random_inputs(self, tiny_cfg):
         net = SpoofNet(tiny_cfg, seed=0)
-        lows = np.array([r[0] for r in tiny_cfg.formant_ranges])
-        highs = np.array([r[1] for r in tiny_cfg.formant_ranges])
+        lows = np.array([r[0] for r in FORMANT_RANGES])
+        highs = np.array([r[1] for r in FORMANT_RANGES])
         for seed in range(100):
             out = net.predict(*rand_tokens(tiny_cfg, seed=seed))
             assert np.all(out.formants_hz > lows) and np.all(out.formants_hz < highs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoofnet import autodiff as ad
-from spoofnet.optim import AdamW
+from spoofnet.optim import BETA1, BETA2, EPS, AdamW
 
 
 def make_param(value):
@@ -53,21 +53,21 @@ class TestAdamW:
 
 def reference_step(opt, t):
     """AdamW's update written as whole-array expressions, one temporary
-    per operation; opt supplies the hyper-parameters and the moments."""
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
+    per operation; opt supplies the lr, the weight decay and the moments."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in opt.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m, v = opt.m[name], opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
         if opt.weight_decay:
             p.data -= opt.lr * opt.weight_decay * p.data
-        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class TestInPlaceStep:

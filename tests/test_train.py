@@ -317,7 +317,7 @@ class TestPlateauScheduler:
         assert sched.best == pytest.approx(1.0 / 9)
 
     def test_tiny_improvement_below_tol_does_not_count(self):
-        sched = PlateauScheduler(lr=1.0, tol=1e-5)
+        sched = PlateauScheduler(lr=1.0)
         sched.update(1.0)
         is_best, _ = sched.update(1.0 - 1e-7)
         assert not is_best
