@@ -1,15 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array and remembers how it was produced; calling
-:func:`backward` on a scalar walks the recorded graph once in reverse
-topological order and accumulates gradients into every tensor that
+A Tensor wraps a numpy array. A tracked op result also gets a small
+graph node, which keeps its gradient, backward function, parent nodes
+and walked mark, and the shape, dtype and layout of its value, but not
+the value; a leaf that requires grad (a parameter) is its own node. Each
+backward function keeps only the arrays it reads, so an activation dies
+as soon as the forward lets go of its Tensor unless a backward function
+reads it. Calling :func:`backward` on a scalar walks the graph once in
+reverse topological order and accumulates gradients into every node that
 requires them. The walk frees the graph as it goes: when it returns,
 only the leaves (parameters, and inputs that require grad) keep their
-gradients, and every saved activation is released unless the caller
-still holds that tensor; ``backward(loss, retain_graph=True)`` keeps the
-interior gradients, backward functions and parent links. Either way a
-graph is walked once. The op set is deliberately closed: exactly what the
-detector network and its losses need, nothing speculative.
+gradients, and each array a backward function kept is released;
+``backward(loss, retain_graph=True)`` keeps every node's gradient,
+backward function and parent links, and with them the arrays those
+functions read. Either way a graph is walked once. The op set is
+deliberately closed: exactly what the detector network and its losses
+need, nothing speculative.
 
 - elementwise: add, mul
 - matrices and layout: matmul, concat, transpose (of the last two axes)
@@ -62,11 +68,37 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """N-dimensional value, optionally tracked by the autodiff graph."""
+def _layout(data: np.ndarray) -> str:
+    """The memory order of a fresh array laid out like data: Fortran for
+    a Fortran-ordered array, else C."""
+    return "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
 
-    __slots__ = ("data", "requires_grad", "grad", "name",
-                 "_parents", "_backward_fn", "_backward_done")
+
+class _Node:
+    """The graph record of one tracked op result: its gradient, backward
+    function, parent nodes and walked mark, and the shape, dtype and
+    layout of its value, which it does not keep."""
+
+    __slots__ = ("grad", "_backward_fn", "_parents", "_backward_done",
+                 "shape", "dtype", "_order")
+
+    def __init__(self, data: np.ndarray, parents: tuple, backward_fn):
+        self.grad = None
+        self._backward_fn = backward_fn
+        self._parents = parents
+        self._backward_done = False
+        self.shape, self.dtype = data.shape, data.dtype
+        self._order = _layout(data)
+
+
+class Tensor:
+    """N-dimensional value, optionally tracked by the autodiff graph.
+
+    A leaf is its own graph node: it has no parents and no backward
+    function, and the walk never marks it."""
+
+    __slots__ = ("data", "requires_grad", "grad", "name", "_op_node")
+    _backward_done = False
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data)
@@ -75,9 +107,7 @@ class Tensor:
         self.requires_grad = requires_grad and _grad_enabled
         self.grad = None
         self.name = name
-        self._parents = ()
-        self._backward_fn = None
-        self._backward_done = False
+        self._op_node = None
 
     @property
     def shape(self):
@@ -91,6 +121,27 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def _node(self):
+        """The node this tensor's gradient goes to: a tracked op result's
+        own node, the tensor itself for a leaf that requires grad, else
+        None."""
+        if self._op_node is not None:
+            return self._op_node
+        return self if self.requires_grad else None
+
+    @property
+    def _parents(self):
+        return () if self._op_node is None else self._op_node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._op_node is None else self._op_node._backward_fn
+
+    @property
+    def _order(self):
+        return _layout(self.data)
+
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -103,33 +154,43 @@ def parameter(data, name: str = "") -> Tensor:
     return t
 
 
+def _nodes(*operands) -> tuple:
+    """The graph node of each operand (None for a constant or a tensor
+    that needs no gradient)."""
+    return tuple(t._node if isinstance(t, Tensor) else None for t in operands)
+
+
 def _result(data, parents, backward_fn) -> Tensor:
-    tracked = _grad_enabled and any(
-        p.requires_grad for p in parents if isinstance(p, Tensor)
-    )
-    out = Tensor(data, requires_grad=tracked)
-    if tracked:
-        out._parents = tuple(p for p in parents if isinstance(p, Tensor))
-        out._backward_fn = backward_fn
+    """Wrap an op's value; when grad is enabled and a parent needs a
+    gradient, give it a node that links to the parents' nodes."""
+    out = Tensor(data)
+    if _grad_enabled:
+        nodes = tuple(n for n in _nodes(*parents) if n is not None)
+        if nodes:
+            out.requires_grad = True
+            out._op_node = _Node(out.data, nodes, backward_fn)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add g into t's gradient. The first contribution becomes the
+def _accumulate(t, g: np.ndarray, owned: bool = False):
+    """Add g into the gradient of t (a Tensor, which goes to its node, a
+    node, or None for no gradient). The first contribution becomes the
     gradient: an owned g (an array the backward function has just made
-    and keeps no other reference to) is taken as it is when it has t's
-    shape, dtype and C layout; any other g (a view, or the one g that
-    add hands to both operands) is copied once into t's layout."""
-    if not t.requires_grad:
+    and keeps no other reference to) is taken as it is when it has the
+    value's shape, dtype and C layout; any other g (a view, or the one g
+    that add hands to both operands) is copied once into the value's
+    layout."""
+    node = t._node if isinstance(t, Tensor) else t
+    if node is None:
         return
-    if t.grad is not None:
-        t.grad += g
-    elif (owned and g.shape == t.data.shape and g.dtype == t.data.dtype
-          and g.flags.c_contiguous and t.data.flags.c_contiguous):
-        t.grad = g
+    if node.grad is not None:
+        node.grad += g
+    elif (owned and g.shape == node.shape and g.dtype == node.dtype
+          and g.flags.c_contiguous and node._order == "C"):
+        node.grad = g
     else:
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, g)
+        node.grad = np.empty(node.shape, node.dtype, order=node._order)
+        np.copyto(node.grad, g)
 
 
 def _operand(op: str, a: Tensor, b) -> np.ndarray:
@@ -159,12 +220,14 @@ def add(a: Tensor, b) -> Tensor:
     """Elementwise sum a + b under the module's operand rule."""
     bd = _operand("add", a, b)
     data = a.data + bd
+    na, nb = _nodes(a, b)
+    b_ndim = bd.ndim
 
     def backward_fn(g):
-        _accumulate(a, g)
-        if isinstance(b, Tensor):
-            gb = _sum_leading(g, bd.ndim)
-            _accumulate(b, gb, owned=gb is not g)
+        _accumulate(na, g)
+        if nb is not None:
+            gb = _sum_leading(g, b_ndim)
+            _accumulate(nb, gb, owned=gb is not g)
 
     return _result(data, (a, b), backward_fn)
 
@@ -173,11 +236,17 @@ def mul(a: Tensor, b) -> Tensor:
     """Elementwise product a * b under the module's operand rule."""
     bd = _operand("mul", a, b)
     data = a.data * bd
+    na, nb = _nodes(a, b)
+    # each operand's gradient reads the other's values
+    a_vals = a.data if nb is not None else None
+    b_vals = bd if na is not None else None
+    b_ndim = bd.ndim
 
     def backward_fn(g):
-        _accumulate(a, g * bd, owned=True)
-        if isinstance(b, Tensor):
-            _accumulate(b, _sum_leading(g * a.data, bd.ndim), owned=True)
+        if na is not None:
+            _accumulate(na, g * b_vals, owned=True)
+        if nb is not None:
+            _accumulate(nb, _sum_leading(g * a_vals, b_ndim), owned=True)
 
     return _result(data, (a, b), backward_fn)
 
@@ -190,13 +259,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             or (b.data.ndim > 2 and sa[:-2] != sb[:-2])):
         raise ShapeError(f"matmul: cannot multiply shapes {sa} and {sb}")
     data = a.data @ b.data
+    na, nb = _nodes(a, b)
+    # each operand's gradient reads the other's values
+    a_vals = a.data if nb is not None else None
+    b_vals = b.data if na is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.mT, owned=True)
-        if b.requires_grad:  # a shared (k, n) b sums its gradient over the stack
-            _accumulate(b, a.data.mT @ g if b.data.ndim > 2
-                        else a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]),
+        if na is not None:
+            _accumulate(na, g @ b_vals.mT, owned=True)
+        if nb is not None:  # a shared (k, n) b sums its gradient over the stack
+            _accumulate(nb, a_vals.mT @ g if len(sb) > 2
+                        else a_vals.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]),
                         owned=True)
 
     return _result(data, (a, b), backward_fn)
@@ -207,12 +280,13 @@ def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = _nodes(*tensors)
 
     def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(node, g[tuple(idx)])
 
     return _result(data, tuple(tensors), backward_fn)
 
@@ -223,9 +297,10 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose: shape {a.data.shape} has no two axes to swap")
     # a contiguous copy: matmul on strided views can round differently
     data = a.data.mT.copy()
+    na = a._node
 
     def backward_fn(g):
-        _accumulate(a, g.mT)
+        _accumulate(na, g.mT)
 
     return _result(data, (a,), backward_fn)
 
@@ -234,9 +309,10 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    na = a._node
 
     def backward_fn(g):
-        _accumulate(a, g * y * (1.0 - y), owned=True)
+        _accumulate(na, g * y * (1.0 - y), owned=True)
 
     return _result(y, (a,), backward_fn)
 
@@ -334,6 +410,7 @@ def gelu(a: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     y = x * cdf
+    na = a._node
 
     def backward_fn(g):
         # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
@@ -344,16 +421,18 @@ def gelu(a: Tensor) -> Tensor:
         d *= x
         d += cdf
         d *= g
-        _accumulate(a, d, owned=True)
+        _accumulate(na, d, owned=True)
 
     return _result(y, (a,), backward_fn)
 
 
 def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
+    x = a.data
+    data = np.log(x)
+    na = a._node
 
     def backward_fn(g):
-        _accumulate(a, g / a.data, owned=True)
+        _accumulate(na, g / x, owned=True)
 
     return _result(data, (a,), backward_fn)
 
@@ -364,9 +443,10 @@ def clip(a: Tensor, lo, hi) -> Tensor:
     where the clamp is active."""
     data = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
+    na = a._node
 
     def backward_fn(g):
-        _accumulate(a, g * inside, owned=True)
+        _accumulate(na, g * inside, owned=True)
 
     return _result(data, (a,), backward_fn)
 
@@ -375,10 +455,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
+    na = a._node
 
     def backward_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot), owned=True)
+        _accumulate(na, y * (g - dot), owned=True)
 
     return _result(y, (a,), backward_fn)
 
@@ -391,11 +472,17 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     s = e.sum(axis=axis, keepdims=True)
     data = m + np.log(s)
     soft = e / s
+    na = a._node
 
     def backward_fn(g):
-        _accumulate(a, g * soft, owned=True)
+        _accumulate(na, g * soft, owned=True)
 
     return _result(data, (a,), backward_fn)
+
+
+# attention's backward takes its (..., H, L, L) work a block of leading
+# rows at a time, each block's probabilities within this many bytes
+ATTENTION_BLOCK_BYTES = 256 << 10
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -407,10 +494,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     The projections are split into contiguous per-head stacks, q and v
     to (..., H, L, d) and k to (..., H, d, L), so one stacked matmul
     scores every head. The (..., H, L, L) scores live in one buffer,
-    scaled and softmaxed in place, and backward reuses one buffer of that
-    size. Every float op is the one the matmul, mul, softmax, matmul
-    chain does on those stacks, on the same operands and in the same
-    order, so values and gradients equal the chain's bit for bit."""
+    scaled and softmaxed in place, and backward keeps them and the
+    stacks it reads. Backward makes the probabilities' gradient over
+    blocks of leading rows whose H*L*L probabilities fit
+    ATTENTION_BLOCK_BYTES, so its temporaries of that kind stay
+    block-sized. Every float op is the one the matmul, mul, softmax,
+    matmul chain does on those stacks, on the same operands and in the
+    same order, each matrix of a stack on its own, so values and
+    gradients equal the chain's bit for bit."""
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
     if q.data.ndim < 2 or sk != sq or sv != sq or heads < 1 or sq[-1] % heads:
         raise ShapeError(f"attention: cannot split queries {sq}, keys {sk} "
@@ -433,20 +524,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     data = join(y @ vh)
+    nq, nk, nv = _nodes(q, k, v)
+
+    def rows(x):  # (..., H, m, n) -> (N, H, m, n), the leading axes flattened
+        return x.reshape(-1, *x.shape[-3:])
+
+    # backward keeps the probabilities and the stacks it reads: q's
+    # gradient reads the keys, k's the queries, and both the values
+    probs = rows(y)
+    q_rows = rows(qh) if nk is not None else None
+    k_rows = rows(kh) if nq is not None else None
+    v_rows = rows(vh) if nq is not None or nk is not None else None
+    k_shape = kh.shape
+    block = max(1, ATTENTION_BLOCK_BYTES // probs[0].nbytes)
 
     def backward_fn(g):
         g = stack(g)
-        if v.requires_grad:
-            _accumulate(v, join(y.mT @ g), owned=True)
-        if q.requires_grad or k.requires_grad:
-            dy = g @ vh.mT
-            dy -= (dy * y).sum(axis=-1, keepdims=True)
-            dy *= y
+        if nv is not None:
+            _accumulate(nv, join(y.mT @ g), owned=True)
+        if nq is None and nk is None:
+            return
+        gq = None if nq is None else np.empty_like(g)             # (..., H, L, d)
+        gk = None if nk is None else np.empty(k_shape, g.dtype)   # (..., H, d, L)
+        g_rows = rows(g)
+        for lo in range(0, len(g_rows), block):
+            blk = slice(lo, lo + block)
+            p = probs[blk]
+            dy = g_rows[blk] @ v_rows[blk].mT
+            dy -= (dy * p).sum(axis=-1, keepdims=True)
+            dy *= p
             dy *= scale
-            if q.requires_grad:
-                _accumulate(q, join(dy @ kh.mT), owned=True)
-            if k.requires_grad:
-                _accumulate(k, join((qh.mT @ dy).mT), owned=True)
+            if gq is not None:
+                np.matmul(dy, k_rows[blk].mT, out=rows(gq)[blk])
+            if gk is not None:
+                np.matmul(q_rows[blk].mT, dy, out=rows(gk)[blk])
+        if gq is not None:
+            _accumulate(nq, join(gq), owned=True)
+        if gk is not None:
+            _accumulate(nk, join(gk.mT), owned=True)
 
     return _result(data, (q, k, v), backward_fn)
 
@@ -469,27 +584,30 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
+    na, n_gain, n_bias = _nodes(a, gain, bias)
+    gain_vals = gain.data
 
     def backward_fn(g):
-        dxhat = g * gain.data
+        dxhat = g * gain_vals
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (dxhat - m1 - xhat * m2), owned=True)
+        _accumulate(na, inv * (dxhat - m1 - xhat * m2), owned=True)
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead), owned=True)
-        _accumulate(bias, g.sum(axis=lead), owned=True)
+        _accumulate(n_gain, (g * xhat).sum(axis=lead), owned=True)
+        _accumulate(n_bias, g.sum(axis=lead), owned=True)
 
     return _result(data, (a, gain, bias), backward_fn)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    na, shape = a._node, a.data.shape
 
     def backward_fn(g):
         gk = g
         if axis is not None and not keepdims:
             gk = np.expand_dims(g, axis=axis)
-        _accumulate(a, np.broadcast_to(gk, a.data.shape))
+        _accumulate(na, np.broadcast_to(gk, shape))
 
     return _result(data, (a,), backward_fn)
 
@@ -500,8 +618,13 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(total, 1.0 / (a.data.size // total.data.size))
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order, visited, stack = [], set(), [(root, False)]
+def _toposort(root: Tensor) -> list:
+    """The graph nodes reachable from root's node, each after its
+    parents (empty when root is not tracked)."""
+    start = root._node
+    if start is None:
+        return []
+    order, visited, stack = [], set(), [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -520,18 +643,24 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, retain_graph: bool = False) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    The loss must be a single scalar. The walk runs each interior tensor's
-    backward function once, in reverse topological order, and frees the
-    graph as it goes: once a tensor's backward function has run, the
-    tensor drops its gradient, the function (and with it the activations
-    it saved) and its parent links. So an activation dies as soon as the
+    The loss must be a single scalar. The walk runs each interior node's
+    backward function once, in reverse topological order. A graph keeps
+    only what backward reads: each node keeps its gradient, backward
+    function and parent links, but not its op's value, and each backward
+    function keeps only the arrays it reads, so an activation that no
+    backward function reads is gone before the walk starts. The walk
+    frees the graph as it goes: once a node's backward function has run,
+    the node drops its gradient, the function (and with it the arrays it
+    kept) and its parent links. So a kept activation dies as soon as the
     walk has passed it, and nothing of the graph outlives the call, even
     while the caller still holds the loss. Only the leaves keep their
-    gradients. retain_graph=True keeps every interior gradient, backward
-    function and parent link instead, for code that reads them afterwards.
+    gradients. retain_graph=True keeps every node's gradient, backward
+    function and parent links instead, and with the functions the arrays
+    they read, for code that reads them afterwards (an interior gradient
+    is on the node, ``t._node.grad``).
 
-    Either way the walk marks every interior tensor it passes, and a later
-    walk that reaches a marked tensor (the same loss, or a new loss built
+    Either way the walk marks every interior node it passes, and a later
+    walk that reaches a marked node (the same loss, or a new loss built
     on a walked subgraph) raises RuntimeError before touching any
     gradient: its stale gradient would count twice, or its freed one not
     at all.
@@ -542,7 +671,10 @@ def backward(loss: Tensor, retain_graph: bool = False) -> None:
     if any(node._backward_done for node in order):
         raise RuntimeError("backward already called on this graph; rebuild the "
                            "forward pass before differentiating again")
-    loss.grad = np.ones_like(loss.data)
+    if not order:
+        return
+    root = order[-1]
+    root.grad = np.ones(root.shape, root.dtype)
     while order:
         node = order.pop()  # the list lets go of each node as the walk passes it
         if node._backward_fn is None:

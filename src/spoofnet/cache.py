@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .dsp import SILENCE_THRESHOLD_DB, preprocess, read_wav
 from .errors import DataError
 from .fileio import replace_atomically
 from .formants import FORMANT_KEY
-from .manifest import Manifest
+from .manifest import ManifestEntry
 from .pitch import PITCH_KEY
 
 CACHE_FILENAME = "annotations.jsonl"
@@ -84,11 +85,12 @@ def _annotate_one(job) -> tuple[str, FrameAnnotation | None, str | None]:
 
 
 def annotate_corpus(
-    manifest: Manifest,
+    manifest: Iterable[ManifestEntry],
     cache_dir,
     workers: int = 1,
 ) -> tuple[dict[str, FrameAnnotation], AnnotateStats]:
-    """Annotate every readable utterance, reusing fresh cache records.
+    """Annotate every readable utterance of a manifest (or of any of its
+    entries), reusing fresh cache records.
 
     Returns the annotations plus stats saying how much work was reused.
     Unreadable or silent audio is skipped (and recorded as such), never

@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
 
     gt_voiced = {}
     if args.cache:
-        annotations, _ = annotate_corpus(manifest, args.cache)
+        annotations, _ = annotate_corpus(entries, args.cache)
         gt_voiced = {u: a.voiced for u, a in annotations.items()}
 
     records = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .annotate import FrameAnnotation
-from .dsp import preprocess, read_wav, stft_features, tokenize
+from .dsp import NUM_BINS, NUM_FRAMES, preprocess, read_wav, stft_features, tokenize
 from .manifest import ManifestEntry
 from .train import TrainSample
 
@@ -25,17 +25,19 @@ def build_samples(
     """Assemble TrainSamples for every entry with a usable annotation,
     with tokens stored in the model's dtype (the cast a batch would make).
 
+    The kept entries' tokens live in one (2, N, L, M) block, magnitude
+    then phase, written one utterance at a time (the same rounding cast
+    as astype); each sample's mag and phase are views of its rows.
     Entries without annotations (skipped upstream) are silently omitted;
     the caller already has the skip report.
     """
+    kept = [(e, annotations[e.utt_id]) for e in entries if e.utt_id in annotations]
+    tokens = np.empty((2, len(kept), NUM_FRAMES, NUM_BINS), dtype=dtype)
     samples = []
-    for e in entries:
-        ann = annotations.get(e.utt_id)
-        if ann is None:
-            continue
-        mag, phase = utterance_tokens(e.audio_path)
+    for i, (e, ann) in enumerate(kept):
+        tokens[0, i], tokens[1, i] = utterance_tokens(e.audio_path)
         samples.append(TrainSample(
-            utt_id=e.utt_id, mag=mag.astype(dtype, copy=False),
-            phase=phase.astype(dtype, copy=False), annotation=ann, label=e.label_int,
+            utt_id=e.utt_id, mag=tokens[0, i], phase=tokens[1, i],
+            annotation=ann, label=e.label_int,
         ))
     return samples

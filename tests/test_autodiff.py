@@ -299,32 +299,54 @@ class TestFreedGraph:
 
     @staticmethod
     def graph():
-        """A loss, a parameter, and a weak reference to the values of an
-        interior activation that only the graph holds."""
+        """A loss, a parameter, and weak references to the values of two
+        interior activations that only the graph could hold: the gelu's
+        output, which no backward function reads (sigmoid's reads its
+        own output), and the matmul's, which gelu's backward reads."""
         rng = np.random.default_rng(4)
         w = randt(rng, 6, 6)
-        h = ad.gelu(ad.matmul(Tensor(rng.standard_normal((4, 6))), w))
-        return ad.tsum(ad.sigmoid(h)), w, weakref.ref(h.data)
+        m = ad.matmul(Tensor(rng.standard_normal((4, 6))), w)
+        h = ad.gelu(m)
+        return ad.tsum(ad.sigmoid(h)), w, weakref.ref(h.data), weakref.ref(m.data)
 
     def test_interior_activation_dies_while_the_loss_is_held(self):
-        loss, w, activation = self.graph()
-        assert activation() is not None
+        loss, w, unread, _ = self.graph()
+        assert unread() is None
         ad.backward(loss)
-        assert activation() is None
-        assert loss.grad is None and loss._parents == () and loss._backward_fn is None
+        node = loss._node
+        assert node.grad is None and node._parents == () and node._backward_fn is None
         assert w.grad is not None and w.grad.shape == (6, 6)
 
+    def test_a_read_activation_lives_until_the_walk_passes_it(self):
+        loss, _, _, read = self.graph()
+        seen = []
+
+        def probe(a):  # an op whose backward runs before gelu's
+            def backward_fn(g):
+                seen.append(read() is not None)
+                ad._accumulate(a, g)
+
+            return ad._result(a.data.copy(), (a,), backward_fn)
+
+        loss = ad.tsum(probe(loss))
+        assert read() is not None
+        ad.backward(loss)
+        assert seen == [True] and read() is None
+
     def test_retain_graph_keeps_activations_and_interior_gradients(self):
-        loss, w, activation = self.graph()
+        # the gradients, backward functions and parent links, and with the
+        # functions the activations they read; an unread one is gone
+        loss, w, unread, read = self.graph()
         ad.backward(loss, retain_graph=True)
-        assert activation() is not None
+        assert read() is not None and unread() is None
         interior = [t for t in ad._toposort(loss) if t._backward_fn is not None]
-        assert len(interior) == 4 and all(t.grad is not None for t in interior)
+        assert len(interior) == 4
+        assert all(t.grad is not None and t._parents for t in interior)
 
     def test_freed_and_retained_walks_give_equal_gradients(self):
         grads = []
         for retain_graph in (False, True):
-            loss, w, _ = self.graph()
+            loss, w, _, _ = self.graph()
             ad.backward(loss, retain_graph=retain_graph)
             grads.append(w.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
@@ -563,6 +585,28 @@ class TestAttention:
             if name not in tracked:
                 assert t[name].grad is None and r[name].grad is None
                 continue
+            ref_grad = r[name].grad.mT if name == "k" else r[name].grad
+            assert_bits_equal(t[name].grad, join_heads(ref_grad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tracked", ["qkv", "qk", "v"])
+    def test_blocked_backward_bit_equal_to_per_head_chain(self, dtype, tracked):
+        # five rows of 2 x 128 x 128 probabilities: float32 backward takes
+        # blocks of 2, 2 and 1 rows, float64 five blocks of one
+        lead, heads, length = (5,), 2, 128
+        row_bytes = heads * length * length * np.dtype(dtype).itemsize
+        block = max(1, ad.ATTENTION_BLOCK_BYTES // row_bytes)
+        assert block < lead[0] and (dtype == np.float64 or lead[0] % block)
+
+        qkv, c = self.data(dtype, lead, heads, seed=7, length=length)
+        t = self.leaves(qkv, tracked)
+        ad.backward(ad.tsum(ad.mul(ad.attention(t["q"], t["k"], t["v"], heads), c)))
+        split = {name: split_heads(x, heads) for name, x in qkv.items()}
+        split["k"] = split["k"].mT.copy()
+        r = self.leaves(split, tracked)
+        ref = attention_chain(r["q"], r["k"], r["v"], 1.0 / np.sqrt(8))
+        ad.backward(ad.tsum(ad.mul(ref, split_heads(c, heads))))
+        for name in tracked:
             ref_grad = r[name].grad.mT if name == "k" else r[name].grad
             assert_bits_equal(t[name].grad, join_heads(ref_grad))
 

@@ -329,6 +329,20 @@ class TestEvalSplit:
                      "--scores", str(scores), "--split", "val"]) == 0
         assert [r.utt_id for r in read_scores(scores)] == val_ids
 
+    def test_split_val_annotates_only_the_val_entries(self, workspace, tmp_path,
+                                                      split_manifest):
+        import json
+
+        from spoofnet.cache import CACHE_FILENAME
+
+        path, val_ids = split_manifest
+        cache = tmp_path / "fresh_cache"
+        assert main(["eval", "--manifest", str(path), "--ckpt", str(workspace["ckpt"]),
+                     "--scores", str(tmp_path / "val.jsonl"), "--split", "val",
+                     "--cache", str(cache)]) == 0
+        lines = (cache / CACHE_FILENAME).read_text().splitlines()
+        assert sorted(json.loads(line)["utt_id"] for line in lines) == sorted(val_ids)
+
     def test_split_without_entries_is_2(self, workspace, tmp_path, split_manifest,
                                         capsys):
         path, _ = split_manifest

@@ -277,7 +277,7 @@ class TestDtype:
         loss, _ = compound_loss(net.forward(mag, phase), ann, 1, scaler)
         ad.backward(loss, retain_graph=True)
         graph = ad._toposort(loss)
-        assert {t.data.dtype for t in graph} == {want}
+        assert {t.dtype for t in graph} == {want}
         assert {t.grad.dtype for t in graph if t.grad is not None} == {want}
         for name, p in net.params.items():
             assert p.grad is not None and p.grad.dtype == want, name

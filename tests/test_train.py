@@ -338,8 +338,8 @@ def build_toy_samples(cfg, rng, n=6):
 
 
 class TestTrainingMemory:
-    # traced peaks of three toy batch-16 steps: 25.7 MB with the graph
-    # freed by backward, 56.1 MB with it retained (numpy 2.4)
+    # traced peaks of three toy batch-16 steps: 17.9 MB with the graph
+    # freed by backward, 44.3 MB with it retained (numpy 2.4)
     FREED_PEAK_RATIO = 0.6
 
     @staticmethod
@@ -365,6 +365,26 @@ class TestTrainingMemory:
     def test_freeing_the_graph_lowers_the_traced_peak(self):
         freed, retained = self.traced_peak(False), self.traced_peak(True)
         assert freed < self.FREED_PEAK_RATIO * retained, (freed, retained)
+
+    # one toy batch-16 forward and backward: 17.8 MB when the graph keeps
+    # only what backward reads and attention's backward works in blocks,
+    # 25.7 MB when every node held its op's value (numpy 2.4)
+    STEP_PEAK_BYTES = 19_000_000
+
+    def test_one_step_keeps_only_what_backward_reads(self):
+        cfg = toy_config()
+        net = SpoofNet(cfg, seed=0)
+        samples = build_toy_samples(cfg, np.random.default_rng(0), n=16)
+        for s in samples:  # as build_samples stores them
+            s.mag, s.phase = s.mag.astype(np.float32), s.phase.astype(np.float32)
+        tracemalloc.start()
+        try:
+            loss, _ = _batch_forward(net, samples, default_scaler(), LOSS_WEIGHTS)
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.STEP_PEAK_BYTES, peak
 
 
 class TestTrainLoop:
