@@ -2,8 +2,8 @@
 
 A Tensor wraps a numpy array. A tracked op result also gets a small
 graph node, which keeps its gradient, backward function, parent nodes
-and walked mark, and the shape, dtype and layout of its value, but not
-the value; a leaf that requires grad (a parameter) is its own node. Each
+and walked mark, and the shape and dtype of its value, but not the
+value; a leaf that requires grad (a parameter) is its own node. Each
 backward function keeps only the arrays it reads, so an activation dies
 as soon as the forward lets go of its Tensor unless a backward function
 reads it. Calling :func:`backward` on a scalar walks the graph once in
@@ -18,7 +18,7 @@ deliberately closed: exactly what the detector network and its losses
 need, nothing speculative.
 
 - elementwise: add, mul
-- matrices and layout: matmul, concat, transpose (of the last two axes)
+- matrices: matmul, concat, transpose (of the last two axes)
 - attention: attention (multi-head softmax(q @ k.T / sqrt(d)) @ v of
   (..., L, H*d) projections)
 - nonlinearities: sigmoid, gelu, log, clip
@@ -68,19 +68,13 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _layout(data: np.ndarray) -> str:
-    """The memory order of a fresh array laid out like data: Fortran for
-    a Fortran-ordered array, else C."""
-    return "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
-
-
 class _Node:
     """The graph record of one tracked op result: its gradient, backward
-    function, parent nodes and walked mark, and the shape, dtype and
-    layout of its value, which it does not keep."""
+    function, parent nodes and walked mark, and the shape and dtype of its
+    value, which it does not keep."""
 
     __slots__ = ("grad", "_backward_fn", "_parents", "_backward_done",
-                 "shape", "dtype", "_order")
+                 "shape", "dtype")
 
     def __init__(self, data: np.ndarray, parents: tuple, backward_fn):
         self.grad = None
@@ -88,7 +82,6 @@ class _Node:
         self._parents = parents
         self._backward_done = False
         self.shape, self.dtype = data.shape, data.dtype
-        self._order = _layout(data)
 
 
 class Tensor:
@@ -138,10 +131,6 @@ class Tensor:
     def _backward_fn(self):
         return None if self._op_node is None else self._op_node._backward_fn
 
-    @property
-    def _order(self):
-        return _layout(self.data)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -177,19 +166,19 @@ def _accumulate(t, g: np.ndarray, owned: bool = False):
     node, or None for no gradient). The first contribution becomes the
     gradient: an owned g (an array the backward function has just made
     and keeps no other reference to) is taken as it is when it has the
-    value's shape, dtype and C layout; any other g (a view, or the one g
-    that add hands to both operands) is copied once into the value's
-    layout."""
+    value's shape and dtype and is C-contiguous; any other g (a view, or
+    the one g that add hands to both operands) is copied once into a
+    fresh C-ordered array."""
     node = t._node if isinstance(t, Tensor) else t
     if node is None:
         return
     if node.grad is not None:
         node.grad += g
     elif (owned and g.shape == node.shape and g.dtype == node.dtype
-          and g.flags.c_contiguous and node._order == "C"):
+          and g.flags.c_contiguous):
         node.grad = g
     else:
-        node.grad = np.empty(node.shape, node.dtype, order=node._order)
+        node.grad = np.empty(node.shape, node.dtype)
         np.copyto(node.grad, g)
 
 

@@ -70,6 +70,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _check_paths(inputs: dict[str, str | Path], outputs: dict[str, str | Path]) -> None:
+    """Raise DataError, before a command does any work, when an output
+    path names one of its inputs or another of its outputs: writing it
+    would destroy that file. Each dict maps a path's role to the path."""
+    roles = {Path(path).resolve(): role for role, path in inputs.items()}
+    for role, path in outputs.items():
+        other = roles.setdefault(Path(path).resolve(), role)
+        if other != role:
+            raise DataError(f"{role} {path} names the same file as {other}")
+
+
 def _cmd_synth_corpus(args) -> int:
     spec = load_corpus_spec(args.spec)
     manifest = generate_synthetic_corpus(spec, args.out)
@@ -89,10 +111,14 @@ def _cmd_annotate(args) -> int:
     return 0
 
 
+def _sidecar(ckpt_path) -> Path:
+    return Path(str(ckpt_path) + ".config")
+
+
 def _load_model(ckpt_path) -> tuple[SpoofNet, TrainConfig]:
     """The checkpoint's model and the training config of its sidecar."""
     arrays = ckpt_io.load_checkpoint(ckpt_path)
-    cfg_path = Path(str(ckpt_path) + ".config")
+    cfg_path = _sidecar(ckpt_path)
     if not cfg_path.exists():
         raise DataError(f"missing config sidecar {cfg_path}")
     model_cfg, train_cfg = load_run_config(cfg_path)
@@ -100,6 +126,11 @@ def _load_model(ckpt_path) -> tuple[SpoofNet, TrainConfig]:
 
 
 def _cmd_train(args) -> int:
+    sidecar_path = _sidecar(args.out)
+    history_path = args.history or str(args.out) + ".history.jsonl"
+    _check_paths({"--manifest": args.manifest, "--config": args.config},
+                 {"--out": args.out, "the checkpoint's sidecar": sidecar_path,
+                  "--history": history_path})
     manifest = load_manifest(args.manifest)
     model_cfg, train_cfg = load_run_config(args.config)
     annotations, stats = annotate_corpus(manifest, args.cache)
@@ -131,9 +162,7 @@ def _cmd_train(args) -> int:
     arrays = dict(result.best_state)
     arrays.update(scaler.arrays())
     ckpt_io.save_checkpoint(args.out, arrays)
-    write_config(str(args.out) + ".config", model_cfg, train_cfg,
-                 header="run configuration")
-    history_path = args.history or str(args.out) + ".history.jsonl"
+    write_config(sidecar_path, model_cfg, train_cfg, header="run configuration")
     with open(history_path, "w", encoding="utf-8") as fh:
         for row in result.history:
             fh.write(json.dumps(row) + "\n")
@@ -145,6 +174,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_paths({"--manifest": args.manifest, "--ckpt": args.ckpt,
+                  "the checkpoint's sidecar": _sidecar(args.ckpt)},
+                 {"--scores": args.scores})
     manifest = load_manifest(args.manifest)
     model, train_cfg = _load_model(args.ckpt)
     entries = [e for e in manifest if not e.missing]
@@ -183,6 +215,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    json_path = Path(args.report)
+    csv_path = json_path.with_suffix(".csv")
+    _check_paths({"--scores": args.scores},
+                 {"--report": json_path, "the report's CSV": csv_path})
     records = read_scores(args.scores)
     missing = [r.utt_id for r in records
                if r.frame_weights is None or r.voicing_prob is None]
@@ -193,8 +229,6 @@ def _cmd_explain(args) -> int:
         )
     _, threshold = compute_eer(records)
     report = aggregate(records, threshold, use_ground_truth=args.ground_truth)
-    json_path = Path(args.report)
-    csv_path = json_path.with_suffix(".csv")
     write_report(report, json_path, csv_path)
     print(format_report(report))
     print(f"report -> {json_path} and {csv_path}")
@@ -230,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="build the annotation cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True, help="cache directory")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel annotation processes")
     p.set_defaults(func=_cmd_annotate)
 

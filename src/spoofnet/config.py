@@ -1,9 +1,10 @@
 """Human-readable key=value config documents.
 
 One flat file covers the model and training sections; `#` starts a
-comment. Values are typed after the dataclass defaults they override;
-a float must be finite. A key that older documents carried and that is
-now a module constant still loads while it holds that constant's value.
+comment, and a key may appear only once. Values are typed after the
+dataclass defaults they override; a float must be finite. A key that
+older documents carried and that is now a module constant still loads
+while it holds that constant's value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATI
 
 
 def parse_kv(path) -> dict[str, str]:
+    """The document's keys and value texts; a key may be set only once."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(read_utf8(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -30,15 +33,13 @@ def parse_kv(path) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
                              line=line_no)
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ParseError(f"{key} is set again (first set on line "
+                             f"{first_line[key]})", line=line_no)
+        first_line[key] = line_no
+        out[key] = value
     return out
-
-
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _coerce(text: str, default, key: str):
@@ -50,8 +51,6 @@ def _coerce(text: str, default, key: str):
             if not math.isfinite(value):
                 raise ValueError("not a finite number")
             return value
-        if isinstance(default, tuple):
-            return tuple(p.strip() for p in text.split(",") if p.strip())
         return text
     except (ValueError, TypeError) as exc:
         raise ParseError(f"cannot parse {key} = {text!r}: {exc}") from exc
@@ -134,7 +133,7 @@ def write_config(path, *configs, header: str | None = None) -> None:
             if f.name in seen:
                 raise ValueError(f"duplicate config key {f.name!r}")
             seen.add(f.name)
-            lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
+            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

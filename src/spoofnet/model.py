@@ -210,9 +210,6 @@ class SpoofNet:
                 )
             self.params[name].data = value.astype(self.cfg.np_dtype(), copy=False)
 
-    def count_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     # -- network pieces ---------------------------------------------------
 
     def _as_input(self, tokens) -> Tensor:

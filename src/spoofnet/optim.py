@@ -32,10 +32,6 @@ class AdamW:
             sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
         self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def step(self):
         self.step_count += 1
         t = self.step_count

@@ -48,7 +48,6 @@ class SyntheticCorpusSpec:
     seed: int = 0
     duration_s: float = 2.5
     dataset_tag: str = "synthetic"
-    codec_tags: tuple[str, ...] = ()
 
 
 def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):
@@ -139,15 +138,14 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> Manifest:
     entries = []
     jobs = [("real", i) for i in range(spec.n_real)] + \
            [("fake", i) for i in range(spec.n_fake)]
-    for j, (label, i) in enumerate(jobs):
+    for label, i in jobs:
         x = synth_utterance(rng, spec, fake=(label == "fake"))
         utt_id = f"synth_{label}_{i:03d}"
         wav_path = audio_dir / f"{utt_id}.wav"
         write_wav(wav_path, x)
-        codec = spec.codec_tags[j % len(spec.codec_tags)] if spec.codec_tags else None
         entries.append(ManifestEntry(
             utt_id=utt_id, audio_path=wav_path, label=label,
-            dataset_tag=spec.dataset_tag, codec_tag=codec, split="",
+            dataset_tag=spec.dataset_tag, split="",
         ))
     manifest = Manifest(entries=entries)
     save_manifest(out_dir / "manifest.csv", manifest)

@@ -248,7 +248,7 @@ def train_loop(
     train_samples: list[TrainSample],
     val_samples: list[TrainSample],
     cfg: TrainConfig,
-    scaler: FormantScaler | None = None,
+    scaler: FormantScaler,
 ) -> TrainResult:
     """Full optimization loop with plateau decay and early stopping.
 
@@ -265,8 +265,6 @@ def train_loop(
             raise DataError(f"TrainConfig.{field.name} = {value} is not a finite number")
     if not val_samples:
         raise InsufficientData("no validation samples to choose the best epoch by")
-    if scaler is None:
-        scaler = fit_scaler([s.annotation for s in train_samples])
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params, lr=cfg.lr, weight_decay=WEIGHT_DECAY)
@@ -291,7 +289,7 @@ def train_loop(
                 )
             for k in epoch_comps:
                 epoch_comps[k] += float(np.sum(comps[k], dtype=np.float64))
-            opt.zero_grad()
+            ad.zero_grads(model.params)
             ad.backward(batch_loss)
             opt.lr = sched.lr
             opt.step()

@@ -687,3 +687,10 @@ class TestOwnedGradients:
         t = ad.parameter(np.zeros(3, dtype=np.float32))
         ad._accumulate(t, np.ones(3), owned=True)
         assert t.grad.dtype == np.float32
+
+    def test_a_fortran_ordered_parameter_gets_a_c_ordered_gradient(self):
+        # gradients have one layout, whatever the layout of the value
+        t = ad.parameter(np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+        ad.backward(ad.tsum(t))
+        np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+        assert t.grad.flags.c_contiguous

@@ -13,6 +13,7 @@ from spoofnet import cli, config
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.dsp import write_wav
+from spoofnet.manifest import load_manifest, save_manifest
 from spoofnet.model import ModelConfig, toy_config
 from spoofnet.synth import SyntheticCorpusSpec
 from spoofnet.train import TrainConfig
@@ -25,11 +26,16 @@ def workspace(tmp_path_factory):
 
     spec_path = root / "corpus.cfg"
     write_config(spec_path, SyntheticCorpusSpec(
-        n_real=8, n_fake=8, seed=21, duration_s=1.6, codec_tags=("none", "simmed")))
+        n_real=8, n_fake=8, seed=21, duration_s=1.6))
     corpus_dir = root / "corpus"
     assert main(["synth-corpus", "--spec", str(spec_path),
                  "--out", str(corpus_dir)]) == 0
     manifest = corpus_dir / "manifest.csv"
+    # two codec tags in turn, for eval's --by codec breakdown
+    tagged = load_manifest(manifest)
+    for i, entry in enumerate(tagged.entries):
+        entry.codec_tag = ("none", "simmed")[i % 2]
+    save_manifest(manifest, tagged)
 
     cache = root / "cache"
     assert main(["annotate", "--manifest", str(manifest),
@@ -426,7 +432,9 @@ class TestExitCodes:
                                       "seed = -1"])
     def test_unusable_corpus_spec_is_2_before_writing(self, tmp_path, line, capsys):
         spec, out = tmp_path / "corpus.cfg", tmp_path / "corpus"
-        spec.write_text("n_real = 1\nn_fake = 1\n" + line + "\n")
+        # the base document leaves out the key under test: a key may be set once
+        spec.write_text("".join(f"{key} = 1\n" for key in ("n_real", "n_fake")
+                                if not line.startswith(key + " ")) + line + "\n")
         assert main(["synth-corpus", "--spec", str(spec), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert line.split(" ")[0] in err
@@ -528,6 +536,98 @@ class TestExitCodes:
         shutil.copy(str(workspace["ckpt"]) + ".config", str(broken) + ".config")
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
         assert main(["infer", "--wav", str(wav), "--ckpt", str(broken)]) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_annotate_workers_below_1_is_1(self, tmp_path, workspace, workers):
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["annotate", "--manifest", str(workspace["manifest"]),
+                  "--cache", str(cache), "--workers", workers])
+        assert exc.value.code == 1
+        assert not cache.exists()
+
+    def test_repeated_run_config_key_is_2_naming_both_lines(self, tmp_path, workspace,
+                                                            capsys):
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text("lr = 0.001\nbatch_size = 8\nlr = 5\n")
+        cache, ckpt = tmp_path / "cache", tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(cache), "--config", str(run_cfg),
+                     "--out", str(ckpt)]) == 2
+        assert "line 3: lr is set again (first set on line 1)" in capsys.readouterr().err
+        assert not cache.exists() and not ckpt.exists()
+
+    def test_repeated_corpus_spec_key_is_2_naming_both_lines(self, tmp_path, capsys):
+        spec, out = tmp_path / "corpus.cfg", tmp_path / "corpus"
+        spec.write_text("seed = 1\nn_real = 1\nn_fake = 1\nseed = 2\n")
+        assert main(["synth-corpus", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "line 4: seed is set again (first set on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCollidingPaths:
+    """A command whose output path names one of its inputs or another of
+    its outputs exits 2 before any work, leaving every file as it was."""
+
+    @staticmethod
+    def assert_refused(argv, files, capsys):
+        before = {f: f.read_bytes() for f in files if f.exists()}
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "names the same file as" in err and len(err.splitlines()) == 1
+        assert {f: f.read_bytes() for f in files if f.exists()} == before
+
+    @pytest.mark.parametrize("collision", ["history_is_out", "out_is_config",
+                                           "history_is_sidecar", "out_is_manifest"])
+    def test_train(self, tmp_path, workspace, collision, capsys):
+        import shutil
+
+        manifest, run_cfg = tmp_path / "m.csv", tmp_path / "run.cfg"
+        save_manifest(manifest, load_manifest(workspace["manifest"]))
+        shutil.copy(Path(str(workspace["ckpt"]) + ".config"), run_cfg)
+        out, history = tmp_path / "m.ckpt", None
+        if collision == "history_is_out":
+            history = out
+        elif collision == "out_is_config":
+            out = run_cfg
+        elif collision == "history_is_sidecar":
+            history = Path(str(out) + ".config")
+        else:
+            out = manifest
+        cache = tmp_path / "cache"
+        argv = ["train", "--manifest", str(manifest), "--cache", str(cache),
+                "--config", str(run_cfg), "--out", str(out)]
+        if history is not None:
+            argv += ["--history", str(history)]
+        self.assert_refused(argv, [manifest, run_cfg, out], capsys)
+        assert not cache.exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("collision", ["manifest", "ckpt", "sidecar"])
+    def test_eval(self, tmp_path, workspace, collision, capsys):
+        import shutil
+
+        manifest, ckpt = tmp_path / "m.csv", tmp_path / "m.ckpt"
+        save_manifest(manifest, load_manifest(workspace["manifest"]))
+        shutil.copy(workspace["ckpt"], ckpt)
+        shutil.copy(Path(str(workspace["ckpt"]) + ".config"), Path(str(ckpt) + ".config"))
+        scores = {"manifest": manifest, "ckpt": ckpt,
+                  "sidecar": Path(str(ckpt) + ".config")}[collision]
+        self.assert_refused(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt),
+                             "--scores", str(scores)],
+                            [manifest, ckpt, Path(str(ckpt) + ".config")], capsys)
+
+    @pytest.mark.parametrize("collision", ["report_is_its_csv", "report_is_scores",
+                                           "csv_is_scores"])
+    def test_explain(self, tmp_path, workspace, collision, capsys):
+        scores, report = {
+            "report_is_its_csv": (tmp_path / "s.jsonl", tmp_path / "r.csv"),
+            "report_is_scores": (tmp_path / "s.jsonl", tmp_path / "s.jsonl"),
+            "csv_is_scores": (tmp_path / "s.csv", tmp_path / "s.json"),
+        }[collision]
+        scores.write_bytes(workspace["scores"].read_bytes())
+        self.assert_refused(["explain", "--scores", str(scores), "--report", str(report)],
+                            [scores, report, report.with_suffix(".csv")], capsys)
+        assert sorted(tmp_path.iterdir()) == [scores]
 
 
 # every retired key: the value write_config wrote while the key was a

@@ -297,7 +297,7 @@ class TestParamCount:
 
     def test_count_matches_instantiated_model(self, tiny_cfg):
         net = SpoofNet(tiny_cfg, seed=0)
-        assert count_params(tiny_cfg) == net.count_params()
+        assert count_params(tiny_cfg) == sum(p.data.size for p in net.params.values())
         assert count_params(tiny_cfg) == sum(v.size for v in net.state_dict().values())
 
     def test_full_scale_budget(self):
@@ -306,7 +306,7 @@ class TestParamCount:
 
     def test_full_scale_instantiates_and_runs(self):
         net = SpoofNet(ModelConfig(), seed=0)
-        assert net.count_params() == count_params(ModelConfig())
+        assert sum(p.data.size for p in net.params.values()) == count_params(ModelConfig())
         rng = np.random.default_rng(0)
         out = net.predict(rng.standard_normal((128, 256)),
                           rng.standard_normal((128, 256)))

@@ -44,7 +44,7 @@ class TestAdamW:
         params, p = make_param([5.0])
         opt = AdamW(params, lr=0.05)
         for _ in range(400):
-            opt.zero_grad()
+            ad.zero_grads(params)
             loss = ad.mul(ad.mul(p, 1.0), p)
             ad.backward(loss)
             opt.step()

@@ -185,12 +185,6 @@ class TestSyntheticCorpus:
         loaded_again = load_manifest(tmp_path / "relcorpus" / "manifest.csv")
         assert not any(e.missing for e in loaded_again)
 
-    def test_codec_tags_cycle(self, tmp_path):
-        spec = SyntheticCorpusSpec(n_real=2, n_fake=2, seed=1, duration_s=1.0,
-                                   codec_tags=("aac", "mp3"))
-        m = generate_synthetic_corpus(spec, tmp_path / "e")
-        assert [e.codec_tag for e in m] == ["aac", "mp3", "aac", "mp3"]
-
     def test_shortest_usable_duration_synthesizes(self):
         spec = SyntheticCorpusSpec(duration_s=MIN_DURATION_S)
         rng = np.random.default_rng(0)
@@ -447,6 +441,12 @@ class TestConfigFiles:
         with pytest.raises(ParseError, match="line 2"):
             parse_kv(p)
 
+    def test_repeated_key_reports_both_lines(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("lr = 0.001\n# lr = 0.1\nembed_dim = 32\nlr = 5\n")
+        with pytest.raises(ParseError, match=r"line 4: lr is set again \(first set on line 1\)"):
+            parse_kv(p)
+
     def test_non_utf8_reports_number(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_bytes(b"embed_dim = 32\n# caf\xe9\n")
@@ -509,9 +509,16 @@ class TestConfigFiles:
         write_config(path, spec)
         assert load_corpus_spec(path) == spec
 
+    def test_codec_tags_is_an_unknown_corpus_spec_key(self, tmp_path):
+        # synth applies no codec, so a spec cannot tag one
+        path = tmp_path / "spec.cfg"
+        path.write_text("n_real = 2\ncodec_tags = aac,mp3\n")
+        with pytest.raises(ParseError, match="unknown config keys: codec_tags"):
+            load_corpus_spec(path)
+
     def test_corpus_spec_round_trip(self, tmp_path):
         spec = SyntheticCorpusSpec(n_real=5, n_fake=7, seed=3, duration_s=1.5,
-                                   codec_tags=("mp3", "opus"))
+                                   dataset_tag="mine")
         path = tmp_path / "spec.cfg"
         write_config(path, spec)
         assert load_corpus_spec(path) == spec

@@ -355,7 +355,7 @@ class TestTrainingMemory:
         try:
             for _ in range(3):
                 loss, _ = _batch_forward(net, samples, default_scaler(), LOSS_WEIGHTS)
-                opt.zero_grad()
+                ad.zero_grads(net.params)
                 ad.backward(loss, retain_graph=retain_graph)
                 opt.step()
             return tracemalloc.get_traced_memory()[1]
@@ -387,6 +387,19 @@ class TestTrainingMemory:
         assert peak < self.STEP_PEAK_BYTES, peak
 
 
+def test_toy_step_gradients_are_c_contiguous_in_the_parameter_dtype():
+    cfg = toy_config()
+    net = SpoofNet(cfg, seed=0)
+    samples = build_toy_samples(cfg, np.random.default_rng(0), n=16)
+    loss, _ = _batch_forward(net, samples, default_scaler(), LOSS_WEIGHTS)
+    ad.backward(loss)
+    AdamW(net.params, lr=1e-3).step()
+    for name, p in net.params.items():
+        assert p.grad.shape == p.data.shape, name
+        assert p.grad.dtype == p.data.dtype, name
+        assert p.grad.flags.c_contiguous, name
+
+
 class TestTrainLoop:
     def test_one_small_step_decreases_loss(self, tiny_cfg):
         cfg64 = dataclasses.replace(tiny_cfg, dtype="float64")
@@ -415,7 +428,8 @@ class TestTrainLoop:
 
         def run():
             net = SpoofNet(tiny_cfg, seed=1)
-            return train_loop(net, samples[:4], samples[4:], tcfg)
+            return train_loop(net, samples[:4], samples[4:], tcfg,
+                              fit_scaler([s.annotation for s in samples[:4]]))
 
         r1, r2 = run(), run()
         assert [h["epoch"] for h in r1.history] == [1, 2, 3]
@@ -431,7 +445,8 @@ class TestTrainLoop:
         samples = build_toy_samples(tiny_cfg, rng, n=6)
         tcfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=4, seed=2)
         net = SpoofNet(tiny_cfg, seed=2)
-        result = train_loop(net, samples[:4], samples[4:], tcfg)
+        result = train_loop(net, samples[:4], samples[4:], tcfg,
+                            fit_scaler([s.annotation for s in samples[:4]]))
         for name, value in result.best_state.items():
             np.testing.assert_array_equal(net.params[name].data, value)
 
