@@ -18,12 +18,14 @@ deliberately closed: exactly what the detector network and its losses
 need, nothing speculative.
 
 - elementwise: add, mul
-- matrices: matmul, concat, transpose (of the last two axes)
+- matrices: matmul, concat (along the last axis), transpose (of the last
+  two axes)
 - attention: attention (multi-head softmax(q @ k.T / sqrt(d)) @ v of
   (..., L, H*d) projections)
 - nonlinearities: sigmoid, gelu, log, clip
-- reductions and normalization: softmax, logsumexp (keeps the reduced
-  axis with size 1), layer_norm, tsum, tmean
+- reductions and normalization: softmax, logsumexp (over the last axis,
+  kept with size 1), layer_norm, tsum, tmean (a named axis is kept with
+  size 1; no axis reduces to 0-d)
 - graph: parameter, no_grad, backward, zero_grads
 
 add and mul share one operand rule. The second operand b is either a
@@ -93,11 +95,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_op_node")
     _backward_done = False
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, name: str = ""):
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
-        self.requires_grad = requires_grad and _grad_enabled
+        self.requires_grad = False
         self.grad = None
         self.name = name
         self._op_node = None
@@ -138,7 +140,7 @@ class Tensor:
 
 def parameter(data, name: str = "") -> Tensor:
     """A leaf tensor that always participates in gradients."""
-    t = Tensor(np.asarray(data), requires_grad=True, name=name)
+    t = Tensor(data, name=name)
     t.requires_grad = True  # parameters track grads even inside no_grad
     return t
 
@@ -264,18 +266,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward_fn)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join tensors along the last axis."""
     tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
     nodes = _nodes(*tensors)
 
     def backward_fn(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(node, g[tuple(idx)])
+            _accumulate(node, g[..., lo:hi])
 
     return _result(data, tuple(tensors), backward_fn)
 
@@ -453,12 +453,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), backward_fn)
 
 
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """log(sum(exp(x))) along an axis, which is kept with size 1;
+def logsumexp(a: Tensor) -> Tensor:
+    """log(sum(exp(x))) along the last axis, which is kept with size 1;
     max-subtracted for overflow safety."""
-    m = a.data.max(axis=axis, keepdims=True)
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     data = m + np.log(s)
     soft = e / s
     na = a._node
@@ -588,22 +588,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(data, (a, gain, bias), backward_fn)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    """Sum over an axis or a tuple of axes, each kept with size 1, or (by
+    default) over all of them to a 0-d value."""
+    data = a.data.sum(axis=axis, keepdims=axis is not None)
     na, shape = a._node, a.data.shape
 
     def backward_fn(g):
-        gk = g
-        if axis is not None and not keepdims:
-            gk = np.expand_dims(g, axis=axis)
-        _accumulate(na, np.broadcast_to(gk, shape))
+        _accumulate(na, np.broadcast_to(g, shape))
 
     return _result(data, (a,), backward_fn)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean over an axis, a tuple of axes, or (by default) all of them."""
-    total = tsum(a, axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    """Mean over an axis or a tuple of axes, each kept with size 1, or (by
+    default) over all of them to a 0-d value."""
+    total = tsum(a, axis=axis)
     return mul(total, 1.0 / (a.data.size // total.data.size))
 
 

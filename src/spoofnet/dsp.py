@@ -1,10 +1,11 @@
 """Waveform ingestion and the magnitude/phase feature frontend.
 
-Every utterance is resampled to 16 kHz, trimmed, peak-normalized and
-tiled/truncated to exactly 33,024 samples (2.064 s). Features are a
-512/256 STFT with a Hann window, kept as paired log-magnitude and
-sine-of-phase grids of 128 frames x 256 bins. Tokens for the encoders
-are whole frames (one token per time step, all frequency bins).
+Audio is a 1-D float64 sample array. Every utterance is resampled to
+16 kHz, trimmed, peak-normalized and tiled/truncated to exactly 33,024
+samples (2.064 s), the one typed boundary (FixedWaveform). Features are
+a 512/256 STFT with a Hann window, kept as paired log-magnitude and
+sine-of-phase grids of 128 frames x 256 bins; row t of each grid is
+frame t's token for the encoders (all frequency bins of one time step).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAudio, ShapeError, SilentAudio
+from .errors import InvalidAudio, SilentAudio
 
 SAMPLE_RATE = 16000
 FIXED_NUM_SAMPLES = 33024
@@ -33,18 +34,6 @@ F1_RANGE_HZ = (200.0, 850.0)
 F2_RANGE_HZ = (800.0, 2700.0)
 # the lowest input rate whose Nyquist band still holds all of F2
 MIN_SAMPLE_RATE = int(2 * F2_RANGE_HZ[1])
-
-
-@dataclass
-class Waveform:
-    """Mono audio at SAMPLE_RATE (16 kHz)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise InvalidAudio(f"waveform must be 1-D, got shape {self.samples.shape}")
 
 
 @dataclass
@@ -68,14 +57,6 @@ class FeatureGrid:
 
     log_mag: np.ndarray
     sin_phase: np.ndarray
-
-    def __post_init__(self):
-        expected = (NUM_FRAMES, NUM_BINS)
-        if self.log_mag.shape != expected or self.sin_phase.shape != expected:
-            raise ShapeError(
-                f"feature grids must be {expected}, got log_mag "
-                f"{self.log_mag.shape} and sin_phase {self.sin_phase.shape}"
-            )
 
 
 # fmt chunk format tags, and the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE
@@ -141,13 +122,13 @@ def _parse_wav(blob: bytes, path) -> tuple[int, np.ndarray]:
     return rate, data[::channels]
 
 
-def read_wav(path) -> Waveform:
+def read_wav(path) -> np.ndarray:
     """Read a 16-bit PCM or 32/64-bit float WAV file: little-endian
     (RIFF), big-endian (RIFX) or RF64, any channel count, with a plain or
     WAVE_FORMAT_EXTENSIBLE fmt chunk.
 
-    Returns the first channel through :func:`ingest`: a mono 16 kHz
-    Waveform. A file whose data chunk ends before the size its header
+    Returns the first channel through :func:`ingest`: mono 16 kHz
+    samples. A file whose data chunk ends before the size its header
     declares (cut short by an interrupted copy, say) raises InvalidAudio
     rather than yielding the samples present, as does any other sample
     format.
@@ -182,39 +163,37 @@ def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
         f.write(header + pcm.tobytes())
 
 
-def ingest(raw_samples, rate: int) -> Waveform:
-    """Convert raw samples at MIN_SAMPLE_RATE or above into a mono 16 kHz
-    Waveform by linear interpolation, adequate at this scale. A lower rate,
-    whose audio cannot carry F2 and whose upsampling could blow a tiny file
-    up into a huge array, raises InvalidAudio before any resampling."""
+def ingest(raw_samples, rate: int) -> np.ndarray:
+    """Convert 1-D raw samples at MIN_SAMPLE_RATE or above into mono 16 kHz
+    float64 samples by linear interpolation, adequate at this scale. A lower
+    rate, whose audio cannot carry F2 and whose upsampling could blow a tiny
+    file up into a huge array, raises InvalidAudio before any resampling."""
     if rate < MIN_SAMPLE_RATE:
         raise InvalidAudio(f"sample rate {rate} Hz is below the least usable "
                            f"{MIN_SAMPLE_RATE} Hz")
     x = np.asarray(raw_samples, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, 0]
+    if x.ndim != 1:
+        raise InvalidAudio(f"audio must be 1-D, got shape {x.shape}")
     if x.size == 0:
         raise InvalidAudio("empty audio input")
     n_bad = x.size - np.count_nonzero(np.isfinite(x))
     if n_bad:
         raise InvalidAudio(f"{n_bad} of {x.size} samples are non-finite (NaN or inf)")
     if rate == SAMPLE_RATE:
-        return Waveform(x.copy())
+        return x.copy()
     n_out = int(round(x.size * SAMPLE_RATE / rate))
     if n_out == 0:
         raise InvalidAudio(f"input too short to resample: {x.size} samples at {rate} Hz")
     positions = np.arange(n_out) * (rate / SAMPLE_RATE)
-    resampled = np.interp(positions, np.arange(x.size), x)
-    return Waveform(resampled)
+    return np.interp(positions, np.arange(x.size), x)
 
 
-def trim_silence(w: Waveform) -> Waveform:
+def trim_silence(x: np.ndarray) -> np.ndarray:
     """Drop leading/trailing blocks quieter than SILENCE_THRESHOLD_DB below peak.
 
     Activity is measured as the peak amplitude of 20 ms blocks relative
     to the global peak. Raises SilentAudio when nothing survives.
     """
-    x = w.samples
     peak = np.max(np.abs(x))
     if peak == 0.0:
         raise SilentAudio("all-zero signal")
@@ -230,33 +209,32 @@ def trim_silence(w: Waveform) -> Waveform:
         raise SilentAudio(f"no blocks above {SILENCE_THRESHOLD_DB} dB relative to peak")
     start = active[0] * block
     end = min((active[-1] + 1) * block, x.size)
-    return Waveform(x[start:end].copy())
+    return x[start:end].copy()
 
 
-def peak_normalize(w: Waveform) -> Waveform:
+def peak_normalize(x: np.ndarray) -> np.ndarray:
     """Scale so the maximum absolute sample is exactly 1.0."""
-    peak = np.max(np.abs(w.samples))
+    peak = np.max(np.abs(x))
     if peak == 0.0:
         raise SilentAudio("cannot normalize an all-zero signal")
-    return Waveform(w.samples / peak)
+    return x / peak
 
 
-def fix_length(w: Waveform) -> FixedWaveform:
+def fix_length(x: np.ndarray) -> FixedWaveform:
     """Tile short signals by repetition, truncate long ones, to 33,024."""
-    x = w.samples
     if x.size >= FIXED_NUM_SAMPLES:
         return FixedWaveform(x[:FIXED_NUM_SAMPLES].copy())
     reps = int(np.ceil(FIXED_NUM_SAMPLES / x.size))
     return FixedWaveform(np.tile(x, reps)[:FIXED_NUM_SAMPLES])
 
 
-def preprocess(w: Waveform) -> FixedWaveform:
+def preprocess(x: np.ndarray) -> FixedWaveform:
     """Trim silence, normalize to peak 1.0 and fix the length.
 
     The trim/normalize steps deliberately destroy absolute-level and
     edge-silence cues so the detector cannot shortcut on them.
     """
-    return fix_length(peak_normalize(trim_silence(w)))
+    return fix_length(peak_normalize(trim_silence(x)))
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -284,12 +262,3 @@ def stft_features(x: FixedWaveform) -> FeatureGrid:
     sin_phase = np.sin(np.angle(spectrum))
     return FeatureGrid(log_mag=log_mag, sin_phase=sin_phase)
 
-
-def tokenize(g: FeatureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Slice the grids into per-frame tokens of width n_bins.
-
-    Token t is the whole frequency column of frame t, in time order; on
-    the row-major grids this is simply the rows themselves, so the op is
-    a copy that fixes the contract rather than a reshape.
-    """
-    return g.log_mag.copy(), g.sin_phase.copy()

@@ -5,16 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .annotate import FrameAnnotation
-from .dsp import NUM_BINS, NUM_FRAMES, preprocess, read_wav, stft_features, tokenize
+from .dsp import NUM_BINS, NUM_FRAMES, preprocess, read_wav, stft_features
 from .manifest import ManifestEntry
 from .train import TrainSample
 
 
 def utterance_tokens(audio_path) -> tuple[np.ndarray, np.ndarray]:
-    """(mag_tokens, phase_tokens) for one audio file."""
-    wave = read_wav(audio_path)
-    fixed = preprocess(wave)
-    return tokenize(stft_features(fixed))
+    """(mag_tokens, phase_tokens) for one audio file: the log-magnitude and
+    sin-phase grids, whose row t is frame t's token."""
+    grid = stft_features(preprocess(read_wav(audio_path)))
+    return grid.log_mag, grid.sin_phase
 
 
 def build_samples(

@@ -104,10 +104,6 @@ class BreakdownRow:
     eer: float | None
     auc: float | None
 
-    @property
-    def defined(self) -> bool:
-        return self.eer is not None
-
 
 def breakdown(records, tag_key: str = "dataset") -> list[BreakdownRow]:
     """Per-tag (EER, AUC) table plus an overall row.

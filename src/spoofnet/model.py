@@ -166,7 +166,7 @@ def attention_pool(z: Tensor, w_pool: Tensor) -> tuple[Tensor, Tensor]:
     (weights (..., L, 1), pooled (..., 1, D)).
     """
     scores = ad.matmul(z, w_pool)                       # (..., L, H)
-    s = ad.logsumexp(scores, axis=-1)                   # (..., L, 1)
+    s = ad.logsumexp(scores)                            # (..., L, 1)
     weights = ad.softmax(s, axis=-2)                    # (..., L, 1)
     pooled = ad.matmul(ad.transpose(weights), z)       # (..., 1, D)
     return weights, pooled
@@ -251,7 +251,7 @@ class SpoofNet:
                              f"phase tokens {phase.shape}")
         z_mag = self._stream(mag, "mag")
         z_phase = self._stream(phase, "phase")
-        both = ad.concat([z_mag, z_phase], axis=-1)  # (..., L, 2D)
+        both = ad.concat([z_mag, z_phase])  # (..., L, 2D)
         return ad.add(ad.matmul(both, self.params["fuse.w"]), self.params["fuse.b"])
 
     def decode_formants(self, z_enc: Tensor) -> Tensor:
@@ -269,12 +269,10 @@ class SpoofNet:
         hz = ad.add(ad.mul(ad.sigmoid(raw), span), lo)
         return ad.clip(hz, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
-    def decode_voicing(self, z_enc: Tensor) -> tuple[Tensor, np.ndarray]:
-        """(per-frame voicing probability, boolean mask at
-        VOICING_THRESHOLD; the boundary counts as voiced)."""
+    def decode_voicing(self, z_enc: Tensor) -> Tensor:
+        """Per-frame voicing probability (..., L, 1)."""
         raw = ad.add(ad.matmul(z_enc, self.params["voicing.w"]), self.params["voicing.b"])
-        prob = ad.sigmoid(raw)  # (..., L, 1)
-        return prob, prob.data[..., 0] >= VOICING_THRESHOLD
+        return ad.sigmoid(raw)
 
     def pool_and_score(self, z_enc: Tensor) -> tuple[Tensor, Tensor]:
         """(synthesis score (..., 1, 1), frame weights (..., L, 1))."""
@@ -295,7 +293,7 @@ class SpoofNet:
         each output depends on row i of the tokens alone."""
         z_enc = self.encode(mag_tokens, phase_tokens)
         formants = self.decode_formants(z_enc)
-        voicing_prob, _ = self.decode_voicing(z_enc)
+        voicing_prob = self.decode_voicing(z_enc)
         score, weights = self.pool_and_score(z_enc)
         return ForwardPass(formants_hz=formants, voicing_prob=voicing_prob,
                            score=score, frame_weights=weights)
@@ -309,7 +307,7 @@ class SpoofNet:
         return ModelOutput(
             formants_hz=out.formants_hz.data.copy(),
             voicing_prob=prob.copy(),
-            v_mask=prob >= VOICING_THRESHOLD,
+            v_mask=prob >= VOICING_THRESHOLD,  # the boundary counts as voiced
             score=float(out.score.data[0, 0]),
             frame_weights=out.frame_weights.data[:, 0].copy(),
         )

@@ -139,7 +139,7 @@ def compound_loss(
     v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)     # (..., L, 1)
     one_minus_v = ad.add(ad.mul(v, -1.0), 1.0)
     per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(one_minus_v), mask - 1.0))
-    bce_v = ad.tmean(per_frame, axis=(-2, -1), keepdims=True)
+    bce_v = ad.tmean(per_frame, axis=(-2, -1))
 
     # unvoiced frames get an in-range stand-in target; the mask zeroes them
     tracks = np.stack([np.stack([a.f0_hz, a.f1_hz, a.f2_hz], axis=-1) for a in anns])
@@ -153,7 +153,7 @@ def compound_loss(
     masked = ad.mul(ad.mul(diff, diff), mask)
     n_voiced = voiced.sum(axis=-1)
     per_voiced = np.where(n_voiced > 0, 1.0 / (3 * np.maximum(n_voiced, 1)), 0.0)
-    mse_f = ad.mul(ad.tsum(masked, axis=(-2, -1), keepdims=True),
+    mse_f = ad.mul(ad.tsum(masked, axis=(-2, -1)),
                    per_voiced[..., None, None])
 
     w0, w1, w2 = weights

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from spoofnet.annotate import annotate_waveform, annotation_to_record
-from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform, Waveform,
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform,
                           frame_signal, preprocess)
 from spoofnet.formants import (FORMANT_KEY, LPC_ORDER, PREEMPHASIS, WINDOW_STD_FRACTION,
                                burg, gaussian_window, lpc_resonances, preemphasize)
@@ -43,7 +43,7 @@ def golden_inputs() -> dict[str, FixedWaveform]:
     for i, duration in enumerate(np.linspace(1.0, 3.2, N_SYNTH)):
         spec = SyntheticCorpusSpec(duration_s=float(duration))
         x = synth_utterance(np.random.default_rng(100 + i), spec, fake=bool(i % 2))
-        inputs[f"synth_{i:02d}"] = preprocess(Waveform(x))
+        inputs[f"synth_{i:02d}"] = preprocess(x)
     t = np.arange(FIXED_NUM_SAMPLES) / SAMPLE_RATE
     inputs["sine_220"] = FixedWaveform(np.sin(2 * np.pi * 220.0 * t))
     inputs["sawtooth_100"] = FixedWaveform(2.0 * ((100.0 * t) % 1.0) - 1.0)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN, LOG_FLOOR,
                           MIN_SAMPLE_RATE, NUM_BINS, NUM_FRAMES, SAMPLE_RATE,
-                          FixedWaveform, Waveform, fix_length, frame_signal,
-                          hann_window, ingest, peak_normalize, preprocess,
-                          stft_features, tokenize, trim_silence, write_wav)
+                          FixedWaveform, fix_length, frame_signal, hann_window,
+                          ingest, peak_normalize, preprocess, read_wav,
+                          stft_features, trim_silence, write_wav)
 from spoofnet.errors import InvalidAudio, SilentAudio
 
 
@@ -25,12 +25,12 @@ class TestIngest:
     def test_native_rate_unchanged(self):
         x = np.random.default_rng(0).standard_normal(16000)
         w = ingest(x, 16000)
-        assert isinstance(w, Waveform)
-        np.testing.assert_array_equal(w.samples, x)
+        assert w.dtype == np.float64 and w.shape == x.shape
+        np.testing.assert_array_equal(w, x)
 
     def test_2_to_1_decimation_length(self):
         w = ingest(np.ones(32000), 32000)
-        assert w.samples.size == 16000
+        assert w.size == 16000
 
     def test_resampled_sine_keeps_frequency(self):
         # oracle: the dominant DFT bin of the resampler output must sit
@@ -38,19 +38,20 @@ class TestIngest:
         rate = 48000
         t = np.arange(rate) / rate
         w = ingest(np.sin(2 * np.pi * 440.0 * t), rate)
-        assert w.samples.size == 16000
-        spectrum = np.abs(np.fft.rfft(w.samples))
-        peak_hz = np.argmax(spectrum) * SAMPLE_RATE / w.samples.size
+        assert w.size == 16000
+        spectrum = np.abs(np.fft.rfft(w))
+        peak_hz = np.argmax(spectrum) * SAMPLE_RATE / w.size
         assert abs(peak_hz - 440.0) <= 2.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidAudio):
             ingest(np.array([]), 16000)
 
-    def test_stereo_first_channel(self):
+    def test_two_dimensional_rejected(self):
+        # read_wav keeps the first channel itself; ingest takes 1-D samples only
         stereo = np.stack([np.ones(100), np.zeros(100)], axis=1)
-        w = ingest(stereo, 16000)
-        np.testing.assert_array_equal(w.samples, np.ones(100))
+        with pytest.raises(InvalidAudio, match=r"1-D, got shape \(100, 2\)"):
+            ingest(stereo, 16000)
 
     @pytest.mark.parametrize("rate", [-16000, 0, 1, 8, MIN_SAMPLE_RATE - 1])
     def test_rate_below_the_f2_nyquist_floor_rejected(self, rate):
@@ -61,7 +62,7 @@ class TestIngest:
     def test_rate_at_the_floor_accepted(self):
         assert MIN_SAMPLE_RATE == 5400
         w = ingest(np.ones(5400), MIN_SAMPLE_RATE)
-        assert w.samples.size == 16000
+        assert w.size == 16000
 
 
 class TestPreprocess:
@@ -69,14 +70,14 @@ class TestPreprocess:
         rng = np.random.default_rng(1)
         s = rng.uniform(-1, 1, 16000)
         s[np.argmax(np.abs(s))] = 1.0  # peak exactly 1 so scaling is identity
-        out = preprocess(Waveform(s)).samples
+        out = preprocess(s).samples
         idx = np.arange(FIXED_NUM_SAMPLES)
         np.testing.assert_allclose(out, s[idx % 16000], atol=0)
 
     def test_peak_normalization_scales_by_4(self):
         t = np.arange(20000) / SAMPLE_RATE
         quiet = 0.25 * np.sin(2 * np.pi * 220.0 * t)
-        out = preprocess(Waveform(quiet)).samples
+        out = preprocess(quiet).samples
         np.testing.assert_allclose(out[:20000], 4.0 * quiet, rtol=1e-12)
         assert np.max(np.abs(out)) == pytest.approx(1.0, abs=1e-6)
 
@@ -85,19 +86,19 @@ class TestPreprocess:
         s = rng.uniform(-1, 1, 50000)
         s[np.argmax(np.abs(s[:FIXED_NUM_SAMPLES]))] = 1.0
         s[FIXED_NUM_SAMPLES:] *= 0.5  # peak lives in the kept region
-        out = preprocess(Waveform(s)).samples
+        out = preprocess(s).samples
         np.testing.assert_allclose(out, s[:FIXED_NUM_SAMPLES], atol=0)
 
     def test_silent_input_rejected(self):
         with pytest.raises(SilentAudio):
-            preprocess(Waveform(np.zeros(16000)))
+            preprocess(np.zeros(16000))
 
     def test_edge_silence_removed(self):
         t = np.arange(8000) / SAMPLE_RATE
         tone = np.sin(2 * np.pi * 220.0 * t)
         padded = np.concatenate([np.zeros(3200), tone, np.zeros(3200)])
-        trimmed = trim_silence(Waveform(padded))
-        assert trimmed.samples.size == pytest.approx(8000, abs=640)
+        trimmed = trim_silence(padded)
+        assert trimmed.size == pytest.approx(8000, abs=640)
 
     @given(n=st.integers(min_value=2000, max_value=33000),
            seed=st.integers(min_value=0, max_value=2**31))
@@ -106,7 +107,7 @@ class TestPreprocess:
         rng = np.random.default_rng(seed)
         s = rng.uniform(-1, 1, n)
         s[np.argmax(np.abs(s))] = 1.0
-        out = fix_length(peak_normalize(Waveform(s))).samples
+        out = fix_length(peak_normalize(s)).samples
         period = s.size
         for i in (0, 1, period - 1):
             if i + period < FIXED_NUM_SAMPLES:
@@ -162,24 +163,18 @@ class TestStft:
         assert np.all(g.sin_phase >= -1.0) and np.all(g.sin_phase <= 1.0)
 
 
-class TestTokenize:
-    def test_token_layout(self, sine_220):
-        g = stft_features(sine_220)
-        mag, phase = tokenize(g)
-        assert mag.shape == (128, 256) and phase.shape == (128, 256)
+def test_utterance_tokens_are_the_grid_rows(tmp_path):
+    # row t of each grid is frame t's token: no copy or reshape in between
+    from spoofnet.features import utterance_tokens
 
-    def test_single_value_lands_in_one_token(self, silence):
-        g = stft_features(silence)
-        g.log_mag[41, 77] = 123.0
-        mag, _ = tokenize(g)
-        hits = np.argwhere(mag == 123.0)
-        assert hits.shape == (1, 2) and tuple(hits[0]) == (41, 77)
-
-    def test_round_trip_reconstructs_grid(self, sine_220):
-        g = stft_features(sine_220)
-        mag, phase = tokenize(g)
-        np.testing.assert_array_equal(np.vstack(list(mag)), g.log_mag)
-        np.testing.assert_array_equal(np.vstack(list(phase)), g.sin_phase)
+    rng = np.random.default_rng(3)
+    write_wav(tmp_path / "u.wav", 0.5 * rng.uniform(-1, 1, 20000))
+    mag, phase = utterance_tokens(tmp_path / "u.wav")
+    grid = stft_features(preprocess(read_wav(tmp_path / "u.wav")))
+    for tokens, rows in ((mag, grid.log_mag), (phase, grid.sin_phase)):
+        assert tokens.shape == (NUM_FRAMES, NUM_BINS) == (128, 256)
+        assert tokens.dtype == np.float64 and tokens.flags.c_contiguous
+        assert tokens.tobytes() == rows.tobytes()
 
 
 def test_frame_count_formula():
@@ -206,9 +201,9 @@ class TestWavIO:
         x = 0.5 * np.sin(np.arange(4000) * 0.1)
         write_wav(tmp_path / "a.wav", x)
         w = read_wav(tmp_path / "a.wav")
-        assert isinstance(w, Waveform)
+        assert w.dtype == np.float64 and w.ndim == 1
         # one quantization step plus the 32767/32768 write/read scale skew
-        np.testing.assert_allclose(w.samples, x, atol=2.0 / 32768)
+        np.testing.assert_allclose(w, x, atol=2.0 / 32768)
 
     def test_float32_wav(self, tmp_path):
         from scipy.io import wavfile
@@ -218,7 +213,7 @@ class TestWavIO:
         x = (0.25 * np.sin(np.arange(4000) * 0.05)).astype(np.float32)
         wavfile.write(tmp_path / "f.wav", SAMPLE_RATE, x)
         w = read_wav(tmp_path / "f.wav")
-        np.testing.assert_allclose(w.samples, x.astype(np.float64), atol=1e-7)
+        np.testing.assert_allclose(w, x.astype(np.float64), atol=1e-7)
 
     def test_stereo_first_channel(self, tmp_path):
         from scipy.io import wavfile
@@ -230,7 +225,7 @@ class TestWavIO:
         wavfile.write(tmp_path / "s.wav", SAMPLE_RATE,
                       np.stack([left, right], axis=1))
         w = read_wav(tmp_path / "s.wav")
-        np.testing.assert_allclose(w.samples, left.astype(np.float64), atol=1e-7)
+        np.testing.assert_allclose(w, left.astype(np.float64), atol=1e-7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_wav_rejected(self, tmp_path, bad):
@@ -315,8 +310,8 @@ class TestTruncatedWav:
         unknown = b"abcd" + struct.pack("<I", 3) + b"xyz\0"
         (tmp_path / "plain.wav").write_bytes(riff(FMT + DATA))
         (tmp_path / "u.wav").write_bytes(riff(FMT + unknown + DATA))
-        np.testing.assert_array_equal(read_wav(tmp_path / "u.wav").samples,
-                                      read_wav(tmp_path / "plain.wav").samples)
+        np.testing.assert_array_equal(read_wav(tmp_path / "u.wav"),
+                                      read_wav(tmp_path / "plain.wav"))
 
     def test_rf64_takes_its_data_size_from_ds64(self, tmp_path):
         from spoofnet.dsp import read_wav
@@ -328,8 +323,8 @@ class TestTruncatedWav:
         whole[20:28] = struct.pack("<Q", len(whole) - 8)  # ds64's RIFF size
         (tmp_path / "plain.wav").write_bytes(riff(FMT + DATA))
         (tmp_path / "r.wav").write_bytes(bytes(whole))
-        np.testing.assert_array_equal(read_wav(tmp_path / "r.wav").samples,
-                                      read_wav(tmp_path / "plain.wav").samples)
+        np.testing.assert_array_equal(read_wav(tmp_path / "r.wav"),
+                                      read_wav(tmp_path / "plain.wav"))
         (tmp_path / "r.wav").write_bytes(bytes(whole[:-2]))
         with pytest.raises(InvalidAudio, match="truncated WAV"):
             read_wav(tmp_path / "r.wav")
@@ -357,5 +352,5 @@ class TestByteOrder:
         (tmp_path / "le.wav").write_bytes(wav_file(samples, big_endian=False))
         (tmp_path / "be.wav").write_bytes(wav_file(samples, big_endian=True))
         le, be = read_wav(tmp_path / "le.wav"), read_wav(tmp_path / "be.wav")
-        np.testing.assert_array_equal(be.samples, le.samples)
-        assert np.abs(le.samples).max() > 0.1
+        np.testing.assert_array_equal(be, le)
+        assert np.abs(le).max() > 0.1

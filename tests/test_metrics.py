@@ -178,8 +178,8 @@ class TestBreakdown:
         recs = records([0.9], [0.1], codec="mp3")
         recs += [ScoreRecord("x", 0.5, 1, codec_tag="opus")]  # fake-only group
         rows = {r.tag: r for r in breakdown(recs, "codec")}
-        assert rows["mp3"].defined
-        assert not rows["opus"].defined
+        assert rows["mp3"].eer is not None
+        assert rows["opus"].eer is None
         assert rows["opus"].n == 1
 
     def test_format_uses_two_decimal_percentages(self):

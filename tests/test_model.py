@@ -164,16 +164,16 @@ class TestVoicingDecoder:
         net = SpoofNet(tiny_cfg, seed=0)
         net.params["voicing.w"].data[:] = 0.0
         net.params["voicing.b"].data[:] = 0.0
-        prob, mask = net.decode_voicing(Tensor(np.ones((8, 8), dtype=np.float32)))
-        np.testing.assert_allclose(prob.data, 0.5)
-        assert mask.all()  # the 0.5 boundary counts as voiced
+        out = net.predict(*rand_tokens(tiny_cfg))
+        assert np.all(out.voicing_prob == 0.5)
+        assert out.v_mask.all()  # the 0.5 boundary counts as voiced
 
     def test_large_logit_saturates(self, tiny_cfg):
         net = SpoofNet(tiny_cfg, seed=0)
         net.params["voicing.w"].data[:] = 0.0
         net.params["voicing.b"].data[:] = 10.0
-        prob, mask = net.decode_voicing(Tensor(np.zeros((8, 8), dtype=np.float32)))
-        assert np.all(prob.data > 0.9999) and mask.all()
+        prob = net.decode_voicing(Tensor(np.zeros((8, 8), dtype=np.float32)))
+        assert prob.shape == (8, 1) and np.all(prob.data > 0.9999)
 
 
 class TestPooling:
@@ -367,7 +367,7 @@ def per_head_block(self, x, prefix, heads):
         vi = _narrow_columns(v, i * head_dim, head_dim)
         att = ad.softmax(ad.mul(ad.matmul(qi, _transpose_2d(ki)), scale), axis=-1)
         head_outs.append(ad.matmul(att, vi))
-    mixed = head_outs[0] if heads == 1 else ad.concat(head_outs, axis=1)
+    mixed = head_outs[0] if heads == 1 else ad.concat(head_outs)
     x = ad.add(x, ad.add(ad.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"]))
     h2 = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     inner = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform, Waveform,
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform,
                           frame_signal, preprocess)
 from spoofnet.pitch import (TAU_MAX, cmndf, difference_function, frame_candidates,
                             frame_troughs, track_pitch, viterbi_track)
@@ -94,7 +94,7 @@ def golden_frames() -> np.ndarray:
     for i in (0, 4):
         spec = SyntheticCorpusSpec(duration_s=float(np.linspace(1.0, 3.2, 24)[i]))
         x = synth_utterance(np.random.default_rng(100 + i), spec, fake=bool(i % 2))
-        waves.append(preprocess(Waveform(x)).samples)
+        waves.append(preprocess(x).samples)
     gapped = synth_vowel().samples.copy()
     gapped[40 * 256: 44 * 256] = 0.0
     waves.append(gapped)
