@@ -179,9 +179,11 @@ def _cmd_eval(args) -> int:
                  {"--scores": args.scores})
     manifest = load_manifest(args.manifest)
     model, train_cfg = _load_model(args.ckpt)
-    entries = [e for e in manifest if not e.missing]
-    if args.split:
-        entries = [e for e in entries if e.split == args.split]
+    entries = [e for e in manifest if not args.split or e.split == args.split]
+    for e in entries:
+        if e.missing:
+            print(f"  skipped {e.utt_id}: missing audio file", file=sys.stderr)
+    entries = [e for e in entries if not e.missing]
     if not entries:
         raise DataError("no usable entries to evaluate")
 

@@ -1,7 +1,8 @@
 """Human-readable key=value config documents.
 
-One flat file covers the model and training sections; `#` starts a
-comment, and a key may appear only once. Values are typed after the
+One flat file covers the model and training sections; `#` at the start
+of a line or after whitespace starts a comment (a `#` inside a value is
+refused), and a key may appear only once. Values are typed after the
 dataclass defaults they override; a float must be finite. A key that
 older documents carried and that is now a module constant still loads
 while it holds that constant's value.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 from .dsp import NUM_BINS, NUM_FRAMES
@@ -22,14 +24,21 @@ from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATI
                     WEIGHT_DECAY, TrainConfig)
 
 
+# a comment starts at a '#' that opens the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_kv(path) -> dict[str, str]:
     """The document's keys and value texts; a key may be set only once."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for line_no, raw in enumerate(read_utf8(path), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
+        if "#" in line:
+            raise ParseError(f"'#' inside {line!r}; a comment's '#' follows "
+                             f"whitespace", line=line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
                              line=line_no)
@@ -122,7 +131,8 @@ def load_corpus_spec(path) -> SyntheticCorpusSpec:
 
 
 def write_config(path, *configs, header: str | None = None) -> None:
-    """Serialize dataclass configs; later sections may not repeat keys."""
+    """Serialize dataclass configs; later sections may not repeat keys, and
+    no value may hold a '#' or a line break, which would not read back."""
     lines = []
     if header:
         lines.append(f"# {header}")
@@ -133,14 +143,19 @@ def write_config(path, *configs, header: str | None = None) -> None:
             if f.name in seen:
                 raise ValueError(f"duplicate config key {f.name!r}")
             seen.add(f.name)
-            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+            text = str(getattr(cfg, f.name))
+            if any(c in text for c in "#\n\r"):
+                raise ValueError(f"config value {f.name} = {text!r} holds a '#' "
+                                 f"or a line break")
+            lines.append(f"{f.name} = {text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# the least usable value of each size; a layer count may be 0 (no blocks)
+# the least usable value of each size; a layer count may be 0 (no blocks),
+# and the seed is any non-negative integer
 _LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 1,
                "mlp_dim": 1, "pred_layers": 0, "pred_heads": 1, "pred_head_dim": 1,
-               "pool_heads": 1, "batch_size": 1, "max_epochs": 1}
+               "pool_heads": 1, "batch_size": 1, "max_epochs": 1, "seed": 0}
 # the frontend emits one token grid size; a model of any other cannot train
 _GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
 _DTYPES = ("float32", "float64")
@@ -149,9 +164,9 @@ _DTYPES = ("float32", "float64")
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
     keys belonging to neither are rejected as likely typos, and so are
-    sizes below 1, negative layer counts, a token grid other than the
-    frontend's 128 x 256, a dtype other than float32/float64 and a
-    retired key holding any value but its fixed one."""
+    sizes below 1, negative layer counts and seeds, a token grid other
+    than the frontend's 128 x 256, a dtype other than float32/float64 and
+    a retired key holding any value but its fixed one."""
     kv = parse_kv(path)
     _check_keys(kv, ModelConfig, TrainConfig)
     model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)

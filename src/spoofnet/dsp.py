@@ -38,7 +38,7 @@ MIN_SAMPLE_RATE = int(2 * F2_RANGE_HZ[1])
 
 @dataclass
 class FixedWaveform:
-    """Waveform cut or tiled to exactly 33,024 samples."""
+    """16 kHz audio cut or tiled to exactly 33,024 samples."""
 
     samples: np.ndarray
 

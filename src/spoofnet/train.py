@@ -253,7 +253,7 @@ def train_loop(
     """Full optimization loop with plateau decay and early stopping.
 
     Raises, before any step, DataError naming the field if a float field
-    of ``cfg`` is not finite, and InsufficientData if there is no
+    of ``cfg`` is not finite or its seed is negative, and InsufficientData if there is no
     validation sample to choose the best epoch by. Aborts with
     NumericalError (naming the epoch, and the batch for a training loss,
     with the loss components) the moment a non-finite training or
@@ -263,6 +263,8 @@ def train_loop(
         value = getattr(cfg, field.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"TrainConfig.{field.name} = {value} is not a finite number")
+    if cfg.seed < 0:
+        raise DataError(f"TrainConfig.seed = {cfg.seed} is negative")
     if not val_samples:
         raise InsufficientData("no validation samples to choose the best epoch by")
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)

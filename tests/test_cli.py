@@ -13,7 +13,7 @@ from spoofnet import cli, config
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.dsp import write_wav
-from spoofnet.manifest import load_manifest, save_manifest
+from spoofnet.manifest import Manifest, load_manifest, save_manifest
 from spoofnet.model import ModelConfig, toy_config
 from spoofnet.synth import SyntheticCorpusSpec
 from spoofnet.train import TrainConfig
@@ -124,6 +124,23 @@ class TestPipelineCommands:
             np.testing.assert_allclose(got.voicing_prob, want.voicing_prob,
                                        rtol=1e-6, atol=1e-9, err_msg=e.utt_id)
 
+    def test_eval_names_each_missing_file_on_stderr(self, workspace, tmp_path, capsys):
+        import dataclasses
+
+        entries = load_manifest(workspace["manifest"]).entries
+        ghost = dataclasses.replace(entries[3], utt_id="ghost",
+                                    audio_path=tmp_path / "ghost.wav")
+        runs = {}
+        for name, listed in (("present", entries), ("one_missing", entries + [ghost])):
+            manifest, scores = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            save_manifest(manifest, Manifest(listed))
+            assert main(["eval", "--manifest", str(manifest), "--ckpt",
+                         str(workspace["ckpt"]), "--scores", str(scores)]) == 0
+            runs[name] = capsys.readouterr(), scores.read_bytes()
+        (out, err), scores = runs["one_missing"]
+        assert err == "  skipped ghost: missing audio file\n"
+        assert runs["present"] == ((out, ""), scores)
+
     def test_infer_command(self, workspace, capsys):
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
         assert main(["infer", "--wav", str(wav),
@@ -177,10 +194,12 @@ class TestPipelineCommands:
 
 
 # Run in a fresh interpreter with scipy unimportable: every spoofnet
-# module, then synth-corpus, infer and eval. scipy serves only as a test
-# oracle, so any import of it here fails the probe. The process pool
-# serves `annotate --workers N` alone, so no other command, infer
-# included, should pay its import time.
+# module, then synth-corpus, annotate (into a fresh cache), infer, eval
+# and explain (of eval's scores): every pipeline command but train.
+# scipy serves only as a test oracle, so any import of it here fails the
+# probe. The process pool serves `annotate --workers N` alone, so no
+# other command, infer and a one-worker annotate included, should pay
+# its import time.
 LEAN_IMPORT_PROBE = """
 import importlib, json, pkgutil, sys
 sys.modules["scipy"] = None
@@ -188,11 +207,14 @@ import spoofnet
 from spoofnet.cli import main
 for module in pkgutil.iter_modules(spoofnet.__path__):
     importlib.import_module("spoofnet." + module.name)
-spec, corpus, wav, ckpt, manifest, cache, scores = sys.argv[1:]
+spec, corpus, fresh_cache, wav, ckpt, manifest, cache, scores, report = sys.argv[1:]
 assert main(["synth-corpus", "--spec", spec, "--out", corpus]) == 0
+assert main(["annotate", "--manifest", corpus + "/manifest.csv",
+             "--cache", fresh_cache]) == 0
 assert main(["infer", "--wav", wav, "--ckpt", ckpt]) == 0
 assert main(["eval", "--manifest", manifest, "--ckpt", ckpt,
              "--scores", scores, "--cache", cache]) == 0
+assert main(["explain", "--scores", scores, "--report", report]) == 0
 print(json.dumps("concurrent.futures.process" in sys.modules))
 """
 
@@ -205,12 +227,15 @@ def test_commands_run_without_scipy_or_process_pool(workspace, tmp_path):
     wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
     proc = subprocess.run(
         [sys.executable, "-c", LEAN_IMPORT_PROBE, str(spec), str(tmp_path / "corpus"),
-         str(wav), str(workspace["ckpt"]), str(workspace["manifest"]),
-         str(workspace["cache"]), str(tmp_path / "s.jsonl")],
+         str(tmp_path / "cache"), str(wav), str(workspace["ckpt"]),
+         str(workspace["manifest"]), str(workspace["cache"]), str(tmp_path / "s.jsonl"),
+         str(tmp_path / "r.json")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) is False
     assert (tmp_path / "corpus" / "manifest.csv").exists()
+    assert (tmp_path / "cache" / "annotations.jsonl").exists()
+    assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
 
 
 class TestAllocatorHook:
@@ -407,14 +432,16 @@ class TestExitCodes:
         assert main(["annotate", "--manifest", str(bad),
                      "--cache", str(tmp_path / "c")]) == 2
 
-    @pytest.mark.parametrize("line", ["enc_heads = 0", "dtype = float16"])
+    @pytest.mark.parametrize("line", ["enc_heads = 0", "dtype = float16", "seed = -1"])
     def test_unusable_config_is_2(self, tmp_path, workspace, line, capsys):
         run_cfg = tmp_path / "run.cfg"
         run_cfg.write_text(line + "\n")
         assert main(["train", "--manifest", str(workspace["manifest"]),
                      "--cache", str(workspace["cache"]), "--config", str(run_cfg),
                      "--out", str(tmp_path / "m.ckpt")]) == 2
-        assert line.split(" ")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert line.split(" ")[0] in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_lr_is_2_before_training(self, tmp_path, workspace, lr, capsys):
@@ -563,6 +590,40 @@ class TestExitCodes:
         assert main(["synth-corpus", "--spec", str(spec), "--out", str(out)]) == 2
         assert "line 4: seed is set again (first set on line 1)" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestHashInValues:
+    """'#' starts a comment only at the start of a line or after
+    whitespace; a '#' joined to a value is refused on read and on write,
+    never silently cut."""
+
+    def test_joined_hash_is_2_naming_the_line(self, tmp_path, capsys):
+        spec, out = tmp_path / "corpus.cfg", tmp_path / "corpus"
+        spec.write_text("n_real = 1\nn_fake = 1\ndataset_tag = asv#19\n")
+        assert main(["synth-corpus", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: '#' inside 'dataset_tag = asv#19'" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_comments_after_whitespace_are_dropped(self, tmp_path):
+        path = tmp_path / "corpus.cfg"
+        path.write_text("# a corpus\nn_real = 3  # reals\n\t# indented\n"
+                        "dataset_tag = asv19\t#tab\n")
+        assert config.parse_kv(path) == {"n_real": "3", "dataset_tag": "asv19"}
+
+    @pytest.mark.parametrize("tag", ["asv#19", "asv\n19", "asv\r19"])
+    def test_write_config_refuses_a_value_that_would_not_read_back(self, tmp_path, tag):
+        path = tmp_path / "corpus.cfg"
+        with pytest.raises(ValueError, match="dataset_tag"):
+            write_config(path, SyntheticCorpusSpec(dataset_tag=tag))
+        assert not path.exists()
+
+    def test_written_spec_round_trips(self, tmp_path):
+        path = tmp_path / "corpus.cfg"
+        spec = SyntheticCorpusSpec(n_real=2, n_fake=3, seed=4, duration_s=1.5,
+                                   dataset_tag="asv-19 dev")
+        write_config(path, spec, header="corpus # spec")
+        assert config.load_corpus_spec(path) == spec
 
 
 class TestCollidingPaths:

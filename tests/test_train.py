@@ -522,6 +522,16 @@ class TestTrainLoop:
         for name, array in before.items():
             assert net.params[name].data.tobytes() == array.tobytes()
 
+    def test_negative_seed_rejected_before_any_step(self, tiny_cfg):
+        samples = build_toy_samples(tiny_cfg, np.random.default_rng(10), n=4)
+        net = SpoofNet(tiny_cfg, seed=0)
+        before = net.state_dict()
+        tcfg = TrainConfig(batch_size=4, max_epochs=2, seed=-1)
+        with pytest.raises(DataError, match="TrainConfig.seed = -1 is negative"):
+            train_loop(net, samples, samples[:2], tcfg, default_scaler())
+        for name, array in before.items():
+            assert net.params[name].data.tobytes() == array.tobytes()
+
     def test_evaluate_loss_averages(self, tiny_cfg):
         rng = np.random.default_rng(9)
         samples = build_toy_samples(tiny_cfg, rng, n=2)
