@@ -3,23 +3,22 @@
 One flat file covers the model and training sections; `#` at the start
 of a line or after whitespace starts a comment (a `#` inside a value is
 refused), and a key may appear only once. Values are typed after the
-dataclass defaults they override; a float must be finite. A key that
-older documents carried and that is now a module constant still loads
-while it holds that constant's value.
+dataclass defaults they override, and each record checks its own values
+when it is built, from a file or in code. A key that older documents
+carried and that is now a module constant still loads while it holds
+that constant's value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from pathlib import Path
 
 from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
 from .model import FORMANT_RANGES, ModelConfig
-from .synth import (MIN_DURATION_S, RINGMOD_DEPTH, RINGMOD_HZ, TONE_HZ, TONE_LEVEL,
-                    SyntheticCorpusSpec)
+from .synth import RINGMOD_DEPTH, RINGMOD_HZ, TONE_HZ, TONE_LEVEL, SyntheticCorpusSpec
 from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATIENCE,
                     WEIGHT_DECAY, TrainConfig)
 
@@ -56,10 +55,7 @@ def _coerce(text: str, default, key: str):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("not a finite number")
-            return value
+            return float(text)
         return text
     except (ValueError, TypeError) as exc:
         raise ParseError(f"cannot parse {key} = {text!r}: {exc}") from exc
@@ -115,19 +111,10 @@ def _check_keys(kv: dict[str, str], *classes) -> None:
 
 def load_corpus_spec(path) -> SyntheticCorpusSpec:
     """A synthetic corpus spec; unknown keys are rejected as likely typos,
-    and so are negative counts and seeds, a duration too short for the
-    recipe's edges, burst and voiced segments and a retired key holding
-    any value but its fixed one."""
+    and so is a retired key holding any value but its fixed one."""
     kv = parse_kv(path)
     _check_keys(kv, SyntheticCorpusSpec)
-    spec = _from_kv(SyntheticCorpusSpec, kv)
-    for name in ("n_real", "n_fake", "seed"):
-        if getattr(spec, name) < 0:
-            raise ParseError(f"{name} = {getattr(spec, name)} is negative")
-    if spec.duration_s < MIN_DURATION_S:
-        raise ParseError(f"duration_s = {spec.duration_s} is below the shortest "
-                         f"usable duration {MIN_DURATION_S:g}")
-    return spec
+    return _from_kv(SyntheticCorpusSpec, kv)
 
 
 def write_config(path, *configs, header: str | None = None) -> None:
@@ -151,35 +138,20 @@ def write_config(path, *configs, header: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# the least usable value of each size; a layer count may be 0 (no blocks),
-# and the seed is any non-negative integer
-_LEAST_SIZE = {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1, "enc_head_dim": 1,
-               "mlp_dim": 1, "pred_layers": 0, "pred_heads": 1, "pred_head_dim": 1,
-               "pool_heads": 1, "batch_size": 1, "max_epochs": 1, "seed": 0}
 # the frontend emits one token grid size; a model of any other cannot train
 _GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
-_DTYPES = ("float32", "float64")
 
 
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
-    keys belonging to neither are rejected as likely typos, and so are
-    sizes below 1, negative layer counts and seeds, a token grid other
-    than the frontend's 128 x 256, a dtype other than float32/float64 and
-    a retired key holding any value but its fixed one."""
+    keys belonging to neither are rejected as likely typos, and so are a
+    token grid other than the frontend's 128 x 256 and a retired key
+    holding any value but its fixed one."""
     kv = parse_kv(path)
     _check_keys(kv, ModelConfig, TrainConfig)
     model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)
-    values = {**vars(model_cfg), **vars(train_cfg)}
-    for name, least in _LEAST_SIZE.items():
-        if values[name] < least:
-            raise ParseError(f"{name} = {values[name]} is below its least usable "
-                             f"value {least}")
     for name, size in _GRID.items():
-        if values[name] != size:
-            raise ParseError(f"{name} = {values[name]}, expected {size} (the "
-                             f"frontend's fixed token grid)")
-    if model_cfg.dtype not in _DTYPES:
-        raise ParseError(f"dtype = {model_cfg.dtype!r}, expected one of "
-                         f"{', '.join(_DTYPES)}")
+        if getattr(model_cfg, name) != size:
+            raise ParseError(f"{name} = {getattr(model_cfg, name)}, expected {size} "
+                             f"(the frontend's fixed token grid)")
     return model_cfg, train_cfg

@@ -5,7 +5,9 @@ The CLI maps these onto exit codes: DataError subclasses exit with 2,
 NumericalError with 3.
 """
 
+import dataclasses
 import io
+import math
 from pathlib import Path
 
 
@@ -33,6 +35,26 @@ class ParseError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def field_error(record, name: str, problem: str) -> ParseError:
+    """The error for one field of a config record, as
+    ``<Record>.<field> = <value> <problem>``."""
+    return ParseError(f"{type(record).__name__}.{name} = {getattr(record, name)} {problem}")
+
+
+def check_least(record, least: dict) -> None:
+    """Raise field_error for the config record's first float field that is
+    not finite, then for its first field below its least usable value in
+    ``least`` (field name -> least value)."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise field_error(record, f.name, "is not a finite number")
+    for name, low in least.items():
+        if getattr(record, name) < low:
+            raise field_error(record, name, "is negative" if low == 0 else
+                              f"is below its least usable value {low:g}")
 
 
 def read_utf8(path, newline: str | None = None) -> io.StringIO:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ, NUM_BINS, NUM_FRAMES
-from .errors import ShapeError
+from .errors import ShapeError, check_least, field_error
 
 # the (f0, F1, F2) output ranges in Hz, and their bounds as float64 arrays
 FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
@@ -42,8 +42,17 @@ class ModelConfig:
     n_bins: int = NUM_BINS      # build smaller models directly
     dtype: str = "float32"
 
+    def __post_init__(self):
+        # a size is at least 1; a layer count may be 0 (no blocks)
+        check_least(self, {"embed_dim": 1, "enc_layers": 0, "enc_heads": 1,
+                           "enc_head_dim": 1, "mlp_dim": 1, "pred_layers": 0,
+                           "pred_heads": 1, "pred_head_dim": 1, "pool_heads": 1,
+                           "n_frames": 1, "n_bins": 1})
+        if self.dtype not in ("float32", "float64"):
+            raise field_error(self, "dtype", "is not float32 or float64")
+
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        return np.dtype(self.dtype).type
 
 
 def toy_config(**overrides) -> ModelConfig:

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import FRAME_LEN, SAMPLE_RATE, write_wav
+from .errors import check_least
 from .manifest import Manifest, ManifestEntry, save_manifest
 
 EDGE_S = 0.08              # silence at each end, for the trim to remove
@@ -48,6 +49,10 @@ class SyntheticCorpusSpec:
     seed: int = 0
     duration_s: float = 2.5
     dataset_tag: str = "synthetic"
+
+    def __post_init__(self):
+        check_least(self, {"n_real": 0, "n_fake": 0, "seed": 0,
+                           "duration_s": MIN_DURATION_S})
 
 
 def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):

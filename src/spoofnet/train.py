@@ -13,16 +13,15 @@ weights by WEIGHT_DECAY (0.01).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .annotate import FrameAnnotation
 from .autodiff import Tensor
-from .errors import (AlignmentError, ClassMissing, DataError, DegenerateData,
-                     InsufficientData, NumericalError)
+from .errors import (AlignmentError, ClassMissing, DegenerateData, InsufficientData,
+                     NumericalError, check_least)
 from .model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet
 from .optim import AdamW
 
@@ -47,6 +46,9 @@ class TrainConfig:
     weight_voicing: float = LOSS_WEIGHTS[1]
     weight_formant: float = LOSS_WEIGHTS[2]
     seed: int = 0
+
+    def __post_init__(self):
+        check_least(self, {"batch_size": 1, "max_epochs": 1, "seed": 0})
 
 
 @dataclass
@@ -252,19 +254,12 @@ def train_loop(
 ) -> TrainResult:
     """Full optimization loop with plateau decay and early stopping.
 
-    Raises, before any step, DataError naming the field if a float field
-    of ``cfg`` is not finite or its seed is negative, and InsufficientData if there is no
-    validation sample to choose the best epoch by. Aborts with
+    Raises, before any step, InsufficientData if there is no validation
+    sample to choose the best epoch by. Aborts with
     NumericalError (naming the epoch, and the batch for a training loss,
     with the loss components) the moment a non-finite training or
     validation loss appears, rather than training through NaNs.
     """
-    for field in fields(cfg):
-        value = getattr(cfg, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DataError(f"TrainConfig.{field.name} = {value} is not a finite number")
-    if cfg.seed < 0:
-        raise DataError(f"TrainConfig.seed = {cfg.seed} is negative")
     if not val_samples:
         raise InsufficientData("no validation samples to choose the best epoch by")
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)

@@ -512,11 +512,11 @@ class TestTrainLoop:
         samples = build_toy_samples(tiny_cfg, rng, n=4)
         net = SpoofNet(tiny_cfg, seed=0)
         before = net.state_dict()
-        tcfg = dataclasses.replace(TrainConfig(batch_size=4, max_epochs=2, seed=0),
-                                   **{field: value})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DataError, match=f"TrainConfig.{field} = "):
+                tcfg = dataclasses.replace(TrainConfig(batch_size=4, max_epochs=2, seed=0),
+                                           **{field: value})
                 train_loop(net, samples, samples[:2], tcfg, default_scaler())
         assert caught == []
         for name, array in before.items():
@@ -526,8 +526,8 @@ class TestTrainLoop:
         samples = build_toy_samples(tiny_cfg, np.random.default_rng(10), n=4)
         net = SpoofNet(tiny_cfg, seed=0)
         before = net.state_dict()
-        tcfg = TrainConfig(batch_size=4, max_epochs=2, seed=-1)
         with pytest.raises(DataError, match="TrainConfig.seed = -1 is negative"):
+            tcfg = TrainConfig(batch_size=4, max_epochs=2, seed=-1)
             train_loop(net, samples, samples[:2], tcfg, default_scaler())
         for name, array in before.items():
             assert net.params[name].data.tobytes() == array.tobytes()
