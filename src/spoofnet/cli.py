@@ -92,6 +92,17 @@ def _check_paths(inputs: dict[str, str | Path], outputs: dict[str, str | Path]) 
             raise DataError(f"{role} {path} names the same file as {other}")
 
 
+def _check_finite(names, **outputs) -> None:
+    """Raise NumericalError naming the first of ``names`` whose row of an
+    output (score, frame weights, voicing probabilities) is not finite;
+    each output holds one row per name."""
+    for what, values in outputs.items():
+        bad = ~np.isfinite(values).reshape(len(names), -1).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite {what.replace('_', ' ')} for "
+                                 f"{names[int(np.argmax(bad))]}")
+
+
 def _cmd_synth_corpus(args) -> int:
     spec = load_corpus_spec(args.spec)
     manifest = generate_synthetic_corpus(spec, args.out)
@@ -199,6 +210,9 @@ def _cmd_eval(args) -> int:
         mags, phases = zip(*(utterance_tokens(e.audio_path) for e in chunk))
         with ad.no_grad():
             out = model.forward(np.stack(mags, dtype=dtype), np.stack(phases, dtype=dtype))
+        _check_finite([e.utt_id for e in chunk], score=out.score.data,
+                      frame_weights=out.frame_weights.data,
+                      voicing_probability=out.voicing_prob.data)
         for i, e in enumerate(chunk):
             records.append(ScoreRecord(
                 utt_id=e.utt_id, score=float(out.score.data[i, 0, 0]),
@@ -241,6 +255,8 @@ def _cmd_infer(args) -> int:
     model, _ = _load_model(args.ckpt)
     mag, phase = utterance_tokens(args.wav)
     out = model.predict(mag, phase)
+    _check_finite([args.wav], score=out.score, frame_weights=out.frame_weights,
+                  voicing_probability=out.voicing_prob)
     verdict = "fake" if out.score >= 0.5 else "real"
     voiced_frac = float(np.mean(out.v_mask))
     print(f"{args.wav}: score {out.score:.4f} ({verdict}), "

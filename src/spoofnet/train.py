@@ -9,6 +9,11 @@ training scaler. The loop multiplies the learning rate by DECAY_FACTOR
 improvement of more than IMPROVE_TOL (1e-5) and stops after
 EARLY_STOP_PATIENCE (20), keeping the best checkpoint; AdamW decays the
 weights by WEIGHT_DECAY (0.01).
+
+A TrainConfig checks its own values when it is built, from a file or in
+code: a batch size and epoch count of at least 1, a non-negative seed, a
+finite positive learning rate and finite non-negative loss weights, at
+least one of them positive (score-only weights (1, 0, 0) are valid).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import autodiff as ad
 from .annotate import FrameAnnotation
 from .autodiff import Tensor
 from .errors import (AlignmentError, ClassMissing, DegenerateData, InsufficientData,
-                     NumericalError, check_least)
+                     NumericalError, ParseError, check_least, field_error)
 from .model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet
 from .optim import AdamW
 
@@ -48,7 +53,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_least(self, {"batch_size": 1, "max_epochs": 1, "seed": 0})
+        check_least(self, {"batch_size": 1, "max_epochs": 1, "seed": 0, "weight_score": 0,
+                           "weight_voicing": 0, "weight_formant": 0})
+        if self.lr <= 0:
+            raise field_error(self, "lr", "is not positive")
+        if not (self.weight_score or self.weight_voicing or self.weight_formant):
+            raise ParseError("TrainConfig.weight_score, weight_voicing and weight_formant "
+                             "are all 0: there is no loss to train on")
 
 
 @dataclass

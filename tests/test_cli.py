@@ -1,6 +1,8 @@
 import ctypes
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,11 @@ import pytest
 
 import spoofnet
 from spoofnet import cli, config
+from spoofnet.checkpoint import load_checkpoint, save_checkpoint
 from spoofnet.cli import main
 from spoofnet.config import write_config
 from spoofnet.dsp import write_wav
+from spoofnet.errors import ParseError
 from spoofnet.manifest import Manifest, load_manifest, save_manifest
 from spoofnet.model import ModelConfig, toy_config
 from spoofnet.synth import SyntheticCorpusSpec
@@ -207,10 +211,13 @@ import spoofnet
 from spoofnet.cli import main
 for module in pkgutil.iter_modules(spoofnet.__path__):
     importlib.import_module("spoofnet." + module.name)
-spec, corpus, fresh_cache, wav, ckpt, manifest, cache, scores, report = sys.argv[1:]
+(spec, corpus, fresh_cache, wav, ckpt, manifest, cache, scores, report, run_cfg,
+ trained) = sys.argv[1:]
 assert main(["synth-corpus", "--spec", spec, "--out", corpus]) == 0
 assert main(["annotate", "--manifest", corpus + "/manifest.csv",
              "--cache", fresh_cache]) == 0
+assert main(["train", "--manifest", manifest, "--cache", cache, "--config", run_cfg,
+             "--out", trained]) == 0
 assert main(["infer", "--wav", wav, "--ckpt", ckpt]) == 0
 assert main(["eval", "--manifest", manifest, "--ckpt", ckpt,
              "--scores", scores, "--cache", cache]) == 0
@@ -224,17 +231,20 @@ def test_commands_run_without_scipy_or_process_pool(workspace, tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     spec = tmp_path / "corpus.cfg"
     write_config(spec, SyntheticCorpusSpec(n_real=1, n_fake=1, duration_s=1.0))
+    run_cfg = tmp_path / "run.cfg"
+    write_config(run_cfg, toy_config(), TrainConfig(batch_size=8, lr=1e-3, max_epochs=1))
     wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
     proc = subprocess.run(
         [sys.executable, "-c", LEAN_IMPORT_PROBE, str(spec), str(tmp_path / "corpus"),
          str(tmp_path / "cache"), str(wav), str(workspace["ckpt"]),
          str(workspace["manifest"]), str(workspace["cache"]), str(tmp_path / "s.jsonl"),
-         str(tmp_path / "r.json")],
+         str(tmp_path / "r.json"), str(run_cfg), str(tmp_path / "m.ckpt")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) is False
     assert (tmp_path / "corpus" / "manifest.csv").exists()
     assert (tmp_path / "cache" / "annotations.jsonl").exists()
+    assert (tmp_path / "m.ckpt").exists() and (tmp_path / "m.ckpt.config").exists()
     assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
 
 
@@ -753,3 +763,115 @@ class TestRetiredKeys:
         write_config(path, SyntheticCorpusSpec())
         written |= set(config.parse_kv(path))
         assert written.isdisjoint(RETIRED_VALUES)
+
+
+NAN, INF = float("nan"), float("inf")
+# every field of the three config records but dataset_tag, with values its
+# rule refuses: a size below 1; a negative layer count, count, seed or loss
+# weight; a dtype other than float32/float64; a learning rate that is not
+# positive; a corpus duration below MIN_DURATION_S; a non-finite float
+REFUSED_VALUES = {
+    (ModelConfig, "embed_dim"): (0, -3),
+    (ModelConfig, "enc_layers"): (-1,),
+    (ModelConfig, "enc_heads"): (0,),
+    (ModelConfig, "enc_head_dim"): (0,),
+    (ModelConfig, "mlp_dim"): (0,),
+    (ModelConfig, "pred_layers"): (-1,),
+    (ModelConfig, "pred_heads"): (0,),
+    (ModelConfig, "pred_head_dim"): (0,),
+    (ModelConfig, "pool_heads"): (0,),
+    (ModelConfig, "n_frames"): (0,),
+    (ModelConfig, "n_bins"): (0,),
+    (ModelConfig, "dtype"): ("float16", "int32"),
+    (TrainConfig, "batch_size"): (0,),
+    (TrainConfig, "lr"): (-0.001, 0.0, NAN, INF),
+    (TrainConfig, "max_epochs"): (0,),
+    (TrainConfig, "weight_score"): (-1.0, NAN),
+    (TrainConfig, "weight_voicing"): (-5.0, INF),
+    (TrainConfig, "weight_formant"): (-0.3, -INF),
+    (TrainConfig, "seed"): (-1,),
+    (SyntheticCorpusSpec, "n_real"): (-2,),
+    (SyntheticCorpusSpec, "n_fake"): (-1,),
+    (SyntheticCorpusSpec, "seed"): (-1,),
+    (SyntheticCorpusSpec, "duration_s"): (0.2, 0.53, NAN, INF),
+}
+REFUSED_CASES = [pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value}")
+                 for (cls, name), values in REFUSED_VALUES.items() for value in values]
+
+
+class TestRecordValues:
+    """Each config record checks its own values when it is built, so a
+    value is refused the same way from a file and in code."""
+
+    @staticmethod
+    def run_with(workspace, tmp_path, cls, values: dict) -> int:
+        """The exit code of the command that reads cls's document: ``values``
+        set over a valid one (an empty corpus; a toy model, one epoch)."""
+        if cls is SyntheticCorpusSpec:
+            base = {"n_real": 0, "n_fake": 0}
+        else:
+            base = {**dataclasses.asdict(toy_config()), "max_epochs": 1}
+        doc = tmp_path / "doc.cfg"
+        doc.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **values}.items()))
+        if cls is SyntheticCorpusSpec:
+            return main(["synth-corpus", "--spec", str(doc), "--out", str(tmp_path / "corpus")])
+        return main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(workspace["cache"]), "--config", str(doc),
+                     "--out", str(tmp_path / "m.ckpt")])
+
+    def test_table_covers_every_field_but_the_dataset_tag(self):
+        fields = {(cls, f.name) for cls in (ModelConfig, TrainConfig, SyntheticCorpusSpec)
+                  for f in dataclasses.fields(cls)}
+        assert set(REFUSED_VALUES) == fields - {(SyntheticCorpusSpec, "dataset_tag")}
+
+    @pytest.mark.parametrize("cls, name, value", REFUSED_CASES)
+    def test_refused_in_code_naming_the_field(self, cls, name, value):
+        with pytest.raises(ParseError, match="^" + re.escape(f"{cls.__name__}.{name} = {value} ")):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, value", REFUSED_CASES)
+    def test_refused_from_a_file_is_2_naming_the_field(self, workspace, tmp_path, capsys,
+                                                        cls, name, value):
+        assert self.run_with(workspace, tmp_path, cls, {name: value}) == 2
+        err = capsys.readouterr().err
+        assert f"{cls.__name__}.{name} = {value} " in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "corpus").exists()
+
+    def test_all_zero_loss_weights_refused(self, workspace, tmp_path, capsys):
+        zero = dict(weight_score=0.0, weight_voicing=0.0, weight_formant=0.0)
+        with pytest.raises(ParseError, match="^TrainConfig.weight_score, .* all 0"):
+            TrainConfig(**zero)
+        assert self.run_with(workspace, tmp_path, TrainConfig, zero) == 2
+        assert "TrainConfig.weight_score, " in capsys.readouterr().err
+
+
+class TestNonFiniteOutputs:
+    """A checkpoint whose outputs are not finite exits 3 naming the file or
+    utterance, and eval writes no scores."""
+
+    @pytest.fixture(params=["score.b", "voicing.b", "pool.w"])
+    def nan_ckpt(self, request, workspace, tmp_path):
+        arrays = load_checkpoint(workspace["ckpt"])
+        arrays[request.param] = np.full_like(arrays[request.param], np.nan)
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, arrays)
+        Path(str(ckpt) + ".config").write_text(
+            Path(str(workspace["ckpt"]) + ".config").read_text())
+        return ckpt
+
+    def test_infer_is_3(self, workspace, nan_ckpt, capsys):
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        assert main(["infer", "--wav", str(wav), "--ckpt", str(nan_ckpt)]) == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and str(wav) in captured.err
+        assert captured.out == ""
+
+    def test_eval_is_3_before_writing_scores(self, workspace, nan_ckpt, tmp_path, capsys):
+        scores = tmp_path / "s.jsonl"
+        assert main(["eval", "--manifest", str(workspace["manifest"]),
+                     "--ckpt", str(nan_ckpt), "--scores", str(scores)]) == 3
+        err = capsys.readouterr().err
+        first = load_manifest(workspace["manifest"]).entries[0].utt_id
+        assert "non-finite" in err and f" for {first}" in err
+        assert not scores.exists()

@@ -485,6 +485,23 @@ class TestConfigFiles:
         assert mc2 == mc
         assert tc2 == tc
 
+    @pytest.mark.parametrize("mc, tc", [
+        (ModelConfig(), TrainConfig()),
+        # the least value of every size, layer count, seed and loss weight
+        (ModelConfig(embed_dim=1, enc_layers=0, enc_heads=1, enc_head_dim=1, mlp_dim=1,
+                     pred_layers=0, pred_heads=1, pred_head_dim=1, pool_heads=1,
+                     dtype="float64"),
+         TrainConfig(batch_size=1, lr=1e-12, max_epochs=1, weight_voicing=0.0,
+                     weight_formant=0.0, seed=0)),
+        # floats whose shortest repr has many digits
+        (ModelConfig(embed_dim=7), TrainConfig(lr=0.1 + 0.2, weight_score=1 / 3,
+                                               weight_voicing=2e-308, weight_formant=1e308)),
+    ], ids=["defaults", "least", "long_floats"])
+    def test_valid_records_round_trip(self, tmp_path, mc, tc):
+        path = tmp_path / "run.cfg"
+        write_config(path, mc, tc)
+        assert load_run_config(path) == (mc, tc)
+
     def test_sidecar_with_the_fixed_formant_ranges_loads(self, tmp_path):
         # every sidecar written while formant_ranges was a field holds this line
         p = tmp_path / "run.cfg"
