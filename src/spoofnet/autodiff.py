@@ -10,12 +10,9 @@ reads it. Calling :func:`backward` on a scalar walks the graph once in
 reverse topological order and accumulates gradients into every node that
 requires them. The walk frees the graph as it goes: when it returns,
 only the leaves (parameters, and inputs that require grad) keep their
-gradients, and each array a backward function kept is released;
-``backward(loss, retain_graph=True)`` keeps every node's gradient,
-backward function and parent links, and with them the arrays those
-functions read. Either way a graph is walked once. The op set is
-deliberately closed: exactly what the detector network and its losses
-need, nothing speculative.
+gradients, and each array a backward function kept is released, so a
+graph is walked once. The op set is deliberately closed: exactly what
+the detector network and its losses need, nothing speculative.
 
 - elementwise: add, mul
 - matrices: matmul, concat (along the last axis), transpose (of the last
@@ -92,25 +89,20 @@ class Tensor:
     A leaf is its own graph node: it has no parents and no backward
     function, and the walk never marks it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_op_node")
+    __slots__ = ("data", "requires_grad", "grad", "_op_node")
     _backward_done = False
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.requires_grad = False
         self.grad = None
-        self.name = name
         self._op_node = None
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     @property
     def dtype(self):
@@ -134,13 +126,12 @@ class Tensor:
         return None if self._op_node is None else self._op_node._backward_fn
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def parameter(data, name: str = "") -> Tensor:
+def parameter(data) -> Tensor:
     """A leaf tensor that always participates in gradients."""
-    t = Tensor(data, name=name)
+    t = Tensor(data)
     t.requires_grad = True  # parameters track grads even inside no_grad
     return t
 
@@ -629,7 +620,7 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor, retain_graph: bool = False) -> None:
+def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
     The loss must be a single scalar. The walk runs each interior node's
@@ -643,16 +634,12 @@ def backward(loss: Tensor, retain_graph: bool = False) -> None:
     kept) and its parent links. So a kept activation dies as soon as the
     walk has passed it, and nothing of the graph outlives the call, even
     while the caller still holds the loss. Only the leaves keep their
-    gradients. retain_graph=True keeps every node's gradient, backward
-    function and parent links instead, and with the functions the arrays
-    they read, for code that reads them afterwards (an interior gradient
-    is on the node, ``t._node.grad``).
+    gradients.
 
-    Either way the walk marks every interior node it passes, and a later
-    walk that reaches a marked node (the same loss, or a new loss built
-    on a walked subgraph) raises RuntimeError before touching any
-    gradient: its stale gradient would count twice, or its freed one not
-    at all.
+    The walk marks every interior node it passes, and a later walk that
+    reaches a marked node (the same loss, or a new loss built on a walked
+    subgraph) raises RuntimeError before touching any gradient: its freed
+    gradient would not count.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -671,8 +658,7 @@ def backward(loss: Tensor, retain_graph: bool = False) -> None:
         node._backward_done = True
         if node.grad is not None:
             node._backward_fn(node.grad)
-        if not retain_graph:
-            node.grad, node._backward_fn, node._parents = None, None, ()
+        node.grad, node._backward_fn, node._parents = None, None, ()
 
 
 def zero_grads(params) -> None:

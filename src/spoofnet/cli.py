@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
 from .features import build_samples, utterance_tokens
-from .manifest import Manifest, load_manifest, split_90_10
+from .manifest import load_manifest, split_90_10
 from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
 from .model import SpoofNet
@@ -92,15 +91,22 @@ def _check_paths(inputs: dict[str, str | Path], outputs: dict[str, str | Path]) 
             raise DataError(f"{role} {path} names the same file as {other}")
 
 
-def _check_finite(names, **outputs) -> None:
-    """Raise NumericalError naming the first of ``names`` whose row of an
-    output (score, frame weights, voicing probabilities) is not finite;
-    each output holds one row per name."""
-    for what, values in outputs.items():
+def _check_finite(names, out) -> None:
+    """Raise NumericalError naming the first of ``names`` whose score,
+    frame weights or voicing probabilities in ``out`` (a ModelOutput
+    with one row per name) are not finite."""
+    for what, values in (("score", out.score), ("frame weights", out.frame_weights),
+                         ("voicing probability", out.voicing_prob)):
         bad = ~np.isfinite(values).reshape(len(names), -1).all(axis=1)
         if bad.any():
-            raise NumericalError(f"non-finite {what.replace('_', ' ')} for "
-                                 f"{names[int(np.argmax(bad))]}")
+            raise NumericalError(f"non-finite {what} for {names[int(np.argmax(bad))]}")
+
+
+def _write_stdout(lines) -> None:
+    """Write a command's stdout report in one write call: a reader that
+    leaves after the first line (``| head -1``) then finds the command
+    done, where a later write of its own would fail mid-command."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _cmd_synth_corpus(args) -> int:
@@ -156,8 +162,7 @@ def _cmd_train(args) -> int:
     else:
         # entries explicitly marked test never leak into the split
         pool = [e for e in usable if e.split != "test"]
-        train_m, val_m = split_90_10(Manifest(pool), seed=train_cfg.seed)
-        train_entries, val_entries = train_m.entries, val_m.entries
+        train_entries, val_entries = split_90_10(pool, seed=train_cfg.seed)
 
     scaler = fit_scaler([annotations[e.utt_id] for e in train_entries])
     train_entries = balance_classes(train_entries)
@@ -204,29 +209,25 @@ def _cmd_eval(args) -> int:
         gt_voiced = {u: a.voiced for u, a in annotations.items()}
 
     records = []
-    dtype = model.cfg.np_dtype()
     for start in range(0, len(entries), train_cfg.batch_size):
         chunk = entries[start:start + train_cfg.batch_size]
         mags, phases = zip(*(utterance_tokens(e.audio_path) for e in chunk))
-        with ad.no_grad():
-            out = model.forward(np.stack(mags, dtype=dtype), np.stack(phases, dtype=dtype))
-        _check_finite([e.utt_id for e in chunk], score=out.score.data,
-                      frame_weights=out.frame_weights.data,
-                      voicing_probability=out.voicing_prob.data)
+        out = model.predict(np.stack(mags), np.stack(phases))
+        _check_finite([e.utt_id for e in chunk], out)
         for i, e in enumerate(chunk):
             records.append(ScoreRecord(
-                utt_id=e.utt_id, score=float(out.score.data[i, 0, 0]),
+                utt_id=e.utt_id, score=float(out.score[i]),
                 label=e.label_int, dataset_tag=e.dataset_tag, codec_tag=e.codec_tag,
-                frame_weights=out.frame_weights.data[i, :, 0],
-                voicing_prob=out.voicing_prob.data[i, :, 0],
+                frame_weights=out.frame_weights[i], voicing_prob=out.voicing_prob[i],
                 gt_voiced=gt_voiced.get(e.utt_id),
             ))
     write_scores(args.scores, records)
     eer, threshold = compute_eer(records)
     auc = compute_auc(records)
-    print(f"EER {100 * eer:.2f}%  AUC {100 * auc:.2f}%  threshold {threshold:.4f}")
+    lines = [f"EER {100 * eer:.2f}%  AUC {100 * auc:.2f}%  threshold {threshold:.4f}"]
     if args.by:
-        print(format_breakdown(breakdown(records, args.by)))
+        lines.append(format_breakdown(breakdown(records, args.by)))
+    _write_stdout(lines)
     return 0
 
 
@@ -246,8 +247,7 @@ def _cmd_explain(args) -> int:
     _, threshold = compute_eer(records)
     report = aggregate(records, threshold, use_ground_truth=args.ground_truth)
     write_report(report, json_path, csv_path)
-    print(format_report(report))
-    print(f"report -> {json_path} and {csv_path}")
+    _write_stdout([format_report(report), f"report -> {json_path} and {csv_path}"])
     return 0
 
 
@@ -255,16 +255,16 @@ def _cmd_infer(args) -> int:
     model, _ = _load_model(args.ckpt)
     mag, phase = utterance_tokens(args.wav)
     out = model.predict(mag, phase)
-    _check_finite([args.wav], score=out.score, frame_weights=out.frame_weights,
-                  voicing_probability=out.voicing_prob)
+    _check_finite([args.wav], out)
     verdict = "fake" if out.score >= 0.5 else "real"
     voiced_frac = float(np.mean(out.v_mask))
-    print(f"{args.wav}: score {out.score:.4f} ({verdict}), "
-          f"{100 * voiced_frac:.1f}% frames voiced")
-    print("most attended frames (index, weight, voiced):")
-    for idx, weight, voiced in top_frames(out.frame_weights, out.voicing_prob,
+    lines = [f"{args.wav}: score {out.score:.4f} ({verdict}), "
+             f"{100 * voiced_frac:.1f}% frames voiced",
+             "most attended frames (index, weight, voiced):"]
+    for idx, weight, voiced in top_frames(out.frame_weights, out.v_mask,
                                           k=min(5, out.frame_weights.size)):
-        print(f"  {idx:4d}  {weight:.4f}  {'voiced' if voiced else 'unvoiced'}")
+        lines.append(f"  {idx:4d}  {weight:.4f}  {'voiced' if voiced else 'unvoiced'}")
+    _write_stdout(lines)
     return 0
 
 

@@ -4,9 +4,9 @@ One flat file covers the model and training sections; `#` at the start
 of a line or after whitespace starts a comment (a `#` inside a value is
 refused), and a key may appear only once. Values are typed after the
 dataclass defaults they override, and each record checks its own values
-when it is built, from a file or in code. A key that older documents
-carried and that is now a module constant still loads while it holds
-that constant's value.
+when it is built, from a file or in code; an error in one key's value
+names that key's line. A key that older documents carried and that is
+now a module constant still loads while it holds that constant's value.
 """
 
 from __future__ import annotations
@@ -27,10 +27,18 @@ from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATI
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def parse_kv(path) -> dict[str, str]:
-    """The document's keys and value texts; a key may be set only once."""
-    out: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+class _Document(dict):
+    """A document's value texts by key; ``line`` maps each key to its line."""
+
+    def __init__(self):
+        super().__init__()
+        self.line: dict[str, int] = {}
+
+
+def parse_kv(path) -> _Document:
+    """The document's keys and value texts, and each key's line; a key may
+    be set only once."""
+    out = _Document()
     for line_no, raw in enumerate(read_utf8(path), start=1):
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
@@ -42,15 +50,17 @@ def parse_kv(path) -> dict[str, str]:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
                              line=line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in first_line:
+        if key in out:
             raise ParseError(f"{key} is set again (first set on line "
-                             f"{first_line[key]})", line=line_no)
-        first_line[key] = line_no
+                             f"{out.line[key]})", line=line_no)
+        out.line[key] = line_no
         out[key] = value
     return out
 
 
-def _coerce(text: str, default, key: str):
+def _coerce(kv: _Document, key: str, default):
+    """kv's text for key, typed after default."""
+    text = kv[key]
     try:
         if isinstance(default, int):
             return int(text)
@@ -58,16 +68,22 @@ def _coerce(text: str, default, key: str):
             return float(text)
         return text
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"cannot parse {key} = {text!r}: {exc}") from exc
+        raise ParseError(f"cannot parse {key} = {text!r}: {exc}",
+                         line=kv.line[key]) from exc
 
 
-def _from_kv(cls, kv: dict[str, str]):
+def _from_kv(cls, kv: _Document):
+    """The record of cls with the fields kv sets; a field's own error
+    names its line."""
     defaults = cls()
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in kv:
-            kwargs[f.name] = _coerce(kv[f.name], getattr(defaults, f.name), f.name)
-    return cls(**kwargs)
+    kwargs = {f.name: _coerce(kv, f.name, getattr(defaults, f.name))
+              for f in dataclasses.fields(cls) if f.name in kv}
+    try:
+        return cls(**kwargs)
+    except ParseError as exc:
+        if exc.field not in kv:
+            raise
+        raise ParseError(str(exc), line=kv.line[exc.field]) from exc
 
 
 # keys that documents once carried, by the section that carried them,
@@ -82,7 +98,7 @@ _RETIRED = {
 }
 
 
-def _check_keys(kv: dict[str, str], *classes) -> None:
+def _check_keys(kv: _Document, *classes) -> None:
     """Remove the sections' retired keys from kv, each of which must hold
     its fixed value, compared after parsing (``improve_tol = 0.00001`` is
     1e-5); then reject any key that is no field, as a likely typo."""
@@ -90,19 +106,21 @@ def _check_keys(kv: dict[str, str], *classes) -> None:
         for name, fixed in _RETIRED[cls].items():
             if name not in kv:
                 continue
-            text = kv.pop(name)
+            text, line = kv[name], kv.line[name]
             if isinstance(fixed, tuple):  # lo:hi pairs, comma-separated
                 try:
                     value = tuple(tuple(float(v) for v in pair.split(":"))
                                   for pair in text.split(","))
                 except ValueError as exc:
-                    raise ParseError(f"cannot parse {name} = {text!r}: {exc}") from exc
+                    raise ParseError(f"cannot parse {name} = {text!r}: {exc}",
+                                     line=line) from exc
                 expected = ",".join(f"{lo:g}:{hi:g}" for lo, hi in fixed)
             else:
-                value, expected = _coerce(text, fixed, name), fixed
+                value, expected = _coerce(kv, name, fixed), fixed
             if value != fixed:
                 raise ParseError(f"{name} = {text}, expected {expected} "
-                                 f"(no longer settable)")
+                                 f"(no longer settable)", line=line)
+            del kv[name]
     known = {f.name for cls in classes for f in dataclasses.fields(cls)}
     unknown = sorted(set(kv) - known)
     if unknown:
@@ -153,5 +171,5 @@ def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     for name, size in _GRID.items():
         if getattr(model_cfg, name) != size:
             raise ParseError(f"{name} = {getattr(model_cfg, name)}, expected {size} "
-                             f"(the frontend's fixed token grid)")
+                             f"(the frontend's fixed token grid)", line=kv.line[name])
     return model_cfg, train_cfg

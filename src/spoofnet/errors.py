@@ -28,19 +28,21 @@ class SilentAudio(DataError):
 
 
 class ParseError(DataError):
-    """Malformed manifest or config row; carries the offending line number."""
+    """Malformed manifest or config row; carries the offending line number,
+    and for a config record's field error the field's name."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, field: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
+        self.line, self.field = line, field
 
 
 def field_error(record, name: str, problem: str) -> ParseError:
     """The error for one field of a config record, as
     ``<Record>.<field> = <value> <problem>``."""
-    return ParseError(f"{type(record).__name__}.{name} = {getattr(record, name)} {problem}")
+    return ParseError(f"{type(record).__name__}.{name} = {getattr(record, name)} {problem}",
+                      field=name)
 
 
 def check_least(record, least: dict) -> None:

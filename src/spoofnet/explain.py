@@ -67,16 +67,16 @@ class RelianceReport:
     threshold: float
 
 
-def top_frames(frame_weights: np.ndarray, voicing_prob: np.ndarray,
+def top_frames(frame_weights: np.ndarray, v_mask: np.ndarray,
                k: int) -> list[tuple[int, float, bool]]:
     """The k most-attended frames as (index, weight, voiced) triples,
-    sorted by descending weight with ties broken by earlier index."""
+    sorted by descending weight with ties broken by earlier index;
+    v_mask marks the voiced frames."""
     w = np.asarray(frame_weights)
     if k > w.size:
         raise InvalidWeights(f"k={k} exceeds {w.size} frames")
     order = np.argsort(-w, kind="stable")[:k]
-    voiced = np.asarray(voicing_prob) >= VOICING_THRESHOLD
-    return [(int(i), float(w[i]), bool(voiced[i])) for i in order]
+    return [(int(i), float(w[i]), bool(v_mask[i])) for i in order]
 
 
 def aggregate(

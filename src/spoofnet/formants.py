@@ -47,17 +47,16 @@ FORMANT_KEY = (f"burg:{LPC_ORDER}:{PREEMPHASIS}:{FRAME_LEN}:{HOP_LEN}:{MIN_FREQ_
                f"{MAX_FREQ_HZ}:{MAX_BANDWIDTH_HZ}:{WINDOW_STD_FRACTION}")
 
 
-def burg(x: np.ndarray, order: int) -> np.ndarray:
-    """Burg-method LPC coefficients [1, a1, ..., a_order].
+def burg(rows: np.ndarray, order: int) -> np.ndarray:
+    """Burg-method LPC coefficients [1, a1, ..., a_order] of each row of a
+    float64 (rows, n) stack, as (rows, order + 1).
 
     Minimizes the summed forward and backward prediction error through a
-    lattice recursion; reflection coefficients stay in [-1, 1] so the
-    resulting polynomial is minimum-phase (all roots inside the unit
-    circle). A (rows, n) stack runs one lattice per row and returns
-    (rows, order + 1); a row whose error energy reaches zero keeps the
+    lattice recursion, one lattice per row; reflection coefficients stay
+    in [-1, 1] so each polynomial is minimum-phase (all roots inside the
+    unit circle). A row whose error energy reaches zero keeps the
     coefficients it had at that point.
     """
-    rows = np.atleast_2d(x).astype(np.float64)
     a = np.zeros((rows.shape[0], order + 1))
     a[:, 0] = 1.0
     f = rows[:, 1:]
@@ -71,20 +70,18 @@ def burg(x: np.ndarray, order: int) -> np.ndarray:
             k = np.where(running, -2.0 * np.vecdot(f, b) / den, 0.0)[:, None]
         a[:, 1 : m + 2] += k * a[:, m::-1]
         f, b = f[:, 1:] + k * b[:, 1:], b[:, :-1] + k * f[:, :-1]
-    return a if np.ndim(x) == 2 else a[0]
+    return a
 
 
-def lpc_resonances(a: np.ndarray) -> np.ndarray:
-    """(frequency_hz, bandwidth_hz) of each upper-half-plane pole, in
-    ascending order.
+def lpc_resonances(stack: np.ndarray) -> np.ndarray:
+    """(frequency_hz, bandwidth_hz) of each upper-half-plane pole of each
+    row of a (rows, order + 1) stack of polynomials, in ascending order.
 
-    For a (rows, order + 1) stack of polynomials the result is
-    (rows, n, 2), where n is the largest pole count of any row and
-    shorter rows are padded with NaN; a 1-D polynomial gives its one row.
-    Roots are the eigenvalues of the companion matrix, as np.roots
-    computes them, trailing zero coefficients stripped.
+    The result is (rows, n, 2), where n is the largest pole count of any
+    row and shorter rows are padded with NaN. Roots are the eigenvalues
+    of the companion matrix, as np.roots computes them, trailing zero
+    coefficients stripped.
     """
-    stack = np.atleast_2d(a)
     order = stack.shape[1] - 1
     # np.roots drops trailing zero coefficients, so rows whose lattice
     # stopped early have a companion matrix of lower degree
@@ -106,9 +103,8 @@ def lpc_resonances(a: np.ndarray) -> np.ndarray:
         bandwidth = np.where(upper, -np.log(magnitude) * SAMPLE_RATE / np.pi, np.nan)
     # sort by (frequency, bandwidth), NaN padding last
     idx = np.lexsort((bandwidth, freq), axis=-1)[:, : upper.sum(axis=1).max(initial=0)]
-    out = np.stack([np.take_along_axis(freq, idx, -1),
-                    np.take_along_axis(bandwidth, idx, -1)], axis=-1)
-    return out if np.ndim(a) == 2 else out[0]
+    return np.stack([np.take_along_axis(freq, idx, -1),
+                     np.take_along_axis(bandwidth, idx, -1)], axis=-1)
 
 
 def gaussian_window(n: int, std_fraction: float) -> np.ndarray:

@@ -124,13 +124,14 @@ def save_manifest(path, manifest: Manifest) -> None:
                              e.dataset_tag, e.codec_tag or "", e.split])
 
 
-def split_90_10(manifest: Manifest, seed: int = 0) -> tuple[Manifest, Manifest]:
-    """Stratified 90/10 train/val split, deterministic in the seed.
+def split_90_10(entries: list[ManifestEntry],
+                seed: int = 0) -> tuple[list[ManifestEntry], list[ManifestEntry]]:
+    """Stratified 90/10 train/val split of manifest entries,
+    deterministic in the seed.
 
     Each label class contributes round(10%) of its members to the
-    validation side; the outputs partition the input exactly.
+    validation side; the two lists partition the input exactly.
     """
-    entries = manifest.entries
     if len(entries) < 10:
         raise InsufficientData(f"need at least 10 entries to split, got {len(entries)}")
     rng = np.random.default_rng(seed)
@@ -145,8 +146,4 @@ def split_90_10(manifest: Manifest, seed: int = 0) -> tuple[Manifest, Manifest]:
         val_idx = set(order[:n_val].tolist())
         for i, e in enumerate(members):
             (val if i in val_idx else train).append(e)
-    train_m = Manifest([ManifestEntry(**{**e.__dict__, "split": "train"})
-                        for e in train])
-    val_m = Manifest([ManifestEntry(**{**e.__dict__, "split": "val"})
-                      for e in val])
-    return train_m, val_m
+    return train, val

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dsp import F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ, NUM_BINS, NUM_FRAMES
-from .errors import ShapeError, check_least, field_error
+from .errors import DataError, ShapeError, check_least, field_error
 
 # the (f0, F1, F2) output ranges in Hz, and their bounds as float64 arrays
 FORMANT_RANGES = (F0_RANGE_HZ, F1_RANGE_HZ, F2_RANGE_HZ)
@@ -66,13 +66,14 @@ def toy_config(**overrides) -> ModelConfig:
 
 @dataclass
 class ModelOutput:
-    """Numpy view of one utterance's predictions."""
+    """Numpy predictions with the leading axes of the tokens, as in
+    ForwardPass: score is 0-d for one utterance and (B,) for B of them."""
 
-    formants_hz: np.ndarray   # (L, 3)
-    voicing_prob: np.ndarray  # (L,)
-    v_mask: np.ndarray        # (L,) bool, prob >= VOICING_THRESHOLD
-    score: float              # P(fake) in (0, 1)
-    frame_weights: np.ndarray  # (L,), non-negative, sums to 1
+    formants_hz: np.ndarray   # (..., L, 3)
+    voicing_prob: np.ndarray  # (..., L)
+    v_mask: np.ndarray        # (..., L) bool, prob >= VOICING_THRESHOLD
+    score: np.ndarray         # (...) P(fake) in (0, 1)
+    frame_weights: np.ndarray  # (..., L), non-negative, sums to 1 over L
 
 
 @dataclass
@@ -162,7 +163,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             data = np.ones(shape)
         else:
             data = np.zeros(shape)
-        params[name] = ad.parameter(data.astype(dtype), name=name)
+        params[name] = ad.parameter(data.astype(dtype))
     return params
 
 
@@ -193,7 +194,7 @@ class SpoofNet:
         """A model loaded from checkpoint arrays, without a random init."""
         model = cls.__new__(cls)
         model.cfg = cfg
-        model.params = {name: ad.parameter(np.empty(0), name=name)
+        model.params = {name: ad.parameter(np.empty(0))
                         for name, _, _ in parameter_shapes(cfg)}
         model.load_state(arrays)
         return model
@@ -204,16 +205,18 @@ class SpoofNet:
         return {k: p.data.copy() for k, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take in every parameter of the config; extra names are ignored.
+        """Take in every parameter of the config; extra names are ignored,
+        and a missing name or a shape other than the config's is a
+        DataError (the arrays disagree with the config they came with).
 
         An array already in the config's dtype becomes the parameter
         itself, without a copy: the model owns it from here on."""
         for name, shape, _ in parameter_shapes(self.cfg):
             if name not in arrays:
-                raise ShapeError(f"checkpoint is missing parameter {name!r}")
+                raise DataError(f"checkpoint is missing parameter {name!r}")
             value = np.asarray(arrays[name])
             if value.shape != shape:
-                raise ShapeError(
+                raise DataError(
                     f"checkpoint parameter {name!r} has shape {value.shape}, "
                     f"expected {shape}"
                 )
@@ -223,8 +226,7 @@ class SpoofNet:
 
     def _as_input(self, tokens) -> Tensor:
         """One (L, M) token grid, or a stack of them (..., L, M)."""
-        arr = np.asarray(tokens.data if isinstance(tokens, Tensor) else tokens,
-                         dtype=self.cfg.np_dtype())
+        arr = np.asarray(tokens, dtype=self.cfg.np_dtype())
         expected = (self.cfg.n_frames, self.cfg.n_bins)
         if arr.shape[-2:] != expected:
             raise ShapeError(f"token grid has shape {arr.shape}, expected "
@@ -308,15 +310,15 @@ class SpoofNet:
                            score=score, frame_weights=weights)
 
     def predict(self, mag_tokens, phase_tokens) -> ModelOutput:
-        """Inference-mode forward of one utterance's (L, M) tokens,
-        returning plain numpy values."""
+        """Inference-mode forward of one utterance's (L, M) tokens or a
+        (B, L, M) stack of them, returning numpy values (see ModelOutput)."""
         with ad.no_grad():
             out = self.forward(mag_tokens, phase_tokens)
-        prob = out.voicing_prob.data[:, 0]
+        prob = out.voicing_prob.data[..., 0]
         return ModelOutput(
-            formants_hz=out.formants_hz.data.copy(),
-            voicing_prob=prob.copy(),
+            formants_hz=out.formants_hz.data,
+            voicing_prob=prob,
             v_mask=prob >= VOICING_THRESHOLD,  # the boundary counts as voiced
-            score=float(out.score.data[0, 0]),
-            frame_weights=out.frame_weights.data[:, 0].copy(),
+            score=out.score.data[..., 0, 0],
+            frame_weights=out.frame_weights.data[..., 0],
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spoofnet import autodiff as ad
 from spoofnet.dsp import FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform
 from spoofnet.model import toy_config
 
@@ -56,3 +57,24 @@ def tiny_cfg():
     return toy_config(n_frames=8, n_bins=16, embed_dim=8, enc_heads=2,
                       enc_head_dim=4, pred_heads=2, pred_head_dim=4,
                       mlp_dim=16, pool_heads=2, enc_layers=1, pred_layers=1)
+
+
+def hold_interior_gradients(loss) -> list:
+    """Wrap the backward function of each interior graph node that loss
+    reaches so that it records, and so holds, the gradient it is handed,
+    with the function itself. Call before ``ad.backward(loss)``: the
+    returned list fills with (gradient, backward function) pairs as the
+    walk runs them, and while it lives, each gradient and each array a
+    backward function reads outlives the walk that frees the graph."""
+    held = []
+    for node in ad._toposort(loss):
+        backward_fn = node._backward_fn
+        if backward_fn is None:  # a leaf
+            continue
+
+        def record(g, backward_fn=backward_fn):
+            held.append((g, backward_fn))
+            backward_fn(g)
+
+        node._backward_fn = record
+    return held

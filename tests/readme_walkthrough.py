@@ -1,0 +1,80 @@
+"""Run the README's command-line walkthrough and print its digests.
+
+    python -m tests.readme_walkthrough
+
+Run from the root of a checkout; the package is imported from its
+``src/``. The ``spoofnet`` commands of the README's walkthrough (steps
+1-6) run in a temporary directory through ``spoofnet.cli.main``, with
+``corpus.cfg`` and ``run.cfg`` taken from its heredocs. The commands'
+output is swallowed; what is printed is the first line of ``infer`` and
+the sha256 of each file the walkthrough writes, so that two checkouts
+whose outputs should be byte-identical can be compared line by line.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# the files each digest is taken of, relative to the walkthrough directory
+DIGESTS = ("model.ckpt", "scores.jsonl", "report.json", "model.ckpt.history.jsonl",
+           "cache/annotations.jsonl")
+
+
+def walkthrough_script() -> str:
+    """The shell script of the README's command-line walkthrough."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"^## Command-line walkthrough$.*?^```bash\n(.*?)^```$", text,
+                     flags=re.M | re.S).group(1)
+
+
+def readme_heredocs() -> dict[str, str]:
+    """The files the walkthrough writes with ``cat > <name> <<EOF``, by name."""
+    return dict(re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$", walkthrough_script(),
+                           flags=re.M | re.S))
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``spoofnet`` command of the walkthrough."""
+    script = walkthrough_script().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in script.splitlines()
+            if line.startswith("spoofnet ")]
+
+
+def run(workdir: Path) -> list[str]:
+    """Run the walkthrough in workdir; returns the lines to print."""
+    from spoofnet.cli import main
+
+    for name, body in readme_heredocs().items():
+        (workdir / name).write_text(body, encoding="utf-8")
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in readme_commands():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"spoofnet {argv[0]} exited {code}")
+    finally:
+        os.chdir(here)
+    lines = [out.getvalue().splitlines()[0]]
+    for name in DIGESTS:
+        digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}")
+    return lines
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="spoofnet-walkthrough-") as tmp:
+        print("\n".join(run(Path(tmp))))

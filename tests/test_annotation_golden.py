@@ -296,7 +296,7 @@ def test_resonances_of_mixed_degrees_match_np_roots():
         got = resonances[row][~np.isnan(resonances[row, :, 0])]
         np.testing.assert_array_equal(
             got, np.array(reference_resonances(a)).reshape(-1, 2))
-        np.testing.assert_array_equal(lpc_resonances(a), got)
+        np.testing.assert_array_equal(lpc_resonances(a[None])[0], got)
 
 
 if __name__ == "__main__":

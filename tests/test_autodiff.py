@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spoofnet import autodiff as ad
 from spoofnet.autodiff import Tensor
 from spoofnet.errors import NotScalar, ShapeError
+from tests.conftest import hold_interior_gradients
 
 
 def numeric_grad(build_loss, param: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -283,18 +284,15 @@ class TestBackwardBasics:
 
 
 class TestFreedGraph:
-    """backward frees the graph it walks, unless asked to retain it, and
-    never walks a tensor twice."""
+    """backward frees the graph it walks and never walks a tensor twice."""
 
-    @pytest.mark.parametrize("retain_graph", [False, True])
-    def test_second_walk_over_a_walked_subgraph_rejected(self, retain_graph):
-        # h's gradient from the first walk would count again (x.grad 6
-        # where the summed gradient is 4), or, once freed, not at all
+    def test_second_walk_over_a_walked_subgraph_rejected(self):
+        # h's gradient from the first walk is freed, so it would not count
         x = ad.parameter(np.array([1.0]))
         h = ad.mul(x, 2.0)
-        ad.backward(ad.tsum(h), retain_graph=retain_graph)
+        ad.backward(ad.tsum(h))
         with pytest.raises(RuntimeError, match="backward already called"):
-            ad.backward(ad.tsum(h), retain_graph=retain_graph)
+            ad.backward(ad.tsum(h))
         np.testing.assert_array_equal(x.grad, [2.0])
 
     @staticmethod
@@ -332,24 +330,6 @@ class TestFreedGraph:
         assert read() is not None
         ad.backward(loss)
         assert seen == [True] and read() is None
-
-    def test_retain_graph_keeps_activations_and_interior_gradients(self):
-        # the gradients, backward functions and parent links, and with the
-        # functions the activations they read; an unread one is gone
-        loss, w, unread, read = self.graph()
-        ad.backward(loss, retain_graph=True)
-        assert read() is not None and unread() is None
-        interior = [t for t in ad._toposort(loss) if t._backward_fn is not None]
-        assert len(interior) == 4
-        assert all(t.grad is not None and t._parents for t in interior)
-
-    def test_freed_and_retained_walks_give_equal_gradients(self):
-        grads = []
-        for retain_graph in (False, True):
-            loss, w, _, _ = self.graph()
-            ad.backward(loss, retain_graph=retain_graph)
-            grads.append(w.grad)
-        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestGradChecks:
@@ -660,8 +640,10 @@ class TestOwnedGradients:
         both = ad.transpose(ad.concat([att, r]))                      # (2, 12, 4)
         loss = ad.add(ad.tsum(ad.mul(both, rng.standard_normal((2, 12, 4)))),
                       ad.tsum(ad.sigmoid(r)))
-        ad.backward(loss, retain_graph=True)
-        grads = [t.grad for t in ad._toposort(loss) if t.grad is not None]
+        leaves = [t for t in ad._toposort(loss) if t._backward_fn is None]
+        held = hold_interior_gradients(loss)
+        ad.backward(loss)
+        grads = [g for g, _ in held] + [t.grad for t in leaves if t.grad is not None]
         assert len(grads) > 15
         for i, a in enumerate(grads):
             for c in grads[i + 1:]:

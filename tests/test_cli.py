@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import io
 import json
 import os
 import re
@@ -21,6 +22,26 @@ from spoofnet.manifest import Manifest, load_manifest, save_manifest
 from spoofnet.model import ModelConfig, toy_config
 from spoofnet.synth import SyntheticCorpusSpec
 from spoofnet.train import TrainConfig
+from tests.readme_walkthrough import readme_heredocs
+
+
+class _ReaderLeavesAfterOneWrite(io.StringIO):
+    """A stdout whose reader leaves after the first write: a second write
+    raises BrokenPipeError. fileno() is a devnull descriptor, onto which
+    main points devnull again after a broken pipe."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd, self.writes = fd, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +143,13 @@ class TestPipelineCommands:
         for e in entries:
             want = model.predict(*utterance_tokens(e.audio_path))
             got = records[e.utt_id]
-            assert got.score == pytest.approx(want.score, rel=1e-6), e.utt_id
-            np.testing.assert_allclose(got.frame_weights, want.frame_weights,
-                                       rtol=1e-6, atol=1e-9, err_msg=e.utt_id)
-            np.testing.assert_allclose(got.voicing_prob, want.voicing_prob,
-                                       rtol=1e-6, atol=1e-9, err_msg=e.utt_id)
+            # a chunk's rows equal one utterance's outputs bit for bit, and
+            # the scores file carries float64 values exactly
+            assert got.score == want.score, e.utt_id
+            np.testing.assert_array_equal(got.frame_weights, want.frame_weights,
+                                          err_msg=e.utt_id)
+            np.testing.assert_array_equal(got.voicing_prob, want.voicing_prob,
+                                          err_msg=e.utt_id)
 
     def test_eval_names_each_missing_file_on_stderr(self, workspace, tmp_path, capsys):
         import dataclasses
@@ -183,6 +206,28 @@ class TestPipelineCommands:
             unbuffered=False)
         assert code == 0
         assert err == b""
+
+    @pytest.mark.parametrize("command", ["infer", "eval", "explain"])
+    def test_reader_leaving_after_the_report_is_no_error(self, workspace, tmp_path,
+                                                         monkeypatch, command):
+        # the report goes out in one write, so a reader that leaves after it
+        # (`| head -1` on unbuffered stdout) finds the command done
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        argv = {"infer": ["infer", "--wav", str(wav), "--ckpt", str(workspace["ckpt"])],
+                "eval": ["eval", "--manifest", str(workspace["manifest"]),
+                         "--ckpt", str(workspace["ckpt"]), "--by", "codec",
+                         "--scores", str(tmp_path / "s.jsonl")],
+                "explain": ["explain", "--scores", str(workspace["scores"]),
+                            "--report", str(tmp_path / "r.json")]}[command]
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            stdout = _ReaderLeavesAfterOneWrite(devnull)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 0
+        finally:
+            monkeypatch.undo()
+            os.close(devnull)
+        assert len(stdout.getvalue().splitlines()) > 1
 
     def test_pipe_closed_mid_command_is_an_error(self, workspace, tmp_path):
         # unbuffered stdout: train's first print fails before it trains
@@ -561,18 +606,59 @@ class TestExitCodes:
         assert main(["infer", "--wav", str(wav), "--ckpt", str(broken)]) == 2
         assert "malformed checkpoint" in capsys.readouterr().err
 
-    def test_incompatible_checkpoint_is_3(self, tmp_path, workspace):
-        import shutil
-
-        from spoofnet.checkpoint import load_checkpoint, save_checkpoint
-
-        arrays = load_checkpoint(workspace["ckpt"])
-        arrays["fuse.w"] = arrays["fuse.w"][:4, :4]  # wrong shape
-        broken = tmp_path / "broken.ckpt"
+    @pytest.mark.parametrize("fault, name", [("cut", "fuse.w"), ("missing", "score.b"),
+                                             ("sidecar_width", "enc_mag.proj.w")])
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_checkpoint_disagreeing_with_its_sidecar_is_2(self, tmp_path, workspace, capsys,
+                                                          command, fault, name):
+        # the arrays and the sidecar are both input files: a parameter that
+        # is missing or has another shape than the config says is bad input
+        arrays = dict(load_checkpoint(workspace["ckpt"]))
+        sidecar = Path(str(workspace["ckpt"]) + ".config").read_text()
+        if fault == "cut":
+            arrays[name] = arrays[name][:4, :4]
+        elif fault == "missing":
+            del arrays[name]
+        else:
+            sidecar = sidecar.replace("embed_dim = 16\n", "embed_dim = 32\n")
+            assert "embed_dim = 32" in sidecar
+        broken, scores = tmp_path / "broken.ckpt", tmp_path / "s.jsonl"
         save_checkpoint(broken, arrays)
-        shutil.copy(str(workspace["ckpt"]) + ".config", str(broken) + ".config")
+        Path(str(broken) + ".config").write_text(sidecar)
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
-        assert main(["infer", "--wav", str(wav), "--ckpt", str(broken)]) == 3
+        argv = {"infer": ["infer", "--wav", str(wav), "--ckpt", str(broken)],
+                "eval": ["eval", "--manifest", str(workspace["manifest"]),
+                         "--ckpt", str(broken), "--scores", str(scores)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"parameter {name!r}" in err
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("doc, setting, line", [
+        ("run.cfg", "lr = -0.001", 11), ("run.cfg", "lr = abc", 11),
+        ("run.cfg", "improve_tol = 0.5", 14), ("corpus.cfg", "duration_s = 0.2", 4)])
+    def test_value_error_is_2_naming_its_line(self, tmp_path, workspace, capsys,
+                                              doc, setting, line):
+        # the README's own documents, with one key set (or added) to a refused value
+        lines = readme_heredocs()[doc].splitlines()
+        keys = [text.split(" = ")[0] for text in lines]
+        key = setting.split(" = ")[0]
+        if key in keys:
+            lines[keys.index(key)] = setting
+        else:
+            lines.append(setting)
+        assert lines.index(setting) + 1 == line
+        path = tmp_path / doc
+        path.write_text("\n".join(lines) + "\n")
+        if doc == "corpus.cfg":
+            argv = ["synth-corpus", "--spec", str(path), "--out", str(tmp_path / "corpus")]
+        else:
+            argv = ["train", "--manifest", str(workspace["manifest"]),
+                    "--cache", str(workspace["cache"]), "--config", str(path),
+                    "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line {line}: ") and key in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_annotate_workers_below_1_is_1(self, tmp_path, workspace, workers):

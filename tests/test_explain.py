@@ -112,18 +112,18 @@ class TestAggregate:
 
 class TestTopFrames:
     def test_uniform_weights_tie_break_by_index(self):
-        top = top_frames(np.full(6, 1.0 / 6), np.linspace(0, 1, 6), 3)
+        top = top_frames(np.full(6, 1.0 / 6), np.linspace(0, 1, 6) >= 0.5, 3)
         assert [i for i, _, _ in top] == [0, 1, 2]
 
     def test_dominant_frame_ranks_first(self):
         w = np.full(6, 0.1)
         w[4] = 0.5
-        assert top_frames(w, np.zeros(6), 1)[0][0] == 4
+        assert top_frames(w, np.zeros(6, dtype=bool), 1)[0][0] == 4
 
     def test_full_k_is_sorted_permutation(self):
         rng = np.random.default_rng(2)
         w = rng.dirichlet(np.ones(10))
-        top = top_frames(w, rng.uniform(0, 1, 10), 10)
+        top = top_frames(w, rng.uniform(0, 1, 10) >= 0.5, 10)
         assert sorted(i for i, _, _ in top) == list(range(10))
         weights = [wt for _, wt, _ in top]
         assert all(a >= b for a, b in zip(weights, weights[1:]))

@@ -4,8 +4,9 @@ import pytest
 from spoofnet import autodiff as ad
 from spoofnet.autodiff import Tensor
 from spoofnet.errors import ShapeError
-from spoofnet.model import (FORMANT_RANGES, ModelConfig, SpoofNet, attention_pool,
-                            count_params, parameter_shapes, toy_config)
+from spoofnet.model import (FORMANT_RANGES, ModelConfig, ModelOutput, SpoofNet,
+                            attention_pool, count_params, parameter_shapes, toy_config)
+from tests.conftest import hold_interior_gradients
 
 
 def rand_tokens(cfg, seed=0):
@@ -69,6 +70,26 @@ class TestBatchAxis:
                     np.testing.assert_array_equal(getattr(batch, field).data[i],
                                                   getattr(one, field).data,
                                                   err_msg=f"{field} row {i}")
+
+    @pytest.mark.parametrize("name", ["toy_float32", "toy_float64"])
+    def test_predict_rows_equal_per_utterance_predict(self, name):
+        import dataclasses
+
+        cfg = self.CONFIGS[name]
+        net = SpoofNet(cfg, seed=4)
+        rng = np.random.default_rng(6)
+        mags = rng.standard_normal((5, cfg.n_frames, cfg.n_bins))
+        phases = rng.standard_normal((5, cfg.n_frames, cfg.n_bins))
+        batch = net.predict(mags, phases)
+        assert batch.score.shape == (5,)
+        assert batch.formants_hz.shape == (5, cfg.n_frames, 3)
+        for i in range(5):
+            one = net.predict(mags[i], phases[i])
+            assert one.score.shape == ()
+            for field in dataclasses.fields(ModelOutput):
+                row, alone = getattr(batch, field.name)[i], getattr(one, field.name)
+                assert (row.shape, row.dtype) == (alone.shape, alone.dtype), field.name
+                assert row.tobytes() == alone.tobytes(), f"{field.name} row {i}"
 
 
 class TestEncode:
@@ -275,10 +296,11 @@ class TestDtype:
         scaler = FormantScaler(log_mean=np.array([5.2, 6.2, 7.2]),
                                log_std=np.array([0.4, 0.3, 0.3]))
         loss, _ = compound_loss(net.forward(mag, phase), ann, 1, scaler)
-        ad.backward(loss, retain_graph=True)
         graph = ad._toposort(loss)
+        held = hold_interior_gradients(loss)
+        ad.backward(loss)
         assert {t.dtype for t in graph} == {want}
-        assert {t.grad.dtype for t in graph if t.grad is not None} == {want}
+        assert held and {g.dtype for g, _ in held} == {want}
         for name, p in net.params.items():
             assert p.grad is not None and p.grad.dtype == want, name
         out = net.predict(mag, phase)

@@ -101,7 +101,7 @@ class TestSplit:
     def make(self, n_real, n_fake):
         entries = [ManifestEntry(f"r{i}", f"r{i}.wav", "real") for i in range(n_real)]
         entries += [ManifestEntry(f"f{i}", f"f{i}.wav", "fake") for i in range(n_fake)]
-        return Manifest(entries)
+        return entries
 
     def test_100_entries_split_90_10_stratified(self):
         train, val = split_90_10(self.make(50, 50), seed=0)
@@ -120,18 +120,13 @@ class TestSplit:
         m = self.make(23, 17)
         train, val = split_90_10(m, seed=3)
         all_ids = {e.utt_id for e in m}
-        got = [e.utt_id for e in train.entries + val.entries]
+        got = [e.utt_id for e in train + val]
         assert len(got) == len(all_ids)
         assert set(got) == all_ids
 
     def test_too_few_entries(self):
         with pytest.raises(InsufficientData):
             split_90_10(self.make(4, 4), seed=0)
-
-    def test_split_tags_assigned(self):
-        train, val = split_90_10(self.make(10, 10), seed=0)
-        assert all(e.split == "train" for e in train)
-        assert all(e.split == "val" for e in val)
 
 
 class TestSyntheticCorpus:

@@ -15,6 +15,7 @@ from spoofnet.train import (LOSS_WEIGHTS, FormantScaler, PlateauScheduler,
                             TrainConfig, TrainSample, _batch_forward,
                             balance_classes, compound_loss, evaluate_loss,
                             fit_scaler, train_loop)
+from tests.conftest import hold_interior_gradients
 
 
 def make_annotation(rng, n=8, voiced_frac=0.6) -> FrameAnnotation:
@@ -339,14 +340,17 @@ def build_toy_samples(cfg, rng, n=6):
 
 class TestTrainingMemory:
     # traced peaks of three toy batch-16 steps: 17.9 MB with the graph
-    # freed by backward, 44.3 MB with it retained (numpy 2.4)
+    # freed by backward, 44.3 MB with its gradients and backward functions
+    # held (numpy 2.4)
     FREED_PEAK_RATIO = 0.6
 
     @staticmethod
-    def traced_peak(retain_graph: bool) -> int:
+    def traced_peak(hold: bool) -> int:
         """The tracemalloc peak of three forward + backward + AdamW steps
         of the toy model at batch 16, the loss re-bound on each step as
-        train_loop does."""
+        train_loop does; with hold, each step's interior gradients and
+        backward functions live on until the next step's forward has run,
+        as a retained graph would."""
         cfg = toy_config()
         net = SpoofNet(cfg, seed=0)
         samples = build_toy_samples(cfg, np.random.default_rng(0), n=16)
@@ -355,16 +359,18 @@ class TestTrainingMemory:
         try:
             for _ in range(3):
                 loss, _ = _batch_forward(net, samples, default_scaler(), LOSS_WEIGHTS)
+                # re-bound on the next step, like the loss
+                held = hold_interior_gradients(loss) if hold else []  # noqa: F841
                 ad.zero_grads(net.params)
-                ad.backward(loss, retain_graph=retain_graph)
+                ad.backward(loss)
                 opt.step()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_freeing_the_graph_lowers_the_traced_peak(self):
-        freed, retained = self.traced_peak(False), self.traced_peak(True)
-        assert freed < self.FREED_PEAK_RATIO * retained, (freed, retained)
+        freed, held = self.traced_peak(False), self.traced_peak(True)
+        assert freed < self.FREED_PEAK_RATIO * held, (freed, held)
 
     # one toy batch-16 forward and backward: 17.8 MB when the graph keeps
     # only what backward reads and attention's backward works in blocks,
