@@ -2,6 +2,11 @@
 
 Subcommands: synth-corpus, annotate, train, eval, explain, infer.
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
+
+main() keeps one parser per process, built on its first call, and runs
+the handler of a subcommand (``_cmd_<name>``, with ``-`` as ``_``) as
+looked up in this module at call time, so that a handler rebound after
+the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
-from .features import build_samples, utterance_tokens
+from .features import build_samples, token_block, utterance_tokens
 from .manifest import load_manifest, split_90_10
 from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
@@ -211,8 +216,8 @@ def _cmd_eval(args) -> int:
     records = []
     for start in range(0, len(entries), train_cfg.batch_size):
         chunk = entries[start:start + train_cfg.batch_size]
-        mags, phases = zip(*(utterance_tokens(e.audio_path) for e in chunk))
-        out = model.predict(np.stack(mags), np.stack(phases))
+        tokens = token_block([e.audio_path for e in chunk], model.cfg.np_dtype())
+        out = model.predict(tokens[0], tokens[1])
         _check_finite([e.utt_id for e in chunk], out)
         for i, e in enumerate(chunk):
             records.append(ScoreRecord(
@@ -277,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-corpus", help="generate a synthetic test corpus")
     p.add_argument("--spec", required=True, help="corpus spec (key = value file)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_synth_corpus)
 
     p = sub.add_parser("annotate", help="build the annotation cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True, help="cache directory")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel annotation processes")
-    p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train", help="train a detector")
     p.add_argument("--manifest", required=True)
@@ -292,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="model+training config file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", default=None, help="history JSONL path")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a manifest with a checkpoint")
     p.add_argument("--manifest", required=True)
@@ -303,19 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default=None, help="restrict to one manifest split")
     p.add_argument("--cache", default=None,
                    help="annotation cache dir, to attach ground-truth voicing")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("explain", help="voiced/unvoiced reliance report")
     p.add_argument("--scores", required=True)
     p.add_argument("--report", required=True, help="output report path (JSON)")
     p.add_argument("--ground-truth", action="store_true",
                    help="attribute with ground-truth voicing instead of the model's")
-    p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("infer", help="score a single WAV file")
     p.add_argument("--wav", required=True)
     p.add_argument("--ckpt", required=True)
-    p.set_defaults(func=_cmd_infer)
 
     return parser
 
@@ -328,12 +327,18 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
+    global _parser
     _keep_freed_pages()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = handler(args)
     except BrokenPipeError:
         # a pipe closed while the command was still at work (unbuffered
         # stdout, or a FIFO argument): the command did not finish

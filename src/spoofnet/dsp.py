@@ -242,6 +242,10 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+_HANN = hann_window(FRAME_LEN)
+_HANN.flags.writeable = False
+
+
 def frame_signal(x: np.ndarray, frame_len: int = FRAME_LEN,
                  hop: int = HOP_LEN) -> np.ndarray:
     """Slice a 1-D signal into (n_frames, frame_len) without padding, as a
@@ -256,7 +260,7 @@ def stft_features(x: FixedWaveform) -> FeatureGrid:
     non-negative-frequency bins below Nyquist are kept. Magnitudes get a
     1e-10 floor inside the log so the grid stays finite on digital zero.
     """
-    frames = frame_signal(x.samples) * hann_window(FRAME_LEN)[None, :]
+    frames = frame_signal(x.samples) * _HANN
     spectrum = np.fft.rfft(frames, n=FRAME_LEN, axis=1)[:, :NUM_BINS]
     log_mag = np.log(np.abs(spectrum) + LOG_FLOOR)
     sin_phase = np.sin(np.angle(spectrum))

@@ -113,6 +113,10 @@ def gaussian_window(n: int, std_fraction: float) -> np.ndarray:
     return np.exp(-0.5 * (idx / (std_fraction * n)) ** 2)
 
 
+_TAPER = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
+_TAPER.flags.writeable = False
+
+
 def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
     y = x.astype(np.float64).copy()
     y[1:] -= coeff * x[:-1]
@@ -122,8 +126,7 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
 def track_formants(x: FixedWaveform) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f1, f2) arrays aligned with the STFT framing."""
     frames = frame_signal(preemphasize(x.samples, PREEMPHASIS))
-    window = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
-    resonances = lpc_resonances(burg(frames * window, LPC_ORDER))
+    resonances = lpc_resonances(burg(frames * _TAPER, LPC_ORDER))
     freq, bandwidth = resonances[..., 0], resonances[..., 1]
     qualifies = (MIN_FREQ_HZ < freq) & (freq < MAX_FREQ_HZ) & (bandwidth < MAX_BANDWIDTH_HZ)
     # the two lowest qualifying frequencies per frame; NaN marks a shortfall

@@ -157,11 +157,11 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
                 "dataset_tag": r.dataset_tag,
                 "codec_tag": r.codec_tag,
                 "frame_weights": None if r.frame_weights is None
-                else [float(x) for x in r.frame_weights],
+                else np.asarray(r.frame_weights, dtype=np.float64).tolist(),
                 "voicing_prob": None if r.voicing_prob is None
-                else [float(x) for x in r.voicing_prob],
+                else np.asarray(r.voicing_prob, dtype=np.float64).tolist(),
                 "gt_voiced": None if r.gt_voiced is None
-                else [bool(x) for x in r.gt_voiced],
+                else np.asarray(r.gt_voiced, dtype=bool).tolist(),
             }
             fh.write(json.dumps(row) + "\n")
 

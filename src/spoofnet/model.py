@@ -147,6 +147,29 @@ def count_params(cfg: ModelConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_shapes(cfg))
 
 
+def _checked_state(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every parameter of the config from arrays, in the config's dtype;
+    extra names are ignored, and a missing name or a shape other than the
+    config's is a DataError (the arrays disagree with the config they
+    came with).
+
+    An array already in the config's dtype is returned itself, without a
+    copy: the model it goes into owns it from there on."""
+    dtype = cfg.np_dtype()
+    state = {}
+    for name, shape, _ in parameter_shapes(cfg):
+        if name not in arrays:
+            raise DataError(f"checkpoint is missing parameter {name!r}")
+        value = np.asarray(arrays[name])
+        if value.shape != shape:
+            raise DataError(
+                f"checkpoint parameter {name!r} has shape {value.shape}, "
+                f"expected {shape}"
+            )
+        state[name] = value.astype(dtype, copy=False)
+    return state
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Xavier-uniform projections, zero biases and positional tables,
     unit/zero layer-norm scale/shift. Draw order is fixed by
@@ -191,12 +214,12 @@ class SpoofNet:
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> SpoofNet:
-        """A model loaded from checkpoint arrays, without a random init."""
+        """A model loaded from checkpoint arrays, without a random init;
+        the arrays are checked as load_state checks them."""
         model = cls.__new__(cls)
         model.cfg = cfg
-        model.params = {name: ad.parameter(np.empty(0))
-                        for name, _, _ in parameter_shapes(cfg)}
-        model.load_state(arrays)
+        model.params = {name: ad.parameter(value)
+                        for name, value in _checked_state(cfg, arrays).items()}
         return model
 
     # -- persistence ----------------------------------------------------
@@ -205,22 +228,10 @@ class SpoofNet:
         return {k: p.data.copy() for k, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take in every parameter of the config; extra names are ignored,
-        and a missing name or a shape other than the config's is a
-        DataError (the arrays disagree with the config they came with).
-
-        An array already in the config's dtype becomes the parameter
-        itself, without a copy: the model owns it from here on."""
-        for name, shape, _ in parameter_shapes(self.cfg):
-            if name not in arrays:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-            value = np.asarray(arrays[name])
-            if value.shape != shape:
-                raise DataError(
-                    f"checkpoint parameter {name!r} has shape {value.shape}, "
-                    f"expected {shape}"
-                )
-            self.params[name].data = value.astype(self.cfg.np_dtype(), copy=False)
+        """Take in every parameter of the config, checked by _checked_state;
+        on a DataError no parameter has changed."""
+        for name, value in _checked_state(self.cfg, arrays).items():
+            self.params[name].data = value
 
     # -- network pieces ---------------------------------------------------
 

@@ -332,6 +332,91 @@ class TestAllocatorHook:
                          (cli._M_TRIM_THRESHOLD, 256 << 20)]
 
 
+class TestOneParserPerProcess:
+    """main builds its parser on the first call and looks each handler up
+    at call time; one call leaves nothing behind for the next."""
+
+    @staticmethod
+    def infer_argv(workspace) -> list[str]:
+        wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
+        return ["infer", "--wav", str(wav), "--ckpt", str(workspace["ckpt"])]
+
+    def test_parser_built_once_however_often_main_runs(self, workspace,
+                                                       monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(3):
+            assert main(self.infer_argv(workspace)) == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out.count(": score ") == 3
+
+    def test_handler_rebound_after_the_first_call_runs(self, workspace,
+                                                       monkeypatch, capsys):
+        argv = self.infer_argv(workspace)
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_infer", lambda args: seen.append(args.wav) or 0)
+        assert main(argv) == 0
+        assert seen == [argv[2]]
+        assert capsys.readouterr().out.count(": score ") == 1
+
+    def test_eval_by_leaves_no_breakdown_for_the_next_eval(self, workspace, tmp_path,
+                                                           capsys):
+        def run_eval(*by):
+            scores = tmp_path / "s.jsonl"
+            assert main(["eval", "--manifest", str(workspace["manifest"]),
+                         "--ckpt", str(workspace["ckpt"]), "--scores", str(scores),
+                         *by]) == 0
+            return capsys.readouterr().out, scores.read_bytes()
+
+        plain = run_eval()
+        by_dataset = run_eval("--by", "dataset")
+        assert len(plain[0].splitlines()) == 1
+        assert len(by_dataset[0].splitlines()) == 4
+        assert run_eval() == plain
+
+    def test_usage_error_between_calls_changes_neither(self, workspace, capsys):
+        argv = self.infer_argv(workspace)
+        assert main(argv) == 0
+        before = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--wav"])
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr() == before
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape"])
+def test_from_state_and_load_state_refuse_alike(workspace, fault):
+    from spoofnet.errors import DataError
+    from spoofnet.model import SpoofNet
+
+    arrays = dict(load_checkpoint(workspace["ckpt"]))
+    if fault == "missing":
+        del arrays["score.b"]
+    else:
+        arrays["fuse.w"] = arrays["fuse.w"][:4]
+    with pytest.raises(DataError) as from_state:
+        SpoofNet.from_state(toy_config(), arrays)
+    model = SpoofNet(toy_config(), seed=1)
+    before = model.state_dict()
+    with pytest.raises(DataError) as load_state:
+        model.load_state(arrays)
+    assert str(from_state.value) == str(load_state.value)
+    assert ("score.b" if fault == "missing" else "fuse.w") in str(load_state.value)
+    # a refused state changes no parameter
+    for name, p in model.params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_build_samples_stores_tokens_in_the_model_dtype(workspace, dtype):
     from spoofnet.cache import annotate_corpus
