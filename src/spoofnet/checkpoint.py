@@ -3,14 +3,14 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"SPNC"
-    version u32      2 (version 1 files are still read)
+    version u32      2 (the only version read)
     count   u32      number of entries
     entry   repeated:
         name_len u16, name utf-8,
         dtype    u8 (0 = float32, 1 = float64),
         ndim     u8, dims ndim * u32,
         pad      zero bytes up to the next file offset that is a multiple
-                 of 64 (version 2 only; version 1 has no pad),
+                 of 64,
         payload  raw values, little-endian, row-major
 
 The pad puts every payload on a 64-byte boundary, so a load maps the
@@ -68,15 +68,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     The arrays are writeable copy-on-write views of the mapped file. Each
     payload's declared size is checked against the bytes left in the file
     before its array is made, so a corrupt shape cannot ask for a huge
-    buffer. A payload off the 64-byte grid (possible only in version 1)
-    is copied out of the mapping."""
+    buffer."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if header[:4] != MAGIC:
             raise DataError(f"not a checkpoint file: {path}")
         try:
             version, count = struct.unpack("<II", header[4:])
-            if version not in (1, VERSION):
+            if version != VERSION:
                 raise DataError(f"unsupported checkpoint version {version} in {path}")
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
             arrays: dict[str, np.ndarray] = {}
@@ -91,14 +90,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 if code not in _DTYPE_CODES:
                     raise DataError(f"unknown dtype code {code} for entry {name!r}")
                 dtype = _DTYPE_CODES[code]
-                if version > 1:
-                    pos += -pos % ALIGN
+                pos += -pos % ALIGN
                 # Python integers: a corrupt shape cannot overflow into a valid size
                 nbytes = math.prod(shape) * dtype.itemsize
                 if nbytes > len(buf) - pos:
                     raise DataError(f"truncated checkpoint entry {name!r} in {path}")
-                arr = np.frombuffer(buf, dtype, nbytes // dtype.itemsize, pos).reshape(shape)
-                arrays[name] = arr.copy() if pos % ALIGN else arr
+                arrays[name] = np.frombuffer(buf, dtype, nbytes // dtype.itemsize,
+                                             pos).reshape(shape)
                 pos += nbytes
         # ValueError: a name that is not UTF-8, or a shape numpy cannot hold
         except (struct.error, ValueError) as exc:

@@ -26,7 +26,7 @@ from .config import (load_corpus_spec, load_run_config, write_config)
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
 from .features import build_samples, token_block, utterance_tokens
-from .manifest import load_manifest, split_90_10
+from .manifest import VALID_SPLITS, load_manifest, split_90_10
 from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
 from .model import SpoofNet
@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="output scores JSONL")
     p.add_argument("--by", choices=("codec", "dataset"), default=None,
                    help="also print a per-tag breakdown")
-    p.add_argument("--split", default=None, help="restrict to one manifest split")
+    p.add_argument("--split", choices=VALID_SPLITS[:3], default=None,
+                   help="restrict to one manifest split")
     p.add_argument("--cache", default=None,
                    help="annotation cache dir, to attach ground-truth voicing")
 

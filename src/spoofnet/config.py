@@ -5,8 +5,9 @@ of a line or after whitespace starts a comment (a `#` inside a value is
 refused), and a key may appear only once. Values are typed after the
 dataclass defaults they override, and each record checks its own values
 when it is built, from a file or in code; an error in one key's value
-names that key's line. A key that older documents carried and that is
-now a module constant still loads while it holds that constant's value.
+names that key's line. Every key must be a field of one of the
+document's sections, so a key that older documents carried and that is
+now a module constant is refused like any other unknown key.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from pathlib import Path
 
 from .dsp import NUM_BINS, NUM_FRAMES
 from .errors import ParseError, read_utf8
-from .model import FORMANT_RANGES, ModelConfig
-from .synth import RINGMOD_DEPTH, RINGMOD_HZ, TONE_HZ, TONE_LEVEL, SyntheticCorpusSpec
-from .train import (DECAY_FACTOR, EARLY_STOP_PATIENCE, IMPROVE_TOL, PLATEAU_PATIENCE,
-                    WEIGHT_DECAY, TrainConfig)
+from .model import ModelConfig
+from .synth import SyntheticCorpusSpec
+from .train import TrainConfig
 
 
 # a comment starts at a '#' that opens the line or follows whitespace
@@ -86,50 +86,18 @@ def _from_kv(cls, kv: _Document):
         raise ParseError(str(exc), line=kv.line[exc.field]) from exc
 
 
-# keys that documents once carried, by the section that carried them,
-# each with the one value it is now fixed at
-_RETIRED = {
-    ModelConfig: {"formant_ranges": FORMANT_RANGES},
-    TrainConfig: {"plateau_patience": PLATEAU_PATIENCE, "decay_factor": DECAY_FACTOR,
-                  "early_stop_patience": EARLY_STOP_PATIENCE,
-                  "improve_tol": IMPROVE_TOL, "weight_decay": WEIGHT_DECAY},
-    SyntheticCorpusSpec: {"ringmod_hz": RINGMOD_HZ, "ringmod_depth": RINGMOD_DEPTH,
-                          "tone_hz": TONE_HZ, "tone_level": TONE_LEVEL},
-}
-
-
 def _check_keys(kv: _Document, *classes) -> None:
-    """Remove the sections' retired keys from kv, each of which must hold
-    its fixed value, compared after parsing (``improve_tol = 0.00001`` is
-    1e-5); then reject any key that is no field, as a likely typo."""
-    for cls in classes:
-        for name, fixed in _RETIRED[cls].items():
-            if name not in kv:
-                continue
-            text, line = kv[name], kv.line[name]
-            if isinstance(fixed, tuple):  # lo:hi pairs, comma-separated
-                try:
-                    value = tuple(tuple(float(v) for v in pair.split(":"))
-                                  for pair in text.split(","))
-                except ValueError as exc:
-                    raise ParseError(f"cannot parse {name} = {text!r}: {exc}",
-                                     line=line) from exc
-                expected = ",".join(f"{lo:g}:{hi:g}" for lo, hi in fixed)
-            else:
-                value, expected = _coerce(kv, name, fixed), fixed
-            if value != fixed:
-                raise ParseError(f"{name} = {text}, expected {expected} "
-                                 f"(no longer settable)", line=line)
-            del kv[name]
+    """Reject any key that is no field of the sections, as a likely typo,
+    naming the line of the first such key."""
     known = {f.name for cls in classes for f in dataclasses.fields(cls)}
-    unknown = sorted(set(kv) - known)
+    unknown = [key for key in kv if key not in known]
     if unknown:
-        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+        raise ParseError(f"unknown config keys: {', '.join(unknown)}",
+                         line=kv.line[unknown[0]])
 
 
 def load_corpus_spec(path) -> SyntheticCorpusSpec:
-    """A synthetic corpus spec; unknown keys are rejected as likely typos,
-    and so is a retired key holding any value but its fixed one."""
+    """A synthetic corpus spec; unknown keys are rejected as likely typos."""
     kv = parse_kv(path)
     _check_keys(kv, SyntheticCorpusSpec)
     return _from_kv(SyntheticCorpusSpec, kv)
@@ -162,9 +130,8 @@ _GRID = {"n_frames": NUM_FRAMES, "n_bins": NUM_BINS}
 
 def load_run_config(path) -> tuple[ModelConfig, TrainConfig]:
     """One document configures both the model and the training run;
-    keys belonging to neither are rejected as likely typos, and so are a
-    token grid other than the frontend's 128 x 256 and a retired key
-    holding any value but its fixed one."""
+    keys belonging to neither are rejected as likely typos, and so is a
+    token grid other than the frontend's 128 x 256."""
     kv = parse_kv(path)
     _check_keys(kv, ModelConfig, TrainConfig)
     model_cfg, train_cfg = _from_kv(ModelConfig, kv), _from_kv(TrainConfig, kv)

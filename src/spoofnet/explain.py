@@ -33,7 +33,7 @@ def utterance_reliance(
         raise InvalidWeights(
             f"weights and voicing differ in length: {w.shape} vs {v.shape}"
         )
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL or np.any(w < 0):
+    if not (abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL and np.all(w >= 0)):  # NaN fails too
         raise InvalidWeights(
             f"frame weights must be a probability simplex, sum={w.sum():.8f}"
         )

@@ -166,38 +166,83 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+_NUMBER = (int, float)  # JSON numbers; a bool is neither by exact type
+
+
+def _checked(key: str, value, types: tuple):
+    """value, when its exact type is one of types."""
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _array(row: dict, key: str, types: tuple, dtype) -> np.ndarray | None:
+    """row[key], a flat list whose items' exact types are among types, as
+    an array of dtype; None when the key is absent or null."""
+    values = row.get(key)
+    if values is None:
+        return None
+    _checked(key, values, (list,))
+    item = f"each item of {key}"
+    for v in values:
+        _checked(item, v, types)
+    return np.array(values, dtype=dtype)
+
+
+def _record(row) -> ScoreRecord:
+    """One score record from its parsed JSON line; raises KeyError,
+    TypeError or ValueError for a record that is not one."""
+    if not isinstance(row, dict):
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    score = float(_checked("score", row["score"], _NUMBER))
+    if not 0.0 <= score <= 1.0:  # NaN fails this too
+        raise ValueError(f"score {score} is not in [0, 1]")
+    label = int(row["label"])
+    if label not in (0, 1) or label != row["label"] or isinstance(row["label"], bool):
+        raise ValueError(f"label {row['label']!r} is not 0 or 1")
+    fw = _array(row, "frame_weights", _NUMBER, np.float64)
+    vp = _array(row, "voicing_prob", _NUMBER, np.float64)
+    gt = _array(row, "gt_voiced", (bool,), bool)
+    if fw is not None and not np.isfinite(fw).all():
+        raise ValueError("frame_weights holds a value that is not finite")
+    if vp is not None and not ((vp >= 0.0) & (vp <= 1.0)).all():  # NaN fails this too
+        raise ValueError("voicing_prob holds a value that is not in [0, 1]")
+    lengths = {key: a.size for key, a in (("frame_weights", fw), ("voicing_prob", vp),
+                                          ("gt_voiced", gt)) if a is not None}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("lists of different lengths: " + ", ".join(
+            f"{key} {n}" for key, n in lengths.items()))
+    return ScoreRecord(
+        utt_id=_checked("utt_id", row["utt_id"], (str,)),
+        score=score,
+        label=label,
+        dataset_tag=_checked("dataset_tag", row.get("dataset_tag", "default"), (str,)),
+        codec_tag=_checked("codec_tag", row.get("codec_tag"), (str, type(None))),
+        frame_weights=fw, voicing_prob=vp, gt_voiced=gt,
+    )
+
+
 def read_scores(path) -> list[ScoreRecord]:
     """Parse a score file; a line that is not a score record raises a
-    ParseError naming it. A score must be a probability in [0, 1] and a
-    label 0 or 1."""
+    ParseError naming it. A score must be a probability in [0, 1], a
+    label 0 or 1, and an utt_id unique; the tags must be strings (the
+    codec's may be null); the frame weights and voicing probabilities,
+    where present, finite numbers (the latter in [0, 1]), and with the
+    ground-truth voicing flags, lists of one length."""
     records = []
+    first_line: dict[str, int] = {}
     for i, line in enumerate(read_utf8(path), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise TypeError(f"expected a JSON object, got {type(row).__name__}")
-            score = float(row["score"])
-            if not 0.0 <= score <= 1.0:  # NaN fails this too
-                raise ValueError(f"score {score} is not in [0, 1]")
-            label = int(row["label"])
-            if label not in (0, 1) or label != row["label"]:
-                raise ValueError(f"label {row['label']!r} is not 0 or 1")
-            records.append(ScoreRecord(
-                utt_id=row["utt_id"],
-                score=score,
-                label=label,
-                dataset_tag=row.get("dataset_tag", "default"),
-                codec_tag=row.get("codec_tag"),
-                frame_weights=None if row.get("frame_weights") is None
-                else np.array(row["frame_weights"], dtype=np.float64),
-                voicing_prob=None if row.get("voicing_prob") is None
-                else np.array(row["voicing_prob"], dtype=np.float64),
-                gt_voiced=None if row.get("gt_voiced") is None
-                else np.array(row["gt_voiced"], dtype=bool),
-            ))
+            rec = _record(json.loads(line))
+            if rec.utt_id in first_line:
+                raise ValueError(f"utt_id {rec.utt_id!r} is repeated (first on line "
+                                 f"{first_line[rec.utt_id]})")
         except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ParseError(f"bad score record: {exc}", line=i) from exc
+        first_line[rec.utt_id] = i
+        records.append(rec)
     return records

@@ -69,10 +69,12 @@ class TestRoundTrip:
 
 
     def test_oversized_entry_rejected_before_allocating(self, tmp_path):
-        # one float32 entry of 2^32 elements (16 GiB) in a 100-byte file
+        # one float32 entry of 2^32 elements (16 GiB) in a 100-byte file:
+        # the 13-byte entry header, then its pad up to offset 64
         entry = (struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 2)
                  + struct.pack("<2I", 65536, 65536))
-        blob = MAGIC + struct.pack("<II", 1, 1) + entry
+        blob = MAGIC + struct.pack("<II", 2, 1) + entry
+        assert len(blob) == 25
         path = tmp_path / "huge.ckpt"
         path.write_bytes(blob.ljust(100, b"\0"))
         tracemalloc.start()
@@ -86,8 +88,8 @@ class TestRoundTrip:
 
 
 def v1_blob(arrays):
-    """A version 1 file, packed by hand: each payload right after its
-    dims, with no pad."""
+    """A file of the retired version 1, packed by hand: each payload
+    right after its dims, with no pad."""
     blob = MAGIC + struct.pack("<II", 1, len(arrays))
     for name, arr in arrays.items():
         code = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}[arr.dtype]
@@ -129,16 +131,11 @@ class TestLayout:
             pos = offset + arr.nbytes
         assert pos == len(blob)
 
-    def test_version_1_file_loads_bit_equal(self, tmp_path):
-        arrays = mixed_arrays()
+    def test_version_1_file_is_refused(self, tmp_path):
         path = tmp_path / "v1.ckpt"
-        path.write_bytes(v1_blob(arrays))
-        back = load_checkpoint(path)
-        assert list(back) == list(arrays)
-        for name, arr in arrays.items():
-            assert back[name].dtype == arr.dtype and back[name].shape == arr.shape, name
-            assert back[name].tobytes() == arr.tobytes(), name
-            assert back[name].flags.aligned and back[name].flags.writeable, name
+        path.write_bytes(v1_blob(mixed_arrays()))
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
 
 
 def mapping_of(arr):

@@ -243,6 +243,39 @@ class TestScoreFiles:
         (b'{"utt_id": "b", "score": 0.5, "label": -1}', "label -1 is not 0 or 1"),
         (b'{"utt_id": "b", "score": 0.5, "label": 0.5}', "label 0.5 is not 0 or 1"),
         (b'{"utt_id": "b", "score": 0.5, "label": "1"}', "label '1' is not 0 or 1"),
+        (b'{"utt_id": "b", "score": 0.5, "label": true}', "label True is not 0 or 1"),
+        (b'{"utt_id": "b", "score": true, "label": 0}', "score must be int or float, got bool"),
+        (b'{"utt_id": "b", "score": "0.5", "label": 0}', "score must be int or float, got str"),
+        (b'{"utt_id": 5, "score": 0.5, "label": 0}', "utt_id must be str, got int"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "dataset_tag": 5}',
+         "dataset_tag must be str, got int"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "dataset_tag": null}',
+         "dataset_tag must be str, got NoneType"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "codec_tag": 5}',
+         "codec_tag must be str or NoneType, got int"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": [NaN, 0.5, 0.5]}',
+         "frame_weights holds a value that is not finite"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": [Infinity]}',
+         "frame_weights holds a value that is not finite"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": [[1.0]]}',
+         "each item of frame_weights must be int or float, got list"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": [true]}',
+         "each item of frame_weights must be int or float, got bool"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "voicing_prob": [7.0]}',
+         r"voicing_prob holds a value that is not in \[0, 1\]"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "voicing_prob": [NaN]}',
+         r"voicing_prob holds a value that is not in \[0, 1\]"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "voicing_prob": 0.5}',
+         "voicing_prob must be list, got float"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "gt_voiced": [1, 0]}',
+         "each item of gt_voiced must be bool, got int"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "frame_weights": [0.5, 0.5], '
+         b'"voicing_prob": [0.5]}', "lists of different lengths: frame_weights 2, "
+         "voicing_prob 1"),
+        (b'{"utt_id": "b", "score": 0.5, "label": 0, "voicing_prob": [0.5, 0.5], '
+         b'"gt_voiced": [true]}', "lists of different lengths: voicing_prob 2, gt_voiced 1"),
+        (b'{"utt_id": "a", "score": 0.5, "label": 0}',
+         r"utt_id 'a' is repeated \(first on line 1\)"),
     ])
     def test_invalid_score_or_label_is_a_parse_error_naming_it(self, tmp_path, line, reason):
         path = tmp_path / "bad.jsonl"

@@ -497,13 +497,6 @@ class TestConfigFiles:
         write_config(path, mc, tc)
         assert load_run_config(path) == (mc, tc)
 
-    def test_sidecar_with_the_fixed_formant_ranges_loads(self, tmp_path):
-        # every sidecar written while formant_ranges was a field holds this line
-        p = tmp_path / "run.cfg"
-        p.write_text("embed_dim = 24\nformant_ranges = 60:400,200:850,800:2700\n")
-        mc, _ = load_run_config(p)
-        assert mc == ModelConfig(embed_dim=24)
-
     def test_formant_ranges_not_written(self, tmp_path):
         path = tmp_path / "run.cfg"
         write_config(path, ModelConfig(), TrainConfig())
@@ -511,8 +504,10 @@ class TestConfigFiles:
 
     def test_unknown_run_config_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("embed_dim = 16\nlearning_rate = 0.1\n")  # typo for lr
-        with pytest.raises(ParseError, match="learning_rate"):
+        # typos for lr and batch_size, named in file order with the first one's line
+        p.write_text("embed_dim = 16\nlearning_rate = 0.1\nbatchsize = 4\n")
+        with pytest.raises(ParseError, match="^line 2: unknown config keys: "
+                                             "learning_rate, batchsize$"):
             load_run_config(p)
 
     def test_least_usable_corpus_spec_accepted(self, tmp_path):
@@ -525,7 +520,7 @@ class TestConfigFiles:
         # synth applies no codec, so a spec cannot tag one
         path = tmp_path / "spec.cfg"
         path.write_text("n_real = 2\ncodec_tags = aac,mp3\n")
-        with pytest.raises(ParseError, match="unknown config keys: codec_tags"):
+        with pytest.raises(ParseError, match="line 2: unknown config keys: codec_tags"):
             load_corpus_spec(path)
 
     def test_corpus_spec_round_trip(self, tmp_path):
