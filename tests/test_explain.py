@@ -40,11 +40,16 @@ class TestUtteranceReliance:
             utterance_reliance(np.array([0.7, 0.7]), np.array([True, False]))
         with pytest.raises(InvalidWeights):
             utterance_reliance(np.array([1.5, -0.5]), np.array([True, False]))
+
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 0.5, 0.5],
+        [1.0, np.nan, 0.0],
+        [np.nan, np.nan, np.nan],
+    ])
+    def test_non_finite_weights_rejected(self, weights):
         # NaN compares false, so the check must ask for the good case
         with pytest.raises(InvalidWeights):
-            utterance_reliance(np.array([np.nan, 0.5, 0.5]), np.array([True, False, True]))
-        with pytest.raises(InvalidWeights):
-            utterance_reliance(np.array([1.0, np.nan, 0.0]), np.array([True, False, True]))
+            utterance_reliance(np.array(weights), np.array([True, False, True]))
 
     def test_shares_are_convex(self):
         rng = np.random.default_rng(0)

@@ -504,9 +504,15 @@ class TestConfigFiles:
 
     def test_unknown_run_config_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
-        # typos for lr and batch_size, named in file order with the first one's line
-        p.write_text("embed_dim = 16\nlearning_rate = 0.1\nbatchsize = 4\n")
-        with pytest.raises(ParseError, match="^line 2: unknown config keys: "
+        p.write_text("embed_dim = 16\nlearning_rate = 0.1\n")  # typo for lr
+        with pytest.raises(ParseError, match="line 2: unknown config keys: learning_rate"):
+            load_run_config(p)
+
+    def test_unknown_keys_named_in_file_order_with_the_first_ones_line(self, tmp_path):
+        # typos for lr and batch_size around a known key, not in sorted order
+        p = tmp_path / "run.cfg"
+        p.write_text("learning_rate = 0.1\nembed_dim = 16\nbatchsize = 4\n")
+        with pytest.raises(ParseError, match="^line 1: unknown config keys: "
                                              "learning_rate, batchsize$"):
             load_run_config(p)
 
