@@ -21,8 +21,8 @@ the detector network and its losses need, nothing speculative.
   (..., L, H*d) projections)
 - nonlinearities: sigmoid, gelu, log, clip
 - reductions and normalization: softmax, logsumexp (over the last axis,
-  kept with size 1), layer_norm, tsum, tmean (a named axis is kept with
-  size 1; no axis reduces to 0-d)
+  kept with size 1), layer_norm, tsum (a named axis is kept with size 1;
+  no axis reduces to 0-d); a mean is a tsum times the reciprocal count
 - graph: parameter, no_grad, backward, zero_grads
 
 add and mul share one operand rule. The second operand b is either a
@@ -589,13 +589,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
         _accumulate(na, np.broadcast_to(g, shape))
 
     return _result(data, (a,), backward_fn)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    """Mean over an axis or a tuple of axes, each kept with size 1, or (by
-    default) over all of them to a 0-d value."""
-    total = tsum(a, axis=axis)
-    return mul(total, 1.0 / (a.data.size // total.data.size))
 
 
 def _toposort(root: Tensor) -> list:

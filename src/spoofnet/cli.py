@@ -25,7 +25,7 @@ from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
-from .features import build_samples, token_block, utterance_tokens
+from .features import build_samples, utterance_tokens
 from .manifest import VALID_SPLITS, load_manifest, split_90_10
 from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
@@ -205,27 +205,36 @@ def _cmd_eval(args) -> int:
         if e.missing:
             print(f"  skipped {e.utt_id}: missing audio file", file=sys.stderr)
     entries = [e for e in entries if not e.missing]
-    if not entries:
-        raise DataError("no usable entries to evaluate")
 
-    gt_voiced = {}
-    if args.cache:
-        annotations, _ = annotate_corpus(entries, args.cache)
-        gt_voiced = {u: a.voiced for u, a in annotations.items()}
-
-    records = []
-    for start in range(0, len(entries), train_cfg.batch_size):
-        chunk = entries[start:start + train_cfg.batch_size]
-        tokens = token_block([e.audio_path for e in chunk], model.cfg.np_dtype())
-        out = model.predict(tokens[0], tokens[1])
-        _check_finite([e.utt_id for e in chunk], out)
-        for i, e in enumerate(chunk):
-            records.append(ScoreRecord(
+    # each file is read once, into the next free row of one chunk's token
+    # block; a file that cannot be read or holds no signal is named and
+    # left out, like a missing one
+    size = train_cfg.batch_size
+    tokens = np.empty((2, size, model.cfg.n_frames, model.cfg.n_bins),
+                      dtype=model.cfg.np_dtype())
+    records, chunk = [], []
+    for n, e in enumerate(entries, start=1):
+        try:
+            tokens[0, len(chunk)], tokens[1, len(chunk)] = utterance_tokens(e.audio_path)
+            chunk.append(e)
+        except DataError as exc:
+            print(f"  skipped {e.utt_id}: {exc}", file=sys.stderr)
+        if chunk and (len(chunk) == size or n == len(entries)):
+            out = model.predict(tokens[0, :len(chunk)], tokens[1, :len(chunk)])
+            _check_finite([e.utt_id for e in chunk], out)
+            records += [ScoreRecord(
                 utt_id=e.utt_id, score=float(out.score[i]),
                 label=e.label_int, dataset_tag=e.dataset_tag, codec_tag=e.codec_tag,
                 frame_weights=out.frame_weights[i], voicing_prob=out.voicing_prob[i],
-                gt_voiced=gt_voiced.get(e.utt_id),
-            ))
+            ) for i, e in enumerate(chunk)]
+            chunk = []
+    if not records:
+        raise DataError("no usable entries to evaluate")
+    if args.cache:
+        annotations, _ = annotate_corpus(entries, args.cache)
+        for r in records:
+            if r.utt_id in annotations:
+                r.gt_voiced = annotations[r.utt_id].voiced
     write_scores(args.scores, records)
     eer, threshold = compute_eer(records)
     auc = compute_auc(records)

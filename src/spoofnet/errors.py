@@ -5,6 +5,7 @@ The CLI maps these onto exit codes: DataError subclasses exit with 2,
 NumericalError with 3.
 """
 
+import codecs
 import dataclasses
 import io
 import math
@@ -61,9 +62,10 @@ def check_least(record, least: dict) -> None:
 
 def read_utf8(path, newline: str | None = None) -> io.StringIO:
     """A UTF-8 text file as a line iterator, read like ``open(path,
-    newline=newline)``; bytes that are not UTF-8 raise a ParseError naming
-    their line instead of a UnicodeDecodeError."""
-    data = Path(path).read_bytes()
+    newline=newline)``, without a leading byte-order mark; bytes that are
+    not UTF-8 raise a ParseError naming their line instead of a
+    UnicodeDecodeError."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,14 +135,7 @@ def write_report(report: RelianceReport, json_path, csv_path) -> None:
             "voiced_share": g.voiced_share,
             "unvoiced_share": g.unvoiced_share,
         } for g in report.groups],
-        "utterances": [{
-            "utt_id": u.utt_id,
-            "dataset_tag": u.dataset_tag,
-            "label": u.label,
-            "score": u.score,
-            "voiced_share": u.voiced_share,
-            "unvoiced_share": u.unvoiced_share,
-        } for u in report.utterances],
+        "utterances": [asdict(u) for u in report.utterances],
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

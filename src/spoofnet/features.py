@@ -17,16 +17,6 @@ def utterance_tokens(audio_path) -> tuple[np.ndarray, np.ndarray]:
     return grid.log_mag, grid.sin_phase
 
 
-def token_block(audio_paths, dtype) -> np.ndarray:
-    """The (2, N, L, M) tokens of N audio files in one block of the given
-    dtype, magnitude then phase, written one utterance at a time (the same
-    rounding cast as astype)."""
-    tokens = np.empty((2, len(audio_paths), NUM_FRAMES, NUM_BINS), dtype=dtype)
-    for i, path in enumerate(audio_paths):
-        tokens[0, i], tokens[1, i] = utterance_tokens(path)
-    return tokens
-
-
 def build_samples(
     entries: list[ManifestEntry],
     annotations: dict[str, FrameAnnotation],
@@ -35,13 +25,16 @@ def build_samples(
     """Assemble TrainSamples for every entry with a usable annotation,
     with tokens stored in the model's dtype (the cast a batch would make).
 
-    The kept entries' tokens live in one token_block; each sample's mag
-    and phase are views of its rows.
+    The kept entries' tokens live in one (2, N, L, M) block, magnitude
+    then phase, written one utterance at a time (the same rounding cast as
+    astype); each sample's mag and phase are views of its rows.
     Entries without annotations (skipped upstream) are silently omitted;
     the caller already has the skip report.
     """
     kept = [(e, annotations[e.utt_id]) for e in entries if e.utt_id in annotations]
-    tokens = token_block([e.audio_path for e, _ in kept], dtype)
+    tokens = np.empty((2, len(kept), NUM_FRAMES, NUM_BINS), dtype=dtype)
+    for i, (e, _) in enumerate(kept):
+        tokens[0, i], tokens[1, i] = utterance_tokens(e.audio_path)
     return [TrainSample(utt_id=e.utt_id, mag=tokens[0, i], phase=tokens[1, i],
                         annotation=ann, label=e.label_int)
             for i, (e, ann) in enumerate(kept)]

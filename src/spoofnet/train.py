@@ -152,7 +152,7 @@ def compound_loss(
     v = ad.clip(out.voicing_prob, BCE_EPS, 1.0 - BCE_EPS)     # (..., L, 1)
     one_minus_v = ad.add(ad.mul(v, -1.0), 1.0)
     per_frame = ad.add(ad.mul(ad.log(v), -mask), ad.mul(ad.log(one_minus_v), mask - 1.0))
-    bce_v = ad.tmean(per_frame, axis=(-2, -1))
+    bce_v = ad.mul(ad.tsum(per_frame, axis=(-2, -1)), 1.0 / n_frames)
 
     # unvoiced frames get an in-range stand-in target; the mask zeroes them
     tracks = np.stack([np.stack([a.f0_hz, a.f1_hz, a.f2_hz], axis=-1) for a in anns])
@@ -173,7 +173,7 @@ def compound_loss(
     total = ad.add(ad.add(ad.mul(bce_p, w0), ad.mul(bce_v, w1)), ad.mul(mse_f, w2))
     components = {name: t.data.reshape(lead) for name, t in
                   (("bce_p", bce_p), ("bce_v", bce_v), ("mse_f", mse_f), ("total", total))}
-    return ad.tmean(total), components
+    return ad.mul(ad.tsum(total), 1.0 / total.data.size), components
 
 
 def balance_classes(entries: list) -> list:

@@ -152,21 +152,45 @@ class TestPipelineCommands:
                                           err_msg=e.utt_id)
 
     def test_eval_names_each_missing_file_on_stderr(self, workspace, tmp_path, capsys):
-        import dataclasses
-
+        # a missing, a silent, a corrupt and an unreadable file are each
+        # named and left out; the last three sit among the files of a chunk,
+        # and the scores of the rest equal the clean run's byte for byte
         entries = load_manifest(workspace["manifest"]).entries
-        ghost = dataclasses.replace(entries[3], utt_id="ghost",
-                                    audio_path=tmp_path / "ghost.wav")
+        write_wav(tmp_path / "silent.wav", np.zeros(16000))
+        (tmp_path / "corrupt.wav").write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
+        (tmp_path / "folder.wav").mkdir()
+        ghost, silent, corrupt, folder = (
+            dataclasses.replace(entries[3], utt_id=name, audio_path=tmp_path / f"{name}.wav")
+            for name in ("ghost", "silent", "corrupt", "folder"))
+        unusable = (entries[:2] + [silent] + entries[2:9] + [corrupt, folder] + entries[9:]
+                    + [ghost])
         runs = {}
-        for name, listed in (("present", entries), ("one_missing", entries + [ghost])):
+        for name, listed in (("present", entries), ("unusable", unusable)):
             manifest, scores = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
             save_manifest(manifest, Manifest(listed))
             assert main(["eval", "--manifest", str(manifest), "--ckpt",
                          str(workspace["ckpt"]), "--scores", str(scores)]) == 0
             runs[name] = capsys.readouterr(), scores.read_bytes()
-        (out, err), scores = runs["one_missing"]
-        assert err == "  skipped ghost: missing audio file\n"
+        (out, err), scores = runs["unusable"]
+        lines = err.splitlines()
+        assert lines[0] == "  skipped ghost: missing audio file"
+        assert lines[1] == "  skipped silent: all-zero signal"
+        assert lines[2].startswith("  skipped corrupt: ") and "corrupt.wav" in lines[2]
+        assert lines[3].startswith("  skipped folder: ") and "Is a directory" in lines[3]
+        assert len(lines) == 4
         assert runs["present"] == ((out, ""), scores)
+
+    def test_eval_with_no_usable_file_is_2(self, workspace, tmp_path, capsys):
+        entries = load_manifest(workspace["manifest"]).entries
+        write_wav(tmp_path / "silent.wav", np.zeros(16000))
+        manifest, scores = tmp_path / "m.csv", tmp_path / "s.jsonl"
+        save_manifest(manifest, Manifest([dataclasses.replace(
+            entries[0], audio_path=tmp_path / "silent.wav")]))
+        assert main(["eval", "--manifest", str(manifest), "--ckpt",
+                     str(workspace["ckpt"]), "--scores", str(scores)]) == 2
+        assert capsys.readouterr().err == (f"  skipped {entries[0].utt_id}: all-zero signal\n"
+                                           "data error: no usable entries to evaluate\n")
+        assert not scores.exists()
 
     def test_infer_command(self, workspace, capsys):
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"

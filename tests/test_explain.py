@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spoofnet.errors import InvalidWeights
-from spoofnet.explain import (aggregate, format_report, top_frames,
+from spoofnet.explain import (GroupReliance, RelianceReport, UtteranceReliance,
+                              aggregate, format_report, top_frames,
                               utterance_reliance, write_report)
 from spoofnet.metrics import ScoreRecord
 
@@ -158,3 +159,63 @@ class TestReportOutput:
                            "voiced_share", "unvoiced_share"]
         text = format_report(report)
         assert "fake" in text and "0.2000" in text
+
+    def test_report_bytes(self, tmp_path):
+        # key order with "class" after "label", a 2-space indent, a final
+        # newline; CSV shares to six decimals, empty for an empty group
+        report = RelianceReport(
+            groups=[GroupReliance("synth", 0, 0, None, None),
+                    GroupReliance("synth", 1, 2, 1 / 3, 2 / 3)],
+            utterances=[UtteranceReliance("u1", "synth", 1, 0.9, 0.25, 0.75),
+                        UtteranceReliance("u2", "synth", 1, 0.8, 5 / 12, 7 / 12)],
+            threshold=0.5)
+        json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+        write_report(report, json_path, csv_path)
+        assert json_path.read_bytes().decode() == REPORT_JSON
+        assert csv_path.read_bytes() == (
+            b"dataset_tag,class,n_utterances,voiced_share,unvoiced_share\r\n"
+            b"synth,real,0,,\r\n"
+            b"synth,fake,2,0.333333,0.666667\r\n")
+
+
+REPORT_JSON = """\
+{
+  "threshold": 0.5,
+  "groups": [
+    {
+      "dataset_tag": "synth",
+      "label": 0,
+      "class": "real",
+      "n_utterances": 0,
+      "voiced_share": null,
+      "unvoiced_share": null
+    },
+    {
+      "dataset_tag": "synth",
+      "label": 1,
+      "class": "fake",
+      "n_utterances": 2,
+      "voiced_share": 0.3333333333333333,
+      "unvoiced_share": 0.6666666666666666
+    }
+  ],
+  "utterances": [
+    {
+      "utt_id": "u1",
+      "dataset_tag": "synth",
+      "label": 1,
+      "score": 0.9,
+      "voiced_share": 0.25,
+      "unvoiced_share": 0.75
+    },
+    {
+      "utt_id": "u2",
+      "dataset_tag": "synth",
+      "label": 1,
+      "score": 0.8,
+      "voiced_share": 0.4166666666666667,
+      "unvoiced_share": 0.5833333333333334
+    }
+  ]
+}
+"""

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ from spoofnet.config import (load_corpus_spec, load_run_config, parse_kv,
                              write_config)
 from spoofnet.dsp import SAMPLE_RATE, write_wav
 from spoofnet.errors import DuplicateId, InsufficientData, ParseError
+from spoofnet.metrics import ScoreRecord, read_scores, write_scores
 from spoofnet.formants import FORMANT_KEY
 from spoofnet.manifest import (Manifest, ManifestEntry, load_manifest,
                                save_manifest, split_90_10)
@@ -535,3 +537,53 @@ class TestConfigFiles:
         path = tmp_path / "spec.cfg"
         write_config(path, spec)
         assert load_corpus_spec(path) == spec
+
+
+class TestByteOrderMark:
+    """A text file saved with a leading UTF-8 byte-order mark reads as the
+    same file without it."""
+
+    @staticmethod
+    def with_bom(path):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return path
+
+    def test_manifest(self, tmp_path):
+        rows = ["u1,a.wav,real,ds,,train\n", "u2,b.wav,fake,ds,mp3,val\n"]
+        plain = write_manifest(tmp_path / "plain.csv", rows)
+        marked = self.with_bom(write_manifest(tmp_path / "marked.csv", rows))
+        assert load_manifest(marked).entries == load_manifest(plain).entries
+
+    def test_run_config_with_a_key_on_its_first_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("embed_dim = 24\nlr = 0.002\n")
+        mc, tc = load_run_config(self.with_bom(p))
+        assert (mc.embed_dim, tc.lr) == (24, 0.002)
+
+    def test_written_run_config(self, tmp_path):
+        mc, tc = ModelConfig(embed_dim=24), TrainConfig(seed=11)
+        p = tmp_path / "run.cfg"
+        write_config(p, mc, tc, header="run configuration")
+        assert load_run_config(self.with_bom(p)) == (mc, tc)
+
+    def test_corpus_spec(self, tmp_path):
+        p = tmp_path / "spec.cfg"
+        p.write_text("n_real = 5\ndataset_tag = mine\n")
+        spec = load_corpus_spec(self.with_bom(p))
+        assert (spec.n_real, spec.dataset_tag) == (5, "mine")
+
+    def test_score_file(self, tmp_path):
+        p = tmp_path / "scores.jsonl"
+        write_scores(p, [ScoreRecord("u1", 0.25, 0, frame_weights=np.array([0.5, 0.5])),
+                         ScoreRecord("u2", 0.75, 1)])
+        plain = read_scores(p)
+        marked = read_scores(self.with_bom(p))
+        assert [(r.utt_id, r.score, r.label) for r in marked] == \
+            [(r.utt_id, r.score, r.label) for r in plain]
+        np.testing.assert_array_equal(marked[0].frame_weights, [0.5, 0.5])
+
+    def test_bad_byte_after_the_mark_is_named_with_its_own_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(codecs.BOM_UTF8 + b"embed_dim = 32\n# caf\xe9\n")
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text"):
+            parse_kv(p)
