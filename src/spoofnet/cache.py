@@ -1,4 +1,5 @@
-"""Annotation cache: preprocess + annotate each utterance once.
+"""Annotation cache and token store: preprocess + annotate, and
+featurize, each utterance once.
 
 Records live in one line-delimited JSON file per cache directory, keyed
 by a hash of the audio bytes, the silence trim's threshold and the two
@@ -13,6 +14,17 @@ encoding of `annotate.annotation_to_record`. A line that does not parse
 as a record, such as one torn by an interrupted copy, one whose tracks
 do not decode, or one in the older per-frame format, reads as a cache
 miss and is dropped or replaced by the next write.
+
+The token store, `tokens/` in the same directory, holds the model-dtype
+(2, 128, 256) magnitude and phase token grids of each audio content that
+`train` or `eval --cache` featurized, one `.npy` file each: 256 KiB
+(262,272 bytes) in float32, 512 KiB (524,416 bytes) in float64. A file's
+name is a hash of the audio bytes, the frontend key (`dsp.FRONTEND_KEY`)
+and the dtype's name, so float32 and float64 grids never share a file
+and an edited WAV or frontend key misses. A file that is torn or holds
+another shape or dtype reads as a miss and is rewritten, atomically as
+the records are. `annotate`, `infer` and `eval` without `--cache` never
+touch the store; deleting `tokens/` clears it.
 """
 
 from __future__ import annotations
@@ -23,9 +35,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .annotate import (FrameAnnotation, annotate_waveform, annotation_from_record,
                        annotation_to_record)
-from .dsp import SILENCE_THRESHOLD_DB, preprocess, read_wav
+from .dsp import (FRONTEND_KEY, NUM_BINS, NUM_FRAMES, SILENCE_THRESHOLD_DB,
+                  preprocess, read_wav)
 from .errors import DataError
 from .fileio import replace_atomically
 from .formants import FORMANT_KEY
@@ -33,6 +48,8 @@ from .manifest import ManifestEntry
 from .pitch import PITCH_KEY
 
 CACHE_FILENAME = "annotations.jsonl"
+TOKENS_DIRNAME = "tokens"
+TOKEN_SHAPE = (2, NUM_FRAMES, NUM_BINS)
 
 
 @dataclass
@@ -42,14 +59,53 @@ class AnnotateStats:
     skipped: list = field(default_factory=list)  # (utt_id, reason)
 
 
-def content_key(audio_path) -> str:
+def audio_digest(audio_path, digests: dict | None = None):
+    """A sha256 object fed the bytes of an audio file, the part that the
+    annotation key and the token key share. With ``digests`` (a dict of
+    digests by audio path), a file is read for its hash once."""
+    digest = None if digests is None else digests.get(audio_path)
+    if digest is None:
+        with open(audio_path, "rb") as fh:
+            digest = hashlib.sha256(fh.read())
+        if digests is not None:
+            digests[audio_path] = digest
+    return digest
+
+
+def _key(audio_path, digests, suffix: str) -> str:
+    h = audio_digest(audio_path, digests).copy()
+    h.update(suffix.encode("utf-8"))
+    return h.hexdigest()
+
+
+def content_key(audio_path, digests: dict | None = None) -> str:
     """Hash of the file bytes, the silence trim's threshold and the two
     tracker keys."""
-    h = hashlib.sha256()
-    with open(audio_path, "rb") as fh:
-        h.update(fh.read())
-    h.update(f"|trim:{SILENCE_THRESHOLD_DB}|{PITCH_KEY}|{FORMANT_KEY}".encode("utf-8"))
-    return h.hexdigest()
+    return _key(audio_path, digests, f"|trim:{SILENCE_THRESHOLD_DB}|{PITCH_KEY}|{FORMANT_KEY}")
+
+
+def token_path(cache_dir, audio_path, dtype, digests: dict | None = None) -> Path:
+    """The store file of an audio file's token grids in dtype, named by a
+    hash of the file bytes, the frontend key and the dtype's name."""
+    key = _key(audio_path, digests, f"|{FRONTEND_KEY}|{np.dtype(dtype).name}")
+    return Path(cache_dir) / TOKENS_DIRNAME / f"{key}.npy"
+
+
+def read_tokens(path, dtype) -> np.ndarray | None:
+    """The (2, L, M) token grids stored at path, or None, a miss, when
+    there is no such file or it is torn or of another shape or dtype."""
+    try:
+        with open(path, "rb") as fh:
+            grids = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    return grids if grids.shape == TOKEN_SHAPE and grids.dtype == dtype else None
+
+
+def write_tokens(path: Path, grids: np.ndarray) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with replace_atomically(path, "xb") as fh:
+        np.lib.format.write_array(fh, grids, allow_pickle=False)
 
 
 def _load_cache_file(path: Path) -> dict[str, dict]:
@@ -88,9 +144,11 @@ def annotate_corpus(
     manifest: Iterable[ManifestEntry],
     cache_dir,
     workers: int = 1,
+    digests: dict | None = None,
 ) -> tuple[dict[str, FrameAnnotation], AnnotateStats]:
     """Annotate every readable utterance of a manifest (or of any of its
-    entries), reusing fresh cache records.
+    entries), reusing fresh cache records. ``digests`` is passed on to
+    :func:`audio_digest`.
 
     Returns the annotations plus stats saying how much work was reused.
     Unreadable or silent audio is skipped (and recorded as such), never
@@ -110,7 +168,7 @@ def annotate_corpus(
             stats.skipped.append((entry.utt_id, "missing audio file"))
             continue
         try:
-            key = content_key(entry.audio_path)
+            key = content_key(entry.audio_path, digests)
         except OSError as exc:
             stats.skipped.append((entry.utt_id, f"unreadable: {exc}"))
             continue

@@ -25,7 +25,7 @@ from .cache import annotate_corpus
 from .config import (load_corpus_spec, load_run_config, write_config)
 from .errors import DataError, NotScalar, NumericalError, ShapeError
 from .explain import aggregate, format_report, top_frames, write_report
-from .features import build_samples, utterance_tokens
+from .features import build_samples, token_grids, utterance_tokens
 from .manifest import VALID_SPLITS, load_manifest, split_90_10
 from .metrics import (ScoreRecord, breakdown, compute_auc, compute_eer,
                       format_breakdown, read_scores, write_scores)
@@ -155,7 +155,8 @@ def _cmd_train(args) -> int:
                   "--history": history_path})
     manifest = load_manifest(args.manifest)
     model_cfg, train_cfg = load_run_config(args.config)
-    annotations, stats = annotate_corpus(manifest, args.cache)
+    digests = {}  # each file is read for its hash once, for both of its keys
+    annotations, stats = annotate_corpus(manifest, args.cache, digests=digests)
     usable = [e for e in manifest if e.utt_id in annotations]
     if not usable:
         raise DataError("no annotated utterances available for training")
@@ -174,8 +175,9 @@ def _cmd_train(args) -> int:
 
     print(f"training on {len(train_entries)} utterances "
           f"(balanced), validating on {len(val_entries)}")
-    train_samples = build_samples(train_entries, annotations, model_cfg.np_dtype())
-    val_samples = build_samples(val_entries, annotations, model_cfg.np_dtype())
+    dtype = model_cfg.np_dtype()
+    train_samples = build_samples(train_entries, annotations, dtype, args.cache, digests)
+    val_samples = build_samples(val_entries, annotations, dtype, args.cache, digests)
 
     model = SpoofNet(model_cfg, seed=train_cfg.seed)
     result = train_loop(model, train_samples, val_samples, train_cfg, scaler)
@@ -206,16 +208,16 @@ def _cmd_eval(args) -> int:
             print(f"  skipped {e.utt_id}: missing audio file", file=sys.stderr)
     entries = [e for e in entries if not e.missing]
 
-    # each file is read once, into the next free row of one chunk's token
-    # block; a file that cannot be read or holds no signal is named and
-    # left out, like a missing one
-    size = train_cfg.batch_size
-    tokens = np.empty((2, size, model.cfg.n_frames, model.cfg.n_bins),
-                      dtype=model.cfg.np_dtype())
+    # each file's tokens go into the next free row of one chunk's token
+    # block, from the token store with --cache; a file that cannot be read
+    # or holds no signal is named and left out, like a missing one
+    size, dtype = train_cfg.batch_size, model.cfg.np_dtype()
+    tokens = np.empty((2, size, model.cfg.n_frames, model.cfg.n_bins), dtype=dtype)
+    digests = {}  # each file is read for its hash once, for both of its keys
     records, chunk = [], []
     for n, e in enumerate(entries, start=1):
         try:
-            tokens[0, len(chunk)], tokens[1, len(chunk)] = utterance_tokens(e.audio_path)
+            tokens[:, len(chunk)] = token_grids(e.audio_path, dtype, args.cache, digests)
             chunk.append(e)
         except DataError as exc:
             print(f"  skipped {e.utt_id}: {exc}", file=sys.stderr)
@@ -231,7 +233,7 @@ def _cmd_eval(args) -> int:
     if not records:
         raise DataError("no usable entries to evaluate")
     if args.cache:
-        annotations, _ = annotate_corpus(entries, args.cache)
+        annotations, _ = annotate_corpus(entries, args.cache, digests=digests)
         for r in records:
             if r.utt_id in annotations:
                 r.gt_voiced = annotations[r.utt_id].voiced
@@ -314,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=VALID_SPLITS[:3], default=None,
                    help="restrict to one manifest split")
     p.add_argument("--cache", default=None,
-                   help="annotation cache dir, to attach ground-truth voicing")
+                   help="cache dir (as given to annotate and train): attaches "
+                        "ground-truth voicing, and reads and fills its token "
+                        "store, so a file is featurized once per cache")
 
     p = sub.add_parser("explain", help="voiced/unvoiced reliance report")
     p.add_argument("--scores", required=True)

@@ -28,6 +28,12 @@ LOG_FLOOR = 1e-10
 TRIM_BLOCK_SECONDS = 0.020
 SILENCE_THRESHOLD_DB = -40.0
 
+# Part of every token-store key (cache.py). The text is a label, not a
+# full description: the resampler, the window and the grid formulas are
+# not in it, so edit it by hand with any change that alters the tokens.
+FRONTEND_KEY = (f"stft:{SAMPLE_RATE}:trim{TRIM_BLOCK_SECONDS}:{SILENCE_THRESHOLD_DB}:"
+                f"{FIXED_NUM_SAMPLES}:{FRAME_LEN}:{HOP_LEN}:{NUM_BINS}:{LOG_FLOOR}")
+
 # plausible voice ranges in Hz, shared by the trackers and the model's outputs
 F0_RANGE_HZ = (60.0, 400.0)
 F1_RANGE_HZ = (200.0, 850.0)

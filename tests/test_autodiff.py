@@ -615,6 +615,28 @@ class TestAttention:
             assert str(s) in str(err.value)
         assert f"{heads} heads" in str(err.value)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_rows_are_all_nan_as_in_the_chain(self, dtype):
+        # a NaN query makes one row of its head's scores NaN, a NaN key one
+        # entry of every row of its head's scores; each such row of
+        # probabilities, and so of outputs, is all NaN, and the rest equal
+        # the chain's bits
+        heads, d = 2, 8
+        qkv, _ = self.data(dtype, (), heads)
+        qkv["q"][3, d + 1] = np.nan   # head 1, frame 3
+        qkv["k"][5, 2] = np.nan       # head 0, frame 5
+        out = ad.attention(Tensor(qkv["q"]), Tensor(qkv["k"]), Tensor(qkv["v"]), heads).data
+        split = {name: split_heads(x, heads) for name, x in qkv.items()}
+        ref = attention_chain(Tensor(split["q"]), Tensor(split["k"].mT.copy()),
+                              Tensor(split["v"]), 1.0 / np.sqrt(d))
+        want = join_heads(ref.data)
+        nan_rows = np.zeros(out.shape, dtype=bool)
+        nan_rows[:, :d] = True        # every row of head 0
+        nan_rows[3, d:] = True        # row 3 of head 1
+        np.testing.assert_array_equal(np.isnan(out), nan_rows)
+        np.testing.assert_array_equal(np.isnan(want), nan_rows)
+        assert out[~nan_rows].tobytes() == want[~nan_rows].tobytes()
+
     def test_no_grad_records_no_graph(self):
         rng = np.random.default_rng(4)
         q, k, v = (randt(rng, 2, 4, 6) for _ in range(3))

@@ -151,10 +151,19 @@ class TestPipelineCommands:
             np.testing.assert_array_equal(got.voicing_prob, want.voicing_prob,
                                           err_msg=e.utt_id)
 
-    def test_eval_names_each_missing_file_on_stderr(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "token_store"])
+    def test_eval_names_each_missing_file_on_stderr(self, workspace, tmp_path, capsys,
+                                                    cached):
         # a missing, a silent, a corrupt and an unreadable file are each
         # named and left out; the last three sit among the files of a chunk,
-        # and the scores of the rest equal the clean run's byte for byte
+        # and the scores of the rest equal the clean run's byte for byte;
+        # with a cache, the same files are named in the same words
+        cache = []
+        if cached:
+            (tmp_path / "cache").mkdir()
+            (tmp_path / "cache" / "annotations.jsonl").write_bytes(
+                (workspace["cache"] / "annotations.jsonl").read_bytes())
+            cache = ["--cache", str(tmp_path / "cache")]
         entries = load_manifest(workspace["manifest"]).entries
         write_wav(tmp_path / "silent.wav", np.zeros(16000))
         (tmp_path / "corrupt.wav").write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
@@ -169,7 +178,7 @@ class TestPipelineCommands:
             manifest, scores = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
             save_manifest(manifest, Manifest(listed))
             assert main(["eval", "--manifest", str(manifest), "--ckpt",
-                         str(workspace["ckpt"]), "--scores", str(scores)]) == 0
+                         str(workspace["ckpt"]), "--scores", str(scores), *cache]) == 0
             runs[name] = capsys.readouterr(), scores.read_bytes()
         (out, err), scores = runs["unusable"]
         lines = err.splitlines()
@@ -457,6 +466,74 @@ def test_build_samples_stores_tokens_in_the_model_dtype(workspace, dtype):
         assert sample.phase.tobytes() == phase.astype(dtype).tobytes()
 
 
+class TestTokenStoreCommands:
+    """train and eval with --cache read and fill the cache's token store,
+    and write the same bytes whether it was cold or warm."""
+
+    @staticmethod
+    def annotated_cache(workspace, path) -> Path:
+        """A cache dir holding the workspace's annotations and no tokens."""
+        import shutil
+
+        path.mkdir()
+        shutil.copy(workspace["cache"] / "annotations.jsonl", path)
+        return path
+
+    @staticmethod
+    def refuse_featurizing(monkeypatch):
+        from spoofnet import features
+
+        def refuse(path):
+            raise AssertionError(f"featurized {path} with a warm store")
+
+        monkeypatch.setattr(features, "utterance_tokens", refuse)
+
+    def test_eval_scores_equal_without_cache_and_with_cold_and_warm_store(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        cache = self.annotated_cache(workspace, tmp_path / "cache")
+
+        def run_eval(name, *extra):
+            scores = tmp_path / f"{name}.jsonl"
+            assert main(["eval", "--manifest", str(workspace["manifest"]),
+                         "--ckpt", str(workspace["ckpt"]), "--scores", str(scores),
+                         "--by", "codec", *extra]) == 0
+            return capsys.readouterr().out, scores.read_bytes()
+
+        plain = run_eval("plain")
+        cold = run_eval("cold", "--cache", str(cache))
+        assert len(list((cache / "tokens").iterdir())) == 16
+        self.refuse_featurizing(monkeypatch)
+        warm = run_eval("warm", "--cache", str(cache))
+        # the workspace's scores came from the tokens its train stored
+        assert warm == cold and cold[1] == workspace["scores"].read_bytes()
+        # without --cache the records carry no ground-truth voicing, and
+        # every other byte is the same
+        rows = [json.loads(line) for line in cold[1].splitlines()]
+        assert all(row.pop("gt_voiced") is not None for row in rows)
+        assert plain[1] == "".join(json.dumps({**row, "gt_voiced": None}) + "\n"
+                                   for row in rows).encode()
+        assert plain[0] == cold[0]
+
+    def test_train_checkpoint_equal_from_cold_and_warm_store(self, workspace, tmp_path,
+                                                             monkeypatch):
+        cache = self.annotated_cache(workspace, tmp_path / "cache")
+        run_cfg = tmp_path / "run.cfg"  # the workspace's own run
+        write_config(run_cfg, toy_config(),
+                     TrainConfig(batch_size=8, lr=1e-3, max_epochs=4, seed=3))
+
+        def train(name) -> bytes:
+            ckpt = tmp_path / f"{name}.ckpt"
+            assert main(["train", "--manifest", str(workspace["manifest"]),
+                         "--cache", str(cache), "--config", str(run_cfg),
+                         "--out", str(ckpt)]) == 0
+            return ckpt.read_bytes()
+
+        cold = train("cold")
+        assert len(list((cache / "tokens").iterdir())) == 16
+        self.refuse_featurizing(monkeypatch)
+        assert train("warm") == cold == workspace["ckpt"].read_bytes()
+
+
 class TestTrainSplitHandling:
     def test_test_split_entries_excluded_from_training(self, workspace, tmp_path,
                                                        capsys):
@@ -528,7 +605,7 @@ class TestEvalSplit:
                                                       split_manifest):
         import json
 
-        from spoofnet.cache import CACHE_FILENAME
+        from spoofnet.cache import CACHE_FILENAME, TOKENS_DIRNAME, token_path
 
         path, val_ids = split_manifest
         cache = tmp_path / "fresh_cache"
@@ -537,6 +614,11 @@ class TestEvalSplit:
                      "--cache", str(cache)]) == 0
         lines = (cache / CACHE_FILENAME).read_text().splitlines()
         assert sorted(json.loads(line)["utt_id"] for line in lines) == sorted(val_ids)
+        # the token store holds the scored entries' tokens and no others
+        entries = {e.utt_id: e for e in load_manifest(path)}
+        assert sorted((cache / TOKENS_DIRNAME).iterdir()) == sorted(
+            token_path(cache, entries[u].audio_path, toy_config().np_dtype())
+            for u in val_ids)
 
     def test_split_without_entries_is_2(self, workspace, tmp_path, split_manifest,
                                         capsys):

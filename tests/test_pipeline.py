@@ -425,6 +425,154 @@ class TestAnnotationCache:
         assert stats.skipped == [("ghost", "missing audio file")]
 
 
+class TestTokenStore:
+    """`features.token_grids` with a cache directory: one file per audio
+    content, dtype and frontend key under `<cache>/tokens/`."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        spec = SyntheticCorpusSpec(n_real=1, n_fake=1, seed=5, duration_s=1.0)
+        return generate_synthetic_corpus(spec, tmp_path / "corpus")
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The audio paths featurize computes tokens for, in call order."""
+        from spoofnet import features
+
+        calls, compute = [], features.utterance_tokens
+
+        def counted(path):
+            calls.append(path)
+            return compute(path)
+
+        monkeypatch.setattr(features, "utterance_tokens", counted)
+        return calls
+
+    @staticmethod
+    def fresh(path, dtype) -> np.ndarray:
+        from spoofnet.dsp import preprocess, read_wav, stft_features
+
+        grid = stft_features(preprocess(read_wav(path)))
+        return np.stack([grid.log_mag, grid.sin_phase]).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cold_then_warm_equal_the_fresh_cast(self, tmp_path, corpus, computed, dtype):
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        for e in corpus:
+            cold = token_grids(e.audio_path, dtype, cache)
+            warm = token_grids(e.audio_path, dtype, cache)
+            want = self.fresh(e.audio_path, dtype)
+            for got in (cold, warm):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert computed == [e.audio_path for e in corpus]
+        size = {np.float32: 262_272, np.float64: 524_416}[dtype]  # as the docs say
+        assert [p.stat().st_size for p in (cache / "tokens").iterdir()] == [size] * 2
+
+    def test_key_text(self, tmp_path):
+        from spoofnet.cache import token_path
+        from spoofnet.dsp import FRONTEND_KEY
+
+        path = tmp_path / "a.wav"
+        path.write_bytes(b"audio bytes")
+        for dtype in ("float32", "float64"):
+            key = hashlib.sha256(f"audio bytes|{FRONTEND_KEY}|{dtype}".encode()).hexdigest()
+            assert token_path(tmp_path / "c", path, dtype) == tmp_path / "c" / "tokens" / f"{key}.npy"
+
+    def test_float32_and_float64_never_share_a_file(self, tmp_path, corpus, computed):
+        from spoofnet.cache import token_path
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        e = corpus.entries[0]
+        for dtype in (np.float32, np.float64, np.float32, np.float64):
+            assert token_grids(e.audio_path, dtype, cache).dtype == dtype
+        assert computed == [e.audio_path] * 2
+        paths = {np.dtype(t): token_path(cache, e.audio_path, t) for t in (np.float32, np.float64)}
+        assert sorted(cache.joinpath("tokens").iterdir()) == sorted(paths.values())
+        for dtype, path in paths.items():
+            assert np.load(path).dtype == dtype
+
+    @pytest.mark.parametrize("damage", ["empty", "torn_header", "torn_data", "not_npy",
+                                        "other_shape", "other_dtype"])
+    def test_damaged_file_is_a_miss_and_rewritten(self, tmp_path, corpus, computed, damage):
+        from spoofnet.cache import token_path
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        wav = corpus.entries[0].audio_path
+        want = token_grids(wav, np.float32, cache)
+        path = token_path(cache, wav, np.float32)
+        good = path.read_bytes()
+        if damage == "other_shape":
+            np.save(path, want[:, :, :-1])
+        elif damage == "other_dtype":
+            np.save(path, want.astype(np.float64))
+        else:
+            path.write_bytes({"empty": b"", "torn_header": good[:40],
+                              "torn_data": good[:len(good) // 2],
+                              "not_npy": b"PK\x03\x04" + good[4:]}[damage])
+        got = token_grids(wav, np.float32, cache)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert computed == [wav, wav]
+        assert path.read_bytes() == good
+        assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+
+    def test_edited_wav_misses(self, tmp_path, corpus, computed):
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        a, b = (e.audio_path for e in corpus)
+        token_grids(a, np.float32, cache)
+        a.write_bytes(b.read_bytes())
+        got = token_grids(a, np.float32, cache)
+        assert got.tobytes() == self.fresh(b, np.float32).tobytes()
+        assert computed == [a, a] and len(list((cache / "tokens").iterdir())) == 2
+        token_grids(b, np.float32, cache)  # the same bytes: a hit
+        assert computed == [a, a]
+
+    def test_frontend_key_edit_misses(self, tmp_path, corpus, computed, monkeypatch):
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        wav = corpus.entries[0].audio_path
+        token_grids(wav, np.float32, cache)
+        monkeypatch.setattr("spoofnet.cache.FRONTEND_KEY", "edited")
+        token_grids(wav, np.float32, cache)
+        assert computed == [wav, wav]
+
+    def test_digests_read_each_file_once_for_both_keys(self, tmp_path, corpus, monkeypatch):
+        from spoofnet import cache as cache_mod
+        from spoofnet.features import build_samples
+
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".wav"):
+                opened.append(path)
+            return open(path, *args, **kwargs)
+
+        cache = tmp_path / "cache"
+        annotate_corpus(corpus, cache)                  # annotations cached, no tokens
+        monkeypatch.setattr(cache_mod, "open", counting_open, raising=False)
+        digests = {}
+        annotations, _ = annotate_corpus(corpus, cache, digests=digests)
+        for _ in range(2):                              # a cold store, then a warm one
+            build_samples(corpus.entries, annotations, np.float32, cache, digests)
+        assert sorted(opened) == sorted(e.audio_path for e in corpus)
+        assert all(content_key(e.audio_path, digests) == content_key(e.audio_path)
+                   for e in corpus)
+
+    def test_annotate_leaves_the_store_alone(self, tmp_path, corpus):
+        from spoofnet.cli import main
+
+        cache = tmp_path / "cache"
+        assert main(["annotate", "--manifest", str(tmp_path / "corpus" / "manifest.csv"),
+                     "--cache", str(cache)]) == 0
+        assert [p.name for p in cache.iterdir()] == ["annotations.jsonl"]
+
+
 class TestConfigFiles:
     def test_kv_parsing_with_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
