@@ -17,14 +17,16 @@ miss and is dropped or replaced by the next write.
 
 The token store, `tokens/` in the same directory, holds the model-dtype
 (2, 128, 256) magnitude and phase token grids of each audio content that
-`train` or `eval --cache` featurized, one `.npy` file each: 256 KiB
-(262,272 bytes) in float32, 512 KiB (524,416 bytes) in float64. A file's
-name is a hash of the audio bytes, the frontend key (`dsp.FRONTEND_KEY`)
-and the dtype's name, so float32 and float64 grids never share a file
-and an edited WAV or frontend key misses. A file that is torn or holds
-another shape or dtype reads as a miss and is rewritten, atomically as
-the records are. `annotate`, `infer` and `eval` without `--cache` never
-touch the store; deleting `tokens/` clears it.
+`train` featurized, one `.npy` file each: 256 KiB (262,272 bytes) in
+float32, 512 KiB (524,416 bytes) in float64. A file's name is a hash of
+the audio bytes, the frontend key (`dsp.FRONTEND_KEY`) and the dtype's
+name, so float32 and float64 grids never share a file and an edited WAV
+or frontend key misses. A file that is torn or holds another shape or
+dtype reads as a miss, which `train` rewrites, atomically as the records
+are; a store that cannot be written only costs the saving. `eval
+--cache` reads the store and never writes it, so evaluating a corpus
+that no `train` featurized adds no file; `annotate`, `infer` and `eval`
+without `--cache` never touch it. Deleting `tokens/` clears it.
 """
 
 from __future__ import annotations
@@ -59,35 +61,24 @@ class AnnotateStats:
     skipped: list = field(default_factory=list)  # (utt_id, reason)
 
 
-def audio_digest(audio_path, digests: dict | None = None):
-    """A sha256 object fed the bytes of an audio file, the part that the
-    annotation key and the token key share. With ``digests`` (a dict of
-    digests by audio path), a file is read for its hash once."""
-    digest = None if digests is None else digests.get(audio_path)
-    if digest is None:
-        with open(audio_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read())
-        if digests is not None:
-            digests[audio_path] = digest
-    return digest
-
-
-def _key(audio_path, digests, suffix: str) -> str:
-    h = audio_digest(audio_path, digests).copy()
+def _file_key(audio_path, suffix: str) -> str:
+    h = hashlib.sha256()
+    with open(audio_path, "rb") as fh:
+        h.update(fh.read())
     h.update(suffix.encode("utf-8"))
     return h.hexdigest()
 
 
-def content_key(audio_path, digests: dict | None = None) -> str:
+def content_key(audio_path) -> str:
     """Hash of the file bytes, the silence trim's threshold and the two
     tracker keys."""
-    return _key(audio_path, digests, f"|trim:{SILENCE_THRESHOLD_DB}|{PITCH_KEY}|{FORMANT_KEY}")
+    return _file_key(audio_path, f"|trim:{SILENCE_THRESHOLD_DB}|{PITCH_KEY}|{FORMANT_KEY}")
 
 
-def token_path(cache_dir, audio_path, dtype, digests: dict | None = None) -> Path:
+def token_path(cache_dir, audio_path, dtype) -> Path:
     """The store file of an audio file's token grids in dtype, named by a
     hash of the file bytes, the frontend key and the dtype's name."""
-    key = _key(audio_path, digests, f"|{FRONTEND_KEY}|{np.dtype(dtype).name}")
+    key = _file_key(audio_path, f"|{FRONTEND_KEY}|{np.dtype(dtype).name}")
     return Path(cache_dir) / TOKENS_DIRNAME / f"{key}.npy"
 
 
@@ -144,11 +135,9 @@ def annotate_corpus(
     manifest: Iterable[ManifestEntry],
     cache_dir,
     workers: int = 1,
-    digests: dict | None = None,
 ) -> tuple[dict[str, FrameAnnotation], AnnotateStats]:
     """Annotate every readable utterance of a manifest (or of any of its
-    entries), reusing fresh cache records. ``digests`` is passed on to
-    :func:`audio_digest`.
+    entries), reusing fresh cache records.
 
     Returns the annotations plus stats saying how much work was reused.
     Unreadable or silent audio is skipped (and recorded as such), never
@@ -168,7 +157,7 @@ def annotate_corpus(
             stats.skipped.append((entry.utt_id, "missing audio file"))
             continue
         try:
-            key = content_key(entry.audio_path, digests)
+            key = content_key(entry.audio_path)
         except OSError as exc:
             stats.skipped.append((entry.utt_id, f"unreadable: {exc}"))
             continue

@@ -155,8 +155,7 @@ def _cmd_train(args) -> int:
                   "--history": history_path})
     manifest = load_manifest(args.manifest)
     model_cfg, train_cfg = load_run_config(args.config)
-    digests = {}  # each file is read for its hash once, for both of its keys
-    annotations, stats = annotate_corpus(manifest, args.cache, digests=digests)
+    annotations, stats = annotate_corpus(manifest, args.cache)
     usable = [e for e in manifest if e.utt_id in annotations]
     if not usable:
         raise DataError("no annotated utterances available for training")
@@ -176,8 +175,8 @@ def _cmd_train(args) -> int:
     print(f"training on {len(train_entries)} utterances "
           f"(balanced), validating on {len(val_entries)}")
     dtype = model_cfg.np_dtype()
-    train_samples = build_samples(train_entries, annotations, dtype, args.cache, digests)
-    val_samples = build_samples(val_entries, annotations, dtype, args.cache, digests)
+    train_samples = build_samples(train_entries, annotations, dtype, args.cache)
+    val_samples = build_samples(val_entries, annotations, dtype, args.cache)
 
     model = SpoofNet(model_cfg, seed=train_cfg.seed)
     result = train_loop(model, train_samples, val_samples, train_cfg, scaler)
@@ -209,15 +208,16 @@ def _cmd_eval(args) -> int:
     entries = [e for e in entries if not e.missing]
 
     # each file's tokens go into the next free row of one chunk's token
-    # block, from the token store with --cache; a file that cannot be read
-    # or holds no signal is named and left out, like a missing one
+    # block, read from the token store with --cache (eval never writes it:
+    # a corpus evaluated once would pay the writes and gain nothing); a file
+    # that cannot be read or holds no signal is named and left out, like a
+    # missing one
     size, dtype = train_cfg.batch_size, model.cfg.np_dtype()
     tokens = np.empty((2, size, model.cfg.n_frames, model.cfg.n_bins), dtype=dtype)
-    digests = {}  # each file is read for its hash once, for both of its keys
     records, chunk = [], []
     for n, e in enumerate(entries, start=1):
         try:
-            tokens[:, len(chunk)] = token_grids(e.audio_path, dtype, args.cache, digests)
+            tokens[:, len(chunk)] = token_grids(e.audio_path, dtype, args.cache, fill=False)
             chunk.append(e)
         except DataError as exc:
             print(f"  skipped {e.utt_id}: {exc}", file=sys.stderr)
@@ -233,7 +233,7 @@ def _cmd_eval(args) -> int:
     if not records:
         raise DataError("no usable entries to evaluate")
     if args.cache:
-        annotations, _ = annotate_corpus(entries, args.cache, digests=digests)
+        annotations, _ = annotate_corpus(entries, args.cache)
         for r in records:
             if r.utt_id in annotations:
                 r.gt_voiced = annotations[r.utt_id].voiced
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one manifest split")
     p.add_argument("--cache", default=None,
                    help="cache dir (as given to annotate and train): attaches "
-                        "ground-truth voicing, and reads and fills its token "
-                        "store, so a file is featurized once per cache")
+                        "ground-truth voicing, and reads the tokens train stored "
+                        "there, so those files are not featurized again")
 
     p = sub.add_parser("explain", help="voiced/unvoiced reliance report")
     p.add_argument("--scores", required=True)

@@ -467,8 +467,9 @@ def test_build_samples_stores_tokens_in_the_model_dtype(workspace, dtype):
 
 
 class TestTokenStoreCommands:
-    """train and eval with --cache read and fill the cache's token store,
-    and write the same bytes whether it was cold or warm."""
+    """train with --cache reads and fills the cache's token store, eval
+    --cache only reads it, and both write the same bytes whether the store
+    was cold or warm."""
 
     @staticmethod
     def annotated_cache(workspace, path) -> Path:
@@ -488,6 +489,18 @@ class TestTokenStoreCommands:
 
         monkeypatch.setattr(features, "utterance_tokens", refuse)
 
+    @staticmethod
+    def train(workspace, tmp_path, cache, name) -> bytes:
+        """The checkpoint bytes of the workspace's own run on cache."""
+        run_cfg = tmp_path / "run.cfg"
+        write_config(run_cfg, toy_config(),
+                     TrainConfig(batch_size=8, lr=1e-3, max_epochs=4, seed=3))
+        ckpt = tmp_path / f"{name}.ckpt"
+        assert main(["train", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(cache), "--config", str(run_cfg),
+                     "--out", str(ckpt)]) == 0
+        return ckpt.read_bytes()
+
     def test_eval_scores_equal_without_cache_and_with_cold_and_warm_store(
             self, workspace, tmp_path, capsys, monkeypatch):
         cache = self.annotated_cache(workspace, tmp_path / "cache")
@@ -501,6 +514,10 @@ class TestTokenStoreCommands:
 
         plain = run_eval("plain")
         cold = run_eval("cold", "--cache", str(cache))
+        # eval wrote no token file
+        assert [p.name for p in cache.iterdir()] == ["annotations.jsonl"]
+        self.train(workspace, tmp_path, cache, "fill")
+        capsys.readouterr()
         assert len(list((cache / "tokens").iterdir())) == 16
         self.refuse_featurizing(monkeypatch)
         warm = run_eval("warm", "--cache", str(cache))
@@ -517,21 +534,24 @@ class TestTokenStoreCommands:
     def test_train_checkpoint_equal_from_cold_and_warm_store(self, workspace, tmp_path,
                                                              monkeypatch):
         cache = self.annotated_cache(workspace, tmp_path / "cache")
-        run_cfg = tmp_path / "run.cfg"  # the workspace's own run
-        write_config(run_cfg, toy_config(),
-                     TrainConfig(batch_size=8, lr=1e-3, max_epochs=4, seed=3))
-
-        def train(name) -> bytes:
-            ckpt = tmp_path / f"{name}.ckpt"
-            assert main(["train", "--manifest", str(workspace["manifest"]),
-                         "--cache", str(cache), "--config", str(run_cfg),
-                         "--out", str(ckpt)]) == 0
-            return ckpt.read_bytes()
-
-        cold = train("cold")
+        cold = self.train(workspace, tmp_path, cache, "cold")
         assert len(list((cache / "tokens").iterdir())) == 16
         self.refuse_featurizing(monkeypatch)
-        assert train("warm") == cold == workspace["ckpt"].read_bytes()
+        warm = self.train(workspace, tmp_path, cache, "warm")
+        assert warm == cold == workspace["ckpt"].read_bytes()
+
+    def test_train_on_a_full_disk_writes_the_same_checkpoint(self, workspace, tmp_path,
+                                                             monkeypatch):
+        import errno
+
+        def full_disk(fh, array, **kwargs):
+            fh.write(b"\x93NUMPY")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = self.annotated_cache(workspace, tmp_path / "cache")
+        monkeypatch.setattr(np.lib.format, "write_array", full_disk)
+        assert self.train(workspace, tmp_path, cache, "full") == workspace["ckpt"].read_bytes()
+        assert list((cache / "tokens").iterdir()) == []  # no temp file left
 
 
 class TestTrainSplitHandling:
@@ -605,7 +625,7 @@ class TestEvalSplit:
                                                       split_manifest):
         import json
 
-        from spoofnet.cache import CACHE_FILENAME, TOKENS_DIRNAME, token_path
+        from spoofnet.cache import CACHE_FILENAME, TOKENS_DIRNAME
 
         path, val_ids = split_manifest
         cache = tmp_path / "fresh_cache"
@@ -614,11 +634,8 @@ class TestEvalSplit:
                      "--cache", str(cache)]) == 0
         lines = (cache / CACHE_FILENAME).read_text().splitlines()
         assert sorted(json.loads(line)["utt_id"] for line in lines) == sorted(val_ids)
-        # the token store holds the scored entries' tokens and no others
-        entries = {e.utt_id: e for e in load_manifest(path)}
-        assert sorted((cache / TOKENS_DIRNAME).iterdir()) == sorted(
-            token_path(cache, entries[u].audio_path, toy_config().np_dtype())
-            for u in val_ids)
+        # eval reads the token store and never writes it
+        assert not (cache / TOKENS_DIRNAME).exists()
 
     def test_split_without_entries_is_2(self, workspace, tmp_path, split_manifest,
                                         capsys):

@@ -478,7 +478,8 @@ class TestTokenStore:
         path.write_bytes(b"audio bytes")
         for dtype in ("float32", "float64"):
             key = hashlib.sha256(f"audio bytes|{FRONTEND_KEY}|{dtype}".encode()).hexdigest()
-            assert token_path(tmp_path / "c", path, dtype) == tmp_path / "c" / "tokens" / f"{key}.npy"
+            want = tmp_path / "c" / "tokens" / f"{key}.npy"
+            assert token_path(tmp_path / "c", path, dtype) == want
 
     def test_float32_and_float64_never_share_a_file(self, tmp_path, corpus, computed):
         from spoofnet.cache import token_path
@@ -542,27 +543,32 @@ class TestTokenStore:
         token_grids(wav, np.float32, cache)
         assert computed == [wav, wav]
 
-    def test_digests_read_each_file_once_for_both_keys(self, tmp_path, corpus, monkeypatch):
-        from spoofnet import cache as cache_mod
-        from spoofnet.features import build_samples
-
-        opened = []
-
-        def counting_open(path, *args, **kwargs):
-            if str(path).endswith(".wav"):
-                opened.append(path)
-            return open(path, *args, **kwargs)
+    def test_without_fill_a_miss_is_computed_and_not_stored(self, tmp_path, corpus,
+                                                            computed):
+        from spoofnet.features import token_grids
 
         cache = tmp_path / "cache"
-        annotate_corpus(corpus, cache)                  # annotations cached, no tokens
-        monkeypatch.setattr(cache_mod, "open", counting_open, raising=False)
-        digests = {}
-        annotations, _ = annotate_corpus(corpus, cache, digests=digests)
-        for _ in range(2):                              # a cold store, then a warm one
-            build_samples(corpus.entries, annotations, np.float32, cache, digests)
-        assert sorted(opened) == sorted(e.audio_path for e in corpus)
-        assert all(content_key(e.audio_path, digests) == content_key(e.audio_path)
-                   for e in corpus)
+        wav = corpus.entries[0].audio_path
+        want = self.fresh(wav, np.float32).tobytes()
+        assert token_grids(wav, np.float32, cache, fill=False).tobytes() == want
+        assert not cache.exists()
+        token_grids(wav, np.float32, cache)                 # fills the store
+        assert token_grids(wav, np.float32, cache, fill=False).tobytes() == want
+        assert computed == [wav, wav]
+
+    def test_a_store_that_cannot_be_written_only_costs_the_saving(self, tmp_path, corpus,
+                                                                  computed):
+        # a full disk is tested through train, in tests/test_cli.py
+        from spoofnet.features import token_grids
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "tokens").write_bytes(b"")  # every mkdir and read fails
+        wav = corpus.entries[0].audio_path
+        want = self.fresh(wav, np.float32).tobytes()
+        for _ in range(2):
+            assert token_grids(wav, np.float32, cache).tobytes() == want
+        assert computed == [wav, wav]
 
     def test_annotate_leaves_the_store_alone(self, tmp_path, corpus):
         from spoofnet.cli import main
