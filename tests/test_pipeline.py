@@ -16,12 +16,42 @@ from spoofnet.manifest import (Manifest, ManifestEntry, load_manifest,
                                save_manifest, split_90_10)
 from spoofnet.model import ModelConfig
 from spoofnet.pitch import PITCH_KEY
+from spoofnet import synth
 from spoofnet.synth import (MIN_DURATION_S, SyntheticCorpusSpec, _resonate,
-                            _resonator_coeffs, generate_synthetic_corpus,
-                            synth_utterance)
+                            _resonate_lanes, _resonator_coeffs,
+                            generate_synthetic_corpus, synth_utterance)
 from spoofnet.train import TrainConfig
 
 HEADER = "utt_id,audio_path,label,dataset_tag,codec_tag,split\n"
+
+# a corpus whose resonators run as one block of lanes, and the sha256 of
+# its WAV bytes in manifest order; to print the digest of the current
+# tree after a deliberate change to synth's output:
+#     PYTHONPATH=src python -m tests.test_pipeline
+PINNED_CORPUS = SyntheticCorpusSpec(n_real=12, n_fake=12, seed=5, duration_s=MIN_DURATION_S)
+PINNED_CORPUS_SHA256 = "ab7c0ec521bb59d0a823546b482ba48a9eed5425ee39020978f8250b26cf6266"
+
+
+def corpus_digest(manifest) -> str:
+    h = hashlib.sha256()
+    for e in manifest:
+        h.update(e.audio_path.read_bytes())
+    return h.hexdigest()
+
+
+def record_lane_loops(monkeypatch) -> list:
+    """A list that gets one item per synth._run_lanes call."""
+    calls, run_lanes = [], synth._run_lanes
+    monkeypatch.setattr(synth, "_run_lanes", lambda *args: calls.append(args) or run_lanes(*args))
+    return calls
+
+
+@pytest.fixture(params=["lane_loop", "per_lane"])
+def lane_rule(request, monkeypatch):
+    """Force every block of resonators to one side of synth's lane-loop
+    rule; returns the side and the record of _run_lanes calls."""
+    monkeypatch.setattr(synth, "MIN_LANES", 0 if request.param == "lane_loop" else 10**9)
+    return request.param, record_lane_loops(monkeypatch)
 
 
 def write_manifest(path, rows):
@@ -182,6 +212,44 @@ class TestSyntheticCorpus:
         loaded_again = load_manifest(tmp_path / "relcorpus" / "manifest.csv")
         assert not any(e.missing for e in loaded_again)
 
+    @pytest.mark.parametrize("spec, per_group, min_lanes, lane_loop", [
+        (PINNED_CORPUS, None, None, True),
+        (SyntheticCorpusSpec(n_real=2, n_fake=2, seed=4), None, None, False),
+        (PINNED_CORPUS, 5, 0, True),
+    ], ids=["above_crossover", "below_crossover", "groups_of_5"])
+    def test_files_are_synth_utterance_in_job_order(self, tmp_path, monkeypatch, spec,
+                                                    per_group, min_lanes, lane_loop):
+        if per_group is not None:
+            monkeypatch.setattr(synth, "GROUP_SAMPLES", per_group * int(spec.duration_s * SAMPLE_RATE))
+        if min_lanes is not None:
+            monkeypatch.setattr(synth, "MIN_LANES", min_lanes)
+        calls = record_lane_loops(monkeypatch)
+        m = generate_synthetic_corpus(spec, tmp_path / "corpus")
+        # two resonator stages per group that takes the lane loop
+        groups = -(-len(m) // per_group) if per_group else 1
+        assert len(calls) == (2 * groups if lane_loop else 0)
+        rng = np.random.default_rng(spec.seed)
+        for e in m:
+            write_wav(tmp_path / "want.wav", synth_utterance(rng, spec, fake=(e.label == "fake")))
+            assert e.audio_path.read_bytes() == (tmp_path / "want.wav").read_bytes(), e.utt_id
+        assert [e.utt_id for e in m] == [f"synth_real_{i:03d}" for i in range(spec.n_real)] + \
+            [f"synth_fake_{i:03d}" for i in range(spec.n_fake)]
+
+    def test_pinned_corpus_bytes(self, tmp_path):
+        # computed when every resonator ran _resonate lane by lane
+        assert corpus_digest(generate_synthetic_corpus(PINNED_CORPUS, tmp_path)) == \
+            PINNED_CORPUS_SHA256
+
+    def test_empty_corpus(self, tmp_path, lane_rule):
+        spec = SyntheticCorpusSpec(n_real=0, n_fake=0)
+        m = generate_synthetic_corpus(spec, tmp_path / "empty")
+        assert len(m) == 0
+        assert (tmp_path / "empty" / "manifest.csv").read_text() == HEADER
+        assert list((tmp_path / "empty").rglob("*.wav")) == []
+        assert list(_resonate_lanes([], [], [])) == []
+        _, calls = lane_rule
+        assert calls == []  # no block, so no lane loop on either side of the rule
+
     def test_shortest_usable_duration_synthesizes(self):
         spec = SyntheticCorpusSpec(duration_s=MIN_DURATION_S)
         rng = np.random.default_rng(0)
@@ -235,6 +303,44 @@ class TestResonator:
         own = _resonate(_resonate(x, *a1), *a2)
         assert own.tobytes() == lfilter_resonate(lfilter_resonate(x, *a1), *a2).tobytes()
         assert _resonate(x, *a1).tobytes() == lfilter_resonate(x, *a1).tobytes()
+
+    def test_seeded_random_resonators_as_lanes(self, lane_rule):
+        # the resonators and inputs of test_seeded_random_resonators, as
+        # one ragged block of 100 lanes
+        rng = np.random.default_rng(0)
+        xs, chains = [], []
+        for _ in range(100):
+            chains.append((_resonator_coeffs(rng.uniform(50.0, 7950.0), rng.uniform(10.0, 3000.0),
+                                             SAMPLE_RATE),))
+            xs.append(rng.standard_normal(int(rng.integers(1, 5000))))
+        got = list(_resonate_lanes([x.size for x in xs], chains, iter(xs)))
+        side, calls = lane_rule
+        assert len(calls) == (side == "lane_loop")
+        assert len(got) == len(xs)
+        for y, x, (a,) in zip(got, xs, chains):
+            assert y.tobytes() == lfilter_resonate(x, *a).tobytes()
+
+    def test_cascaded_pair_as_lanes(self, lane_rule):
+        # test_cascaded_pair's inputs as lanes of one block, each through
+        # the pair, through the first resonator alone and through the
+        # burst's, whose a1 > 0 keeps negative zeros in its output: a lane
+        # with one resonator must keep them through the block's second stage
+        a1 = _resonator_coeffs(500.0, 80.0, SAMPLE_RATE)
+        a2 = _resonator_coeffs(1500.0, 120.0, SAMPLE_RATE)
+        xs = [np.array([0.7]), np.array([-0.7]), np.array([-0.0]),
+              np.zeros(64), -np.zeros(64),
+              np.concatenate([np.zeros(100), np.random.default_rng(2).standard_normal(400)]),
+              np.concatenate([-np.zeros(100), [-1.0], np.zeros(50)])]
+        lanes = [(x, chain) for x in xs for chain in ((a1, a2), (a1,), (synth.BURST_RESONATOR,))]
+        got = list(_resonate_lanes([x.size for x, _ in lanes], [c for _, c in lanes],
+                                   (x for x, _ in lanes)))
+        side, calls = lane_rule
+        assert len(calls) == (2 if side == "lane_loop" else 0)
+        for y, (x, chain) in zip(got, lanes):
+            want = x
+            for a in chain:
+                want = lfilter_resonate(want, *a)
+            assert y.tobytes() == want.tobytes()
 
 
 def assert_bit_equal(got, want):
@@ -741,3 +847,10 @@ class TestByteOrderMark:
         p.write_bytes(codecs.BOM_UTF8 + b"embed_dim = 32\n# caf\xe9\n")
         with pytest.raises(ParseError, match="^line 2: not UTF-8 text"):
             parse_kv(p)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'PINNED_CORPUS_SHA256 = "{corpus_digest(generate_synthetic_corpus(PINNED_CORPUS, tmp))}"')
