@@ -3,16 +3,15 @@
 A Tensor wraps a numpy array. A tracked op result also gets a small
 graph node, which keeps its gradient, backward function, parent nodes
 and walked mark, and the shape and dtype of its value, but not the
-value; a leaf that requires grad (a parameter) is its own node. Each
-backward function keeps only the arrays it reads, so an activation dies
-as soon as the forward lets go of its Tensor unless a backward function
-reads it. Calling :func:`backward` on a scalar walks the graph once in
-reverse topological order and accumulates gradients into every node that
-requires them. The walk frees the graph as it goes: when it returns,
-only the leaves (parameters, and inputs that require grad) keep their
-gradients, and each array a backward function kept is released, so a
-graph is walked once. The op set is deliberately closed: exactly what
-the detector network and its losses need, nothing speculative.
+value; a parameter gets its node when it is made. Each backward
+function keeps only the arrays it reads, so an activation dies as soon
+as the forward lets go of its Tensor unless a backward function reads
+it. Calling :func:`backward` on a scalar walks the graph once in reverse
+topological order and accumulates gradients into every node. The walk
+frees the graph as it goes: when it returns, only the parameters keep
+their gradients, and each array a backward function kept is released,
+so a graph is walked once. The op set is deliberately closed: exactly
+what the detector network and its losses need, nothing speculative.
 
 - elementwise: add, mul
 - matrices: matmul, concat (along the last axis), transpose (of the last
@@ -68,14 +67,15 @@ def no_grad():
 
 
 class _Node:
-    """The graph record of one tracked op result: its gradient, backward
+    """The graph record of a tracked value: its gradient, backward
     function, parent nodes and walked mark, and the shape and dtype of its
-    value, which it does not keep."""
+    value, which it does not keep. A parameter's node has no parents and
+    no backward function, so the walk never marks it."""
 
     __slots__ = ("grad", "_backward_fn", "_parents", "_backward_done",
                  "shape", "dtype")
 
-    def __init__(self, data: np.ndarray, parents: tuple, backward_fn):
+    def __init__(self, data: np.ndarray, parents: tuple = (), backward_fn=None):
         self.grad = None
         self._backward_fn = backward_fn
         self._parents = parents
@@ -84,21 +84,17 @@ class _Node:
 
 
 class Tensor:
-    """N-dimensional value, optionally tracked by the autodiff graph.
+    """N-dimensional value, optionally tracked by the autodiff graph: a
+    parameter or a tracked op result has a graph node, where its gradient
+    goes; any other tensor has none."""
 
-    A leaf is its own graph node: it has no parents and no backward
-    function, and the walk never marks it."""
-
-    __slots__ = ("data", "requires_grad", "grad", "_op_node")
-    _backward_done = False
+    __slots__ = ("data", "_node")
 
     def __init__(self, data):
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
-        self.requires_grad = False
-        self.grad = None
-        self._op_node = None
+        self._node = None
 
     @property
     def shape(self):
@@ -109,30 +105,26 @@ class Tensor:
         return self.data.dtype
 
     @property
-    def _node(self):
-        """The node this tensor's gradient goes to: a tracked op result's
-        own node, the tensor itself for a leaf that requires grad, else
-        None."""
-        if self._op_node is not None:
-            return self._op_node
-        return self if self.requires_grad else None
+    def requires_grad(self):
+        return self._node is not None
 
     @property
-    def _parents(self):
-        return () if self._op_node is None else self._op_node._parents
+    def grad(self):
+        return None if self._node is None else self._node.grad
 
-    @property
-    def _backward_fn(self):
-        return None if self._op_node is None else self._op_node._backward_fn
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def parameter(data) -> Tensor:
-    """A leaf tensor that always participates in gradients."""
+    """A tensor that always participates in gradients, even inside
+    no_grad: it gets its graph node when it is made."""
     t = Tensor(data)
-    t.requires_grad = True  # parameters track grads even inside no_grad
+    t._node = _Node(t.data)
     return t
 
 
@@ -149,8 +141,7 @@ def _result(data, parents, backward_fn) -> Tensor:
     if _grad_enabled:
         nodes = tuple(n for n in _nodes(*parents) if n is not None)
         if nodes:
-            out.requires_grad = True
-            out._op_node = _Node(out.data, nodes, backward_fn)
+            out._node = _Node(out.data, nodes, backward_fn)
     return out
 
 
@@ -617,7 +608,7 @@ def _toposort(root: Tensor) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad leaf reachable from loss.
+    """Populate .grad on every parameter reachable from loss.
 
     The loss must be a single scalar. The walk runs each interior node's
     backward function once, in reverse topological order. A graph keeps
@@ -629,8 +620,8 @@ def backward(loss: Tensor) -> None:
     the node drops its gradient, the function (and with it the arrays it
     kept) and its parent links. So a kept activation dies as soon as the
     walk has passed it, and nothing of the graph outlives the call, even
-    while the caller still holds the loss. Only the leaves keep their
-    gradients.
+    while the caller still holds the loss. Only the parameters, whose
+    nodes have no backward function, keep their gradients.
 
     The walk marks every interior node it passes, and a later walk that
     reaches a marked node (the same loss, or a new loss built on a walked

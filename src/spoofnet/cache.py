@@ -84,13 +84,20 @@ def token_path(cache_dir, audio_path, dtype) -> Path:
 
 def read_tokens(path, dtype) -> np.ndarray | None:
     """The (2, L, M) token grids stored at path, or None, a miss, when
-    there is no such file or it is torn or of another shape or dtype."""
+    there is no such file or it is torn or of another shape, dtype or
+    order. The header is checked before the payload is read, so a header
+    that declares another array, however large, allocates nothing."""
+    fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
-            grids = np.lib.format.read_array(fh, allow_pickle=False)
+            read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
+                           else fmt.read_array_header_2_0)
+            if read_header(fh) != (TOKEN_SHAPE, False, np.dtype(dtype)):
+                return None
+            fh.seek(0)
+            return fmt.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):
         return None
-    return grids if grids.shape == TOKEN_SHAPE and grids.dtype == dtype else None
 
 
 def write_tokens(path: Path, grids: np.ndarray) -> None:

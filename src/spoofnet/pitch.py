@@ -195,12 +195,9 @@ def viterbi_track(candidates_per_frame: list[list[tuple[float, float]]]) -> np.n
     obs_voiced = obs_voiced.reshape(n_frames, n_bins)
     cand_freq = cand_freq.reshape(n_frames, n_bins)
 
-    # per-frame total probability, summed in candidate order: cumsum along
-    # a zero-padded row adds sequentially, as a running total does
-    slot = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded = np.zeros((n_frames, max(counts, default=0) + 1))
-    padded[frame_of, slot] = probs
-    total = np.cumsum(padded, axis=1)[:, -1]
+    # per-frame total probability: bincount adds each candidate to its
+    # frame's total in candidate order, as a running total does
+    total = np.bincount(frame_of, weights=probs, minlength=n_frames)
     obs_unvoiced = np.log(np.maximum(1.0 - total, 1e-9))
 
     # the decoder runs over each frame's finite states only: the bins with

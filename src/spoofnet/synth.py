@@ -16,16 +16,16 @@ applies the gain and, for a fake, the fake recipe.
 
 The resonators are second-order all-pole filters that synth runs itself,
 bit-equal to scipy.signal.lfilter, so synthesis needs numpy alone.
-generate_synthetic_corpus filters a group of utterances as one block:
-every resonator is a lane of one numpy loop over time (_run_lanes). A
-block too small for that loop to pay, such as the three resonators of
-one synth_utterance, runs a Python-float loop per resonator (_resonate).
-A synth-corpus process took 1.18 s and 51 MB peak RSS on 40 utterances
-of 2.2 s, against 1.44 s and 40 MB with the per-resonator loop alone,
-and 4.63 s and 58 MB against 6.26 s and 41 MB on 200 (medians of 10 and
-6 alternated runs, 2-vCPU VM). Most of the rest is the harmonic
-source's np.sin, which no faster sine could replace without changing
-the bytes.
+generate_synthetic_corpus filters a group of utterances as two blocks,
+their voiced segments (F1, then F2) and their bursts: every section is
+a lane of one numpy loop over time per resonator (_run_lanes). A block
+too small for that loop to pay, such as either block of one
+synth_utterance, runs a Python-float loop per resonator (_resonate). A
+synth-corpus process took 0.89 s and 51 MB peak RSS on 40 utterances of
+2.2 s, against 1.14 s and 42 MB with the per-resonator loop alone, and
+4.98 s and 56 MB against 6.66 s and 43 MB on 200 (medians of 10 and 4
+alternated runs, 2-vCPU VM). Most of the rest is the harmonic source's
+np.sin, which no faster sine could replace without changing the bytes.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ TONE_LEVEL = 0.2
 MIN_DURATION_S = 2 * EDGE_S + BURST_S[1] + FRAME_LEN / SAMPLE_RATE / VOICED_SPLIT[0]
 # The lane loop runs when a block keeps more than MIN_LANES lanes busy per
 # step on average; below that, its fixed cost per step loses to
-# _resonate's cost per sample. Filtering n utterances of 2.2 s, lane loop
-# against _resonate (medians of 11, 2-vCPU VM): n = 8 (14 busy lanes)
-# 125 vs 99 ms, n = 10 (19) 119 vs 127 ms, n = 40 (69) 155 vs 509 ms.
+# _resonate's cost per sample. Lane loop against _resonate on n utterances
+# of 2.2 s (medians of 11, 2-vCPU VM): voiced block n = 8 (13 busy lanes)
+# 120 vs 82 ms, n = 12 (20) 107 vs 131, n = 40 (65) 133 vs 395; burst
+# block n = 16 (11) 20 vs 12, n = 24 (17) 20 vs 19, n = 40 (30) 21 vs 31.
 MIN_LANES = 16
 # The most samples of audio in one group of generate_synthetic_corpus:
-# its block of lanes takes 8 bytes a sample, 16 MB at most.
+# its two blocks of lanes take 8 bytes a sample, 16 MB at most.
 GROUP_SAMPLES = 1 << 21
 
 
@@ -132,20 +133,14 @@ def _run_lanes(steps: np.ndarray, offsets: np.ndarray, lengths, a1: np.ndarray,
 
 def _resonate_lanes(lengths, chains, inputs):
     """Yield, in lane order, lane j (the j-th array of inputs, lengths[j]
-    samples) through the resonators chains[j] ((a1, a2) pairs, at least
-    one) in turn: bit-equal to chaining _resonate. inputs is iterated
-    once, in lane order, so a generator keeps one input alive at a time.
+    samples) through the resonators chains[j] in turn, as many for every
+    lane: bit-equal to chaining _resonate. inputs is iterated once, in
+    lane order, so a generator keeps one input alive at a time.
 
     A block whose lanes keep no more than MIN_LANES of them busy per
-    step, on average, runs _resonate lane by lane. A larger one runs
-    _run_lanes once per resonator stage over all its lanes; a lane whose
-    chain has ended is copied out and idles through the later stages
-    with a1 = a2 = 0."""
-    stages = max(map(len, chains), default=0)
-    # the steps of stage s: the longest lane that has an s-th resonator
-    ends = [max((n for n, c in zip(lengths, chains) if len(c) > s), default=0)
-            for s in range(stages)]
-    if sum(n * len(c) for n, c in zip(lengths, chains)) <= MIN_LANES * sum(ends):
+    step, on average, runs _resonate lane by lane; a larger one runs
+    _run_lanes once per resonator of the chain over all its lanes."""
+    if sum(lengths) <= MIN_LANES * max(lengths, default=0):
         for x, chain in zip(inputs, chains):
             for a in chain:
                 x = _resonate(x, *a)
@@ -155,7 +150,7 @@ def _resonate_lanes(lengths, chains, inputs):
     rank = {j: r for r, j in enumerate(order)}
     by_rank = [lengths[j] for j in order]
     # time-major, without padding: step t holds the lanes longer than t
-    active = len(order) - np.searchsorted(by_rank[::-1], np.arange(ends[0]), side="right")
+    active = len(order) - np.searchsorted(by_rank[::-1], np.arange(by_rank[0]), side="right")
     offsets = np.concatenate([[0], np.cumsum(active)[:-1]])
     steps = np.empty(sum(lengths))
 
@@ -164,15 +159,11 @@ def _resonate_lanes(lengths, chains, inputs):
 
     for j, x in enumerate(inputs):
         steps[lane(j)] = x
-    ended = {}
-    for s, end in enumerate(ends):
-        a1, a2 = np.array([chains[j][s] if len(chains[j]) > s else (0.0, 0.0)
-                           for j in order]).T.copy()
-        _run_lanes(steps, offsets, [min(n, end) for n in by_rank], a1, a2)
-        ended.update((j, steps[lane(j)]) for j in order
-                     if len(chains[j]) == s + 1 < stages)
+    # (resonator, a1 or a2, lane by rank)
+    for a1, a2 in np.array([chains[j] for j in order]).transpose(1, 2, 0).copy():
+        _run_lanes(steps, offsets, by_rank, a1, a2)
     for j in range(len(lengths)):
-        yield ended.pop(j) if j in ended else steps[lane(j)]
+        yield steps[lane(j)]
 
 
 @dataclass(frozen=True)
@@ -222,18 +213,6 @@ class _Draw:
     voiced_b: _Voiced
     gain: float
 
-    def lanes(self):
-        """(samples, resonators) of the three sections, in order."""
-        return [(self.voiced_a.n, self.voiced_a.formants),
-                (self.noise.size, (BURST_RESONATOR,)),
-                (self.voiced_b.n, self.voiced_b.formants)]
-
-    def sources(self):
-        """The three sections' sources, made one at a time."""
-        yield self.voiced_a.source()
-        yield self.noise
-        yield self.voiced_b.source()
-
 
 def _draw(rng: np.random.Generator, spec: SyntheticCorpusSpec, fake: bool) -> _Draw:
     n_burst = int(rng.uniform(*BURST_S) * SAMPLE_RATE)
@@ -247,11 +226,14 @@ def _draw(rng: np.random.Generator, spec: SyntheticCorpusSpec, fake: bool) -> _D
 
 def _filter(draws: list[_Draw]):
     """An iterator over each utterance's three sections, through their
-    resonators as one block of lanes for all of draws."""
-    lanes = [lane for d in draws for lane in d.lanes()]
-    out = _resonate_lanes([n for n, _ in lanes], [chain for _, chain in lanes],
-                          (x for d in draws for x in d.sources()))
-    return zip(out, out, out)  # three lanes at a time
+    resonators: the voiced segments of all of draws as one block of lanes
+    (F1, then F2), their bursts as another."""
+    voiced = [v for d in draws for v in (d.voiced_a, d.voiced_b)]
+    voiced_out = _resonate_lanes([v.n for v in voiced], [v.formants for v in voiced],
+                                 (v.source() for v in voiced))
+    bursts = _resonate_lanes([d.noise.size for d in draws], [(BURST_RESONATOR,)] * len(draws),
+                             (d.noise for d in draws))
+    return zip(voiced_out, bursts, voiced_out)  # voiced_a, burst, voiced_b
 
 
 def _render(d: _Draw, voiced_a: np.ndarray, burst: np.ndarray,

@@ -225,9 +225,10 @@ class TestSyntheticCorpus:
             monkeypatch.setattr(synth, "MIN_LANES", min_lanes)
         calls = record_lane_loops(monkeypatch)
         m = generate_synthetic_corpus(spec, tmp_path / "corpus")
-        # two resonator stages per group that takes the lane loop
+        # three lane loops per group that takes them: F1 and F2 over the
+        # voiced block, the burst's resonator over the burst block
         groups = -(-len(m) // per_group) if per_group else 1
-        assert len(calls) == (2 * groups if lane_loop else 0)
+        assert len(calls) == (3 * groups if lane_loop else 0)
         rng = np.random.default_rng(spec.seed)
         for e in m:
             write_wav(tmp_path / "want.wav", synth_utterance(rng, spec, fake=(e.label == "fake")))
@@ -321,26 +322,25 @@ class TestResonator:
             assert y.tobytes() == lfilter_resonate(x, *a).tobytes()
 
     def test_cascaded_pair_as_lanes(self, lane_rule):
-        # test_cascaded_pair's inputs as lanes of one block, each through
-        # the pair, through the first resonator alone and through the
-        # burst's, whose a1 > 0 keeps negative zeros in its output: a lane
-        # with one resonator must keep them through the block's second stage
+        # test_cascaded_pair's inputs, signed zeros included, as lanes of
+        # three blocks with one chain each: the pair, the first resonator
+        # alone and the burst's, whose a1 > 0 keeps negative zeros
         a1 = _resonator_coeffs(500.0, 80.0, SAMPLE_RATE)
         a2 = _resonator_coeffs(1500.0, 120.0, SAMPLE_RATE)
         xs = [np.array([0.7]), np.array([-0.7]), np.array([-0.0]),
               np.zeros(64), -np.zeros(64),
               np.concatenate([np.zeros(100), np.random.default_rng(2).standard_normal(400)]),
               np.concatenate([-np.zeros(100), [-1.0], np.zeros(50)])]
-        lanes = [(x, chain) for x in xs for chain in ((a1, a2), (a1,), (synth.BURST_RESONATOR,))]
-        got = list(_resonate_lanes([x.size for x, _ in lanes], [c for _, c in lanes],
-                                   (x for x, _ in lanes)))
         side, calls = lane_rule
-        assert len(calls) == (2 if side == "lane_loop" else 0)
-        for y, (x, chain) in zip(got, lanes):
-            want = x
-            for a in chain:
-                want = lfilter_resonate(want, *a)
-            assert y.tobytes() == want.tobytes()
+        for chain in ((a1, a2), (a1,), (synth.BURST_RESONATOR,)):
+            got = list(_resonate_lanes([x.size for x in xs], [chain] * len(xs), iter(xs)))
+            assert len(got) == len(xs)
+            for y, x in zip(got, xs):
+                want = x
+                for a in chain:
+                    want = lfilter_resonate(want, *a)
+                assert y.tobytes() == want.tobytes()
+        assert len(calls) == (4 if side == "lane_loop" else 0)
 
 
 def assert_bit_equal(got, want):
@@ -602,7 +602,7 @@ class TestTokenStore:
             assert np.load(path).dtype == dtype
 
     @pytest.mark.parametrize("damage", ["empty", "torn_header", "torn_data", "not_npy",
-                                        "other_shape", "other_dtype"])
+                                        "other_shape", "other_dtype", "oversized_header"])
     def test_damaged_file_is_a_miss_and_rewritten(self, tmp_path, corpus, computed, damage):
         from spoofnet.cache import token_path
         from spoofnet.features import token_grids
@@ -616,6 +616,12 @@ class TestTokenStore:
             np.save(path, want[:, :, :-1])
         elif damage == "other_dtype":
             np.save(path, want.astype(np.float64))
+        elif damage == "oversized_header":
+            # the header declares a 24.4 GiB payload; the file holds one grid pair
+            with open(path, "wb") as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f4", "fortran_order": False, "shape": (200000, 128, 256)})
+                fh.write(want.tobytes())
         else:
             path.write_bytes({"empty": b"", "torn_header": good[:40],
                               "torn_data": good[:len(good) // 2],
