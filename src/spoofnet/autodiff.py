@@ -105,10 +105,6 @@ class Tensor:
         return self.data.dtype
 
     @property
-    def requires_grad(self):
-        return self._node is not None
-
-    @property
     def grad(self):
         return None if self._node is None else self._node.grad
 
@@ -327,10 +323,10 @@ def _erf(x: np.ndarray) -> np.ndarray:
     Every element takes the float64 steps of Cephes' erf, so a float32
     result is scipy.special.erf's bit for bit and a float64 result is
     within one ulp of it (np.exp may round differently from the C
-    library's exp). The |x| <= 1 rational runs over cache-sized chunks of
-    every element, with x clamped to [-1, 1] so that no lane overflows;
-    the elements beyond are set aside as each chunk is overwritten, and
-    their results then replace the chunk's. Cephes switches erfc to a
+    library's exp). Each cache-sized chunk is done in one pass: its |x| > 1
+    elements are set aside, the |x| <= 1 rational runs over the chunk with
+    x clamped to [-1, 1] so that no lane overflows, and the erfc tail of
+    the set-aside ones then overwrites their results. Cephes switches erfc to a
     third rational at |x| >= 8, but there erfc < 1.2e-29 and 1 - erfc
     rounds to exactly 1, so P/Q evaluated at min(|x|, 8) gives the same
     result without it, and +-inf needs no case of its own. It works in
@@ -343,24 +339,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
     if not flat.size:
         return x
     scratch = np.empty((3, min(flat.size, _ERF_CHUNK)))
-    beyond, values = [], []
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo:lo + _ERF_CHUNK]
         c, z, p = scratch[:, :xs.size]
+        big = np.flatnonzero((xs > 1.0) | (xs < -1.0))
+        xb = xs[big]
         np.maximum(xs, -1.0, out=c)
         np.minimum(c, 1.0, out=c)
-        big = np.flatnonzero((xs > 1.0) | (xs < -1.0))
-        beyond.append(big + lo)
-        values.append(xs[big])
         np.multiply(c, c, out=z)
         _horner(z, _ERF_T, p)
         p *= c
         q = _horner(z, _ERF_U, c, monic=True)  # c is spent: its row takes U
         np.divide(p, q, out=xs)
-    beyond, values = np.concatenate(beyond), np.concatenate(values)
-    for lo in range(0, beyond.size, _ERF_CHUNK):
-        xb = values[lo:lo + _ERF_CHUNK]
-        b, e, pq = scratch[:, :xb.size]
+        b, e, pq = scratch[:, :big.size]  # every row is spent: the tail takes them
         np.abs(xb, out=b)
         np.minimum(b, 8.0, out=b)
         np.multiply(b, b, out=e)
@@ -369,7 +360,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
         e *= _horner(b, _ERFC_P, pq)  # P, then Q, in one row
         e /= _horner(b, _ERFC_Q, pq, monic=True)
         np.subtract(1.0, e, out=e)
-        flat[beyond[lo:lo + _ERF_CHUNK]] = np.copysign(e, xb, out=e)
+        xs[big] = np.copysign(e, xb, out=e)
     return x
 
 

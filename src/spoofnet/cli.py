@@ -237,12 +237,13 @@ def _cmd_eval(args) -> int:
         for r in records:
             if r.utt_id in annotations:
                 r.gt_voiced = annotations[r.utt_id].voiced
-    write_scores(args.scores, records)
+    # the metrics come first, so an eval that cannot compute them writes no scores
     eer, threshold = compute_eer(records)
     auc = compute_auc(records)
     lines = [f"EER {100 * eer:.2f}%  AUC {100 * auc:.2f}%  threshold {threshold:.4f}"]
     if args.by:
         lines.append(format_breakdown(breakdown(records, args.by)))
+    write_scores(args.scores, records)
     _write_stdout(lines)
     return 0
 

@@ -17,15 +17,16 @@ applies the gain and, for a fake, the fake recipe.
 The resonators are second-order all-pole filters that synth runs itself,
 bit-equal to scipy.signal.lfilter, so synthesis needs numpy alone.
 generate_synthetic_corpus filters a group of utterances as two blocks,
-their voiced segments (F1, then F2) and their bursts: every section is
-a lane of one numpy loop over time per resonator (_run_lanes). A block
-too small for that loop to pay, such as either block of one
-synth_utterance, runs a Python-float loop per resonator (_resonate). A
-synth-corpus process took 0.89 s and 51 MB peak RSS on 40 utterances of
-2.2 s, against 1.14 s and 42 MB with the per-resonator loop alone, and
-4.98 s and 56 MB against 6.66 s and 43 MB on 200 (medians of 10 and 4
-alternated runs, 2-vCPU VM). Most of the rest is the harmonic source's
-np.sin, which no faster sine could replace without changing the bytes.
+their voiced segments (F1, then F2) and their bursts, each a zero-padded
+time-major array with a column per section, through one numpy loop over
+time per resonator (_run_lanes). A block too small for that loop to pay,
+such as either block of one synth_utterance, runs a Python-float loop
+per resonator (_resonate). A synth-corpus process took 1.08 s and 51 MB
+peak RSS on 40 utterances of 2.2 s, against 1.17 s and 41 MB with the
+per-resonator loop alone, and 4.63 s and 58 MB against 6.86 s and 42 MB
+on 200 (medians of 10 and 4 alternated runs, shared 2-vCPU VM). Most of
+the rest is the harmonic source's np.sin, which no faster sine could
+replace without changing the bytes.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ MIN_DURATION_S = 2 * EDGE_S + BURST_S[1] + FRAME_LEN / SAMPLE_RATE / VOICED_SPLI
 # The lane loop runs when a block keeps more than MIN_LANES lanes busy per
 # step on average; below that, its fixed cost per step loses to
 # _resonate's cost per sample. Lane loop against _resonate on n utterances
-# of 2.2 s (medians of 11, 2-vCPU VM): voiced block n = 8 (13 busy lanes)
-# 120 vs 82 ms, n = 12 (20) 107 vs 131, n = 40 (65) 133 vs 395; burst
-# block n = 16 (11) 20 vs 12, n = 24 (17) 20 vs 19, n = 40 (30) 21 vs 31.
+# of 2.2 s (medians of 11, 2-vCPU VM): voiced block n = 8 (14 busy lanes)
+# 67 vs 68 ms, n = 12 (20) 68 vs 108, n = 40 (64) 97 vs 366; burst block
+# n = 16 (13) 9 vs 9, n = 24 (19) 11 vs 13, n = 40 (31) 10 vs 23.
 MIN_LANES = 16
-# The most samples of audio in one group of generate_synthetic_corpus:
-# its two blocks of lanes take 8 bytes a sample, 16 MB at most.
+# The most samples of audio in one group of generate_synthetic_corpus. A
+# voiced segment holds at most 0.6 of the voiced samples and a burst 0.3 s,
+# so its two padded blocks take < 1.2 x 8 bytes a sample, 20 MB at most.
 GROUP_SAMPLES = 1 << 21
 
 
@@ -103,32 +105,21 @@ def _resonate(x: np.ndarray, a1: float, a2: float) -> np.ndarray:
     return np.array(out)
 
 
-def _run_lanes(steps: np.ndarray, offsets: np.ndarray, lengths, a1: np.ndarray,
-               a2: np.ndarray) -> None:
-    """_resonate's recurrence over a block of lanes at once, in place.
-    Lane r holds lengths[r] samples, longest first, and has its own a1[r],
-    a2[r]; steps holds time step t's samples of the lanes still running
-    at t, lanes 0..k-1, from steps[offsets[t]]. Each lane does _resonate's
-    float ops in _resonate's order, elementwise, so it ends bit-equal to
-    _resonate of it."""
+def _run_lanes(steps: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
+    """_resonate's recurrence over a block of lanes at once, in place:
+    row t of steps holds time step t of every lane, and lane j has its own
+    a1[j], a2[j]. Each lane does _resonate's float ops in _resonate's
+    order, elementwise, so it ends bit-equal to _resonate of it."""
     # out= as a positional argument: a step is five ufunc calls on a few
     # dozen values, so their call overhead is most of its cost
     add, multiply, subtract, negative = np.add, np.multiply, np.subtract, np.negative
-    z0, z1, a1y = np.zeros(len(lengths)), np.zeros(len(lengths)), np.empty(len(lengths))
-    start = 0
-    for k in range(len(lengths), 0, -1):
-        stop = lengths[k - 1]
-        if stop <= start:
-            continue
-        a1k, a2k, z0k, z1k, a1yk = a1[:k], a2[:k], z0[:k], z1[:k], a1y[:k]
-        first = offsets[start]
-        for y in steps[first:first + (stop - start) * k].reshape(stop - start, k):
-            add(y, z0k, y)              # y = x + z0
-            multiply(a1k, y, a1yk)
-            subtract(z1k, a1yk, z0k)    # z0 = z1 - a1 * y
-            multiply(a2k, y, z1k)
-            negative(z1k, z1k)          # z1 = -(a2 * y)
-        start = stop
+    z0, z1, a1y = np.zeros(a1.size), np.zeros(a1.size), np.empty(a1.size)
+    for y in steps:
+        add(y, z0, y)              # y = x + z0
+        multiply(a1, y, a1y)
+        subtract(z1, a1y, z0)      # z0 = z1 - a1 * y
+        multiply(a2, y, z1)
+        negative(z1, z1)           # z1 = -(a2 * y)
 
 
 def _resonate_lanes(lengths, chains, inputs):
@@ -146,24 +137,14 @@ def _resonate_lanes(lengths, chains, inputs):
                 x = _resonate(x, *a)
             yield x
         return
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    rank = {j: r for r, j in enumerate(order)}
-    by_rank = [lengths[j] for j in order]
-    # time-major, without padding: step t holds the lanes longer than t
-    active = len(order) - np.searchsorted(by_rank[::-1], np.arange(by_rank[0]), side="right")
-    offsets = np.concatenate([[0], np.cumsum(active)[:-1]])
-    steps = np.empty(sum(lengths))
-
-    def lane(j):
-        return offsets[:lengths[j]] + rank[j]
-
+    # zero-padded to the longest lane: the filter is causal, so no lane reads its padding
+    steps = np.zeros((max(lengths), len(lengths)))
     for j, x in enumerate(inputs):
-        steps[lane(j)] = x
-    # (resonator, a1 or a2, lane by rank)
-    for a1, a2 in np.array([chains[j] for j in order]).transpose(1, 2, 0).copy():
-        _run_lanes(steps, offsets, by_rank, a1, a2)
-    for j in range(len(lengths)):
-        yield steps[lane(j)]
+        steps[:lengths[j], j] = x
+    # (resonator, a1 or a2, lane)
+    for a1, a2 in np.array(chains).transpose(1, 2, 0).copy():
+        _run_lanes(steps, a1, a2)
+    yield from (steps[:n, j] for j, n in enumerate(lengths))
 
 
 @dataclass(frozen=True)

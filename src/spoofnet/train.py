@@ -86,18 +86,12 @@ def fit_scaler(annotations: list[FrameAnnotation]) -> FormantScaler:
     Targets are clamped into the decoder's output ranges first, so every
     standardized target is reachable by the model.
     """
-    columns = [[], [], []]
-    for ann in annotations:
-        v = ann.voiced
-        if not np.any(v):
-            continue
-        columns[0].append(ann.f0_hz[v])
-        columns[1].append(ann.f1_hz[v])
-        columns[2].append(ann.f2_hz[v])
-    if not columns[0]:
+    tracks = np.hstack([np.empty((3, 0))] + [
+        np.stack([a.f0_hz, a.f1_hz, a.f2_hz])[:, a.voiced] for a in annotations])
+    if not tracks.shape[1]:
         raise DegenerateData("no voiced frames in the training set")
-    logs = [np.log(np.clip(np.concatenate(c), FORMANT_LO[i], FORMANT_HI[i]))
-            for i, c in enumerate(columns)]
+    logs = np.log(np.clip(tracks, FORMANT_LO[:, None], FORMANT_HI[:, None]))
+    # row by row: a 1-D mean and std, whose last bits mean(axis=1) can change
     mean = np.array([x.mean() for x in logs])
     std = np.array([x.std() for x in logs])
     if np.any(std < STD_FLOOR) or not np.all(np.isfinite(mean)):

@@ -6,9 +6,11 @@ Run from the root of a checkout; the package is imported from its
 ``src/``. The ``spoofnet`` commands of the README's walkthrough (steps
 1-6) run in a temporary directory through ``spoofnet.cli.main``, with
 ``corpus.cfg`` and ``run.cfg`` taken from its heredocs. The commands'
-output is swallowed; what is printed is the first line of ``infer`` and
-the sha256 of each file the walkthrough writes, so that two checkouts
-whose outputs should be byte-identical can be compared line by line.
+output is swallowed; what is printed is the first line of ``infer``, the
+sha256 of each file the walkthrough writes and the sha256 of the corpus
+WAVs, read in manifest order, so that two checkouts whose outputs should
+be byte-identical can be compared line by line, and a difference on the
+synthesis side shows on its own line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ README = ROOT / "README.md"
 # the files each digest is taken of, relative to the walkthrough directory
 DIGESTS = ("model.ckpt", "scores.jsonl", "report.json", "model.ckpt.history.jsonl",
            "cache/annotations.jsonl")
+# the corpus that synth-corpus writes, whose WAVs get one digest
+CORPUS_MANIFEST = "corpus/manifest.csv"
 
 
 def walkthrough_script() -> str:
@@ -53,6 +57,7 @@ def readme_commands() -> list[list[str]]:
 def run(workdir: Path) -> list[str]:
     """Run the walkthrough in workdir; returns the lines to print."""
     from spoofnet.cli import main
+    from spoofnet.manifest import load_manifest
 
     for name, body in readme_heredocs().items():
         (workdir / name).write_text(body, encoding="utf-8")
@@ -71,6 +76,10 @@ def run(workdir: Path) -> list[str]:
     for name in DIGESTS:
         digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
         lines.append(f"{digest}  {name}")
+    wavs = hashlib.sha256()
+    for e in load_manifest(workdir / CORPUS_MANIFEST):
+        wavs.update(e.audio_path.read_bytes())
+    lines.append(f"{wavs.hexdigest()}  corpus WAVs in manifest order")
     return lines
 
 

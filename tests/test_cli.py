@@ -201,6 +201,17 @@ class TestPipelineCommands:
                                            "data error: no usable entries to evaluate\n")
         assert not scores.exists()
 
+    def test_eval_with_one_class_is_2_without_scores(self, workspace, tmp_path, capsys):
+        # the EER needs both classes; a failed eval leaves no score file
+        reals = [e for e in load_manifest(workspace["manifest"]) if e.label == "real"]
+        manifest, scores = tmp_path / "m.csv", tmp_path / "s.jsonl"
+        save_manifest(manifest, Manifest(reals[:6]))
+        assert main(["eval", "--manifest", str(manifest), "--ckpt",
+                     str(workspace["ckpt"]), "--scores", str(scores), "--by", "dataset"]) == 2
+        captured = capsys.readouterr()
+        assert "need both classes" in captured.err and captured.out == ""
+        assert not scores.exists()
+
     def test_infer_command(self, workspace, capsys):
         wav = workspace["corpus"] / "audio" / "synth_real_000.wav"
         assert main(["infer", "--wav", str(wav),

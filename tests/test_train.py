@@ -9,7 +9,7 @@ from spoofnet import autodiff as ad
 from spoofnet.annotate import FrameAnnotation
 from spoofnet.autodiff import Tensor
 from spoofnet.errors import AlignmentError, ClassMissing, DataError, DegenerateData
-from spoofnet.model import ForwardPass, SpoofNet, toy_config
+from spoofnet.model import FORMANT_HI, FORMANT_LO, ForwardPass, SpoofNet, toy_config
 from spoofnet.optim import AdamW
 from spoofnet.train import (LOSS_WEIGHTS, FormantScaler, PlateauScheduler,
                             TrainConfig, TrainSample, _batch_forward,
@@ -243,6 +243,27 @@ class TestFormantScaler:
                               voiced=np.zeros(6, dtype=bool))
         with pytest.raises(DegenerateData):
             fit_scaler([ann])
+        with pytest.raises(DegenerateData):
+            fit_scaler([])  # no annotation at all
+
+    def test_seeded_stats_are_each_tracks_1d_mean_and_std(self):
+        # several annotations, one with no voiced frame, and tracks that
+        # reach past both ends of each decoder range
+        rng = np.random.default_rng(7)
+        anns = []
+        for n, share in [(40, 0.6), (25, 0.0), (60, 0.9), (1, 1.0), (33, 0.3)]:
+            voiced = rng.random(n) < share
+            anns.append(FrameAnnotation(
+                f0_hz=np.where(voiced, rng.uniform(30.0, 600.0, n), np.nan),
+                f1_hz=rng.uniform(100.0, 1500.0, n), f2_hz=rng.uniform(500.0, 3500.0, n),
+                voiced=voiced))
+        assert not anns[1].voiced.any()
+        scaler = fit_scaler(anns)
+        for i, name in enumerate(("f0_hz", "f1_hz", "f2_hz")):
+            track = np.concatenate([getattr(a, name)[a.voiced] for a in anns])
+            logs = np.log(np.clip(track, FORMANT_LO[i], FORMANT_HI[i]))
+            assert scaler.log_mean[i].tobytes() == logs.mean().tobytes(), name
+            assert scaler.log_std[i].tobytes() == logs.std().tobytes(), name
 
     def test_targets_clamped_into_range(self):
         f0 = np.array([50.0, 500.0])  # both outside [60, 400]
