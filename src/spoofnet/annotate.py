@@ -56,10 +56,6 @@ def annotate_waveform(x: FixedWaveform) -> FrameAnnotation:
     """Run both trackers and assemble the aligned annotation."""
     f0 = track_pitch(x)
     f1, f2 = track_formants(x)
-    if not (f0.shape[0] == f1.shape[0] == NUM_FRAMES):
-        raise AlignmentError(
-            f"trackers produced {f0.shape[0]}/{f1.shape[0]} frames, expected {NUM_FRAMES}"
-        )
     return FrameAnnotation(f0_hz=f0, f1_hz=f1, f2_hz=f2, voiced=derive_voicing(f0))
 
 
@@ -74,8 +70,8 @@ def annotation_to_record(utt_id: str, ann: FrameAnnotation) -> dict:
 
 def annotation_from_record(record: dict) -> FrameAnnotation:
     """The annotation a cache record holds; a record that does not decode
-    to one, such as one with a missing or short track, non-hex text, an
-    infinite f0 or a non-finite formant, raises DataError."""
+    to one, such as one with a missing track or one not NUM_FRAMES long,
+    non-hex text, an infinite f0 or a non-finite formant, raises DataError."""
     try:
         # fromhex refuses a non-string or non-hex track, frombuffer a byte
         # count that is not whole float64s; astype makes a writeable copy
@@ -83,6 +79,9 @@ def annotation_from_record(record: dict) -> FrameAnnotation:
                       for name in ("f0", "f1", "f2"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed annotation record: {exc!r}") from exc
+    if not f0.size == f1.size == f2.size == NUM_FRAMES:
+        raise DataError(f"annotation record tracks hold {f0.size}/{f1.size}/{f2.size} "
+                        f"frames, expected {NUM_FRAMES}")
     # NaN in f0 marks an unvoiced frame; the trackers never emit inf, and
     # formant dropouts take the fallbacks, so F1/F2 are always finite
     if np.isinf(f0).any():

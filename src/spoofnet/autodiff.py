@@ -336,8 +336,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     if not x.flags.c_contiguous:
         raise ValueError("_erf works in place: it needs a C-contiguous array")
     flat = x.reshape(-1)
-    if not flat.size:
-        return x
     scratch = np.empty((3, min(flat.size, _ERF_CHUNK)))
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo:lo + _ERF_CHUNK]

@@ -13,7 +13,8 @@ is `{"utt_id", "f0", "f1", "f2", "key"}`, the tracks in the byte-exact
 encoding of `annotate.annotation_to_record`. A line that does not parse
 as a record, such as one torn by an interrupted copy, one whose tracks
 do not decode, or one in the older per-frame format, reads as a cache
-miss and is dropped or replaced by the next write.
+miss and is dropped or replaced by the next write; so does a record
+whose three tracks are not each 128 frames long.
 
 The token store, `tokens/` in the same directory, holds the model-dtype
 (2, 128, 256) magnitude and phase token grids of each audio content that
@@ -84,15 +85,15 @@ def token_path(cache_dir, audio_path, dtype) -> Path:
 
 def read_tokens(path, dtype) -> np.ndarray | None:
     """The (2, L, M) token grids stored at path, or None, a miss, when
-    there is no such file or it is torn or of another shape, dtype or
-    order. The header is checked before the payload is read, so a header
-    that declares another array, however large, allocates nothing."""
+    there is no such file or it is torn, not .npy version 1.0 (write_tokens'
+    one), or of another shape, dtype or order. The header is checked first,
+    so a header that declares another array, however large, allocates nothing."""
     fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
-            read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
-                           else fmt.read_array_header_2_0)
-            if read_header(fh) != (TOKEN_SHAPE, False, np.dtype(dtype)):
+            if fmt.read_magic(fh) != (1, 0):
+                return None
+            if fmt.read_array_header_1_0(fh) != (TOKEN_SHAPE, False, np.dtype(dtype)):
                 return None
             fh.seek(0)
             return fmt.read_array(fh, allow_pickle=False)

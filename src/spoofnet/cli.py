@@ -261,6 +261,11 @@ def _cmd_explain(args) -> int:
             f"{len(missing)} records lack frame weights or voicing "
             f"(e.g. {missing[0]}); re-run eval to produce full records"
         )
+    if args.ground_truth and all(r.gt_voiced is None for r in records):
+        raise DataError(
+            f"no record holds ground-truth voicing (e.g. {records[0].utt_id}); "
+            "re-run eval with --cache to produce it"
+        )
     _, threshold = compute_eer(records)
     report = aggregate(records, threshold, use_ground_truth=args.ground_truth)
     write_report(report, json_path, csv_path)
@@ -325,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--report", required=True, help="output report path (JSON)")
     p.add_argument("--ground-truth", action="store_true",
-                   help="attribute with ground-truth voicing instead of the model's")
+                   help="attribute with ground-truth voicing instead of the model's "
+                        "(needs scores from eval --cache)")
 
     p = sub.add_parser("infer", help="score a single WAV file")
     p.add_argument("--wav", required=True)

@@ -75,8 +75,7 @@ def _coerce(kv: _Document, key: str, default):
 def _from_kv(cls, kv: _Document):
     """The record of cls with the fields kv sets; a field's own error
     names its line."""
-    defaults = cls()
-    kwargs = {f.name: _coerce(kv, f.name, getattr(defaults, f.name))
+    kwargs = {f.name: _coerce(kv, f.name, f.default)
               for f in dataclasses.fields(cls) if f.name in kv}
     try:
         return cls(**kwargs)

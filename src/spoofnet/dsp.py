@@ -206,10 +206,7 @@ def trim_silence(x: np.ndarray) -> np.ndarray:
     if peak == 0.0:
         raise SilentAudio("all-zero signal")
     block = max(1, int(round(TRIM_BLOCK_SECONDS * SAMPLE_RATE)))
-    n_blocks = int(np.ceil(x.size / block))
-    padded = np.zeros(n_blocks * block)
-    padded[: x.size] = np.abs(x)
-    block_peaks = padded.reshape(n_blocks, block).max(axis=1)
+    block_peaks = np.maximum.reduceat(np.abs(x), np.arange(0, x.size, block))
     with np.errstate(divide="ignore"):
         block_db = 20.0 * np.log10(block_peaks / peak)
     active = np.flatnonzero(block_db >= SILENCE_THRESHOLD_DB)
@@ -229,11 +226,8 @@ def peak_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def fix_length(x: np.ndarray) -> FixedWaveform:
-    """Tile short signals by repetition, truncate long ones, to 33,024."""
-    if x.size >= FIXED_NUM_SAMPLES:
-        return FixedWaveform(x[:FIXED_NUM_SAMPLES].copy())
-    reps = int(np.ceil(FIXED_NUM_SAMPLES / x.size))
-    return FixedWaveform(np.tile(x, reps)[:FIXED_NUM_SAMPLES])
+    """x tiled end to end and cut to 33,024 samples; a long x is truncated."""
+    return FixedWaveform(np.resize(x, FIXED_NUM_SAMPLES))
 
 
 def preprocess(x: np.ndarray) -> FixedWaveform:

@@ -17,10 +17,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidWeights
+from .manifest import VALID_LABELS
 from .metrics import ScoreRecord
 from .model import VOICING_THRESHOLD
 
 WEIGHT_SUM_TOL = 1e-5
+# the per-group CSV's columns: keys of the JSON report's group rows
+CSV_COLUMNS = ("dataset_tag", "class", "n_utterances", "voiced_share", "unvoiced_share")
 
 
 def utterance_reliance(
@@ -112,29 +115,28 @@ def aggregate(
     groups = []
     for tag in tags:
         for label in (0, 1):
-            members = [u for u in per_utt
-                       if u.dataset_tag == tag and u.label == label]
-            if members:
-                vs = float(np.mean([u.voiced_share for u in members]))
-                groups.append(GroupReliance(tag, label, len(members), vs, 1.0 - vs))
-            else:
-                groups.append(GroupReliance(tag, label, 0, None, None))
+            shares = [u.voiced_share for u in per_utt
+                      if u.dataset_tag == tag and u.label == label]
+            vs = float(np.mean(shares)) if shares else None
+            groups.append(GroupReliance(tag, label, len(shares), vs,
+                                        None if vs is None else 1.0 - vs))
     return RelianceReport(groups=groups, utterances=per_utt,
                           threshold=eer_threshold)
 
 
 def write_report(report: RelianceReport, json_path, csv_path) -> None:
     """Structured JSON document plus a flat per-group CSV for plotting."""
+    group_rows = [{
+        "dataset_tag": g.dataset_tag,
+        "label": g.label,
+        "class": VALID_LABELS[g.label],
+        "n_utterances": g.n_utterances,
+        "voiced_share": g.voiced_share,
+        "unvoiced_share": g.unvoiced_share,
+    } for g in report.groups]
     doc = {
         "threshold": report.threshold,
-        "groups": [{
-            "dataset_tag": g.dataset_tag,
-            "label": g.label,
-            "class": "fake" if g.label == 1 else "real",
-            "n_utterances": g.n_utterances,
-            "voiced_share": g.voiced_share,
-            "unvoiced_share": g.unvoiced_share,
-        } for g in report.groups],
+        "groups": group_rows,
         "utterances": [asdict(u) for u in report.utterances],
     }
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -142,15 +144,11 @@ def write_report(report: RelianceReport, json_path, csv_path) -> None:
         fh.write("\n")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["dataset_tag", "class", "n_utterances",
-                         "voiced_share", "unvoiced_share"])
-        for g in report.groups:
-            writer.writerow([
-                g.dataset_tag, "fake" if g.label == 1 else "real",
-                g.n_utterances,
-                "" if g.voiced_share is None else f"{g.voiced_share:.6f}",
-                "" if g.unvoiced_share is None else f"{g.unvoiced_share:.6f}",
-            ])
+        writer.writerow(CSV_COLUMNS)
+        for row in group_rows:
+            # csv writes None, no share, as an empty cell
+            cells = [row[column] for column in CSV_COLUMNS]
+            writer.writerow([f"{c:.6f}" if isinstance(c, float) else c for c in cells])
 
 
 def format_report(report: RelianceReport) -> str:
@@ -159,12 +157,9 @@ def format_report(report: RelianceReport) -> str:
     lines.append(f"{'dataset':<16} {'class':<6} {'n':>4} "
                  f"{'voiced':>8} {'unvoiced':>9}")
     for g in report.groups:
-        cls = "fake" if g.label == 1 else "real"
-        if g.n_utterances == 0:
-            lines.append(f"{g.dataset_tag:<16} {cls:<6} {0:>4} {'n/a':>8} {'n/a':>9}")
-        else:
-            lines.append(
-                f"{g.dataset_tag:<16} {cls:<6} {g.n_utterances:>4} "
-                f"{g.voiced_share:>8.4f} {g.unvoiced_share:>9.4f}"
-            )
+        voiced = unvoiced = "n/a"
+        if g.voiced_share is not None:
+            voiced, unvoiced = f"{g.voiced_share:.4f}", f"{g.unvoiced_share:.4f}"
+        lines.append(f"{g.dataset_tag:<16} {VALID_LABELS[g.label]:<6} "
+                     f"{g.n_utterances:>4} {voiced:>8} {unvoiced:>9}")
     return "\n".join(lines)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DuplicateId, InsufficientData, ParseError, read_utf8
 
-VALID_LABELS = ("real", "fake")
+VALID_LABELS = ("real", "fake")  # indexed by the integer label
 VALID_SPLITS = ("train", "val", "test", "")
 COLUMNS = ("utt_id", "audio_path", "label", "dataset_tag", "codec_tag", "split")
 
@@ -46,7 +46,8 @@ def load_manifest(path) -> Manifest:
 
     Relative audio paths are resolved against the manifest's directory.
     Unresolvable paths are flagged on the entry, not fatal, so manifests
-    can be inspected away from their audio.
+    can be inspected away from their audio. An error names the physical
+    line on which its record ends; a quoted field may hold line breaks.
     """
     path = Path(path)
     base = path.parent
@@ -54,17 +55,18 @@ def load_manifest(path) -> Manifest:
     seen: set[str] = set()
     reader = csv.reader(read_utf8(path, newline=""))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
     if not rows:
         raise ParseError("empty manifest", line=1)
-    header = rows[0]
+    header_line, header = rows[0]
     if tuple(h.strip() for h in header) != COLUMNS:
         raise ParseError(
-            f"header must be {','.join(COLUMNS)}, got {','.join(header)}", line=1
+            f"header must be {','.join(COLUMNS)}, got {','.join(header)}",
+            line=header_line,
         )
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(COLUMNS):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -138,22 +138,15 @@ def format_breakdown(rows: list[BreakdownRow]) -> str:
 # -- score file round trip -------------------------------------------------
 
 def write_scores(path, records: list[ScoreRecord]) -> None:
-    """Line-delimited JSON, one record per utterance."""
+    """Line-delimited JSON, one record per utterance: its fields in order,
+    each array as a list."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            row = {
-                "utt_id": r.utt_id,
-                "score": r.score,
-                "label": r.label,
-                "dataset_tag": r.dataset_tag,
-                "codec_tag": r.codec_tag,
-                "frame_weights": None if r.frame_weights is None
-                else np.asarray(r.frame_weights, dtype=np.float64).tolist(),
-                "voicing_prob": None if r.voicing_prob is None
-                else np.asarray(r.voicing_prob, dtype=np.float64).tolist(),
-                "gt_voiced": None if r.gt_voiced is None
-                else np.asarray(r.gt_voiced, dtype=bool).tolist(),
-            }
+            # a shallow copy: asdict would deep-copy the arrays
+            row = {f.name: getattr(r, f.name) for f in fields(r)}
+            for key, value in row.items():
+                if isinstance(value, np.ndarray):
+                    row[key] = value.tolist()
             fh.write(json.dumps(row) + "\n")
 
 

@@ -179,20 +179,18 @@ def balance_classes(entries: list) -> list:
         raise ClassMissing(
             f"both classes required, got {len(real)} real / {len(fake)} fake"
         )
-    if len(real) == len(fake):
-        return list(entries)
     minority, n_major = (real, len(fake)) if len(real) < len(fake) else (fake, len(real))
     extra = [minority[i % len(minority)] for i in range(len(minority), n_major)]
     return list(entries) + extra
 
 
 class PlateauScheduler:
-    """Validation-loss plateau tracking: lr decay and early stopping."""
+    """Validation-loss plateau tracking: lr decay at each multiple of
+    PLATEAU_PATIENCE epochs without improvement, and early stopping."""
 
     def __init__(self, lr: float):
         self.lr = lr
         self.best = np.inf
-        self._plateau = 0
         self._stall = 0
 
     def update(self, val_loss: float) -> tuple[bool, bool]:
@@ -200,14 +198,11 @@ class PlateauScheduler:
         improved = val_loss < self.best - IMPROVE_TOL
         if improved:
             self.best = val_loss
-            self._plateau = 0
             self._stall = 0
         else:
-            self._plateau += 1
             self._stall += 1
-            if self._plateau >= PLATEAU_PATIENCE:
+            if self._stall % PLATEAU_PATIENCE == 0:
                 self.lr *= DECAY_FACTOR
-                self._plateau = 0
         return improved, self._stall >= EARLY_STOP_PATIENCE
 
 
@@ -232,9 +227,8 @@ class TrainResult:
 def _batch_forward(model: SpoofNet, samples: list[TrainSample], scaler: FormantScaler,
                    weights: tuple[float, float, float]):
     """One forward over the samples stacked on a batch axis, and its loss."""
-    dtype = model.cfg.np_dtype()
-    out = model.forward(np.stack([s.mag for s in samples], dtype=dtype),
-                        np.stack([s.phase for s in samples], dtype=dtype))
+    out = model.forward(np.stack([s.mag for s in samples]),
+                        np.stack([s.phase for s in samples]))
     return compound_loss(out, [s.annotation for s in samples],
                          [s.label for s in samples], scaler, weights)
 

@@ -120,6 +120,20 @@ class TestPipelineCommands:
         for g in populated:
             assert 0.0 <= g["voiced_share"] <= 1.0
 
+    def test_explain_with_ground_truth_of_scores_without_it_is_2(self, workspace,
+                                                                 tmp_path, capsys):
+        # an eval without --cache writes every gt_voiced as null
+        rows = [json.loads(line) for line in workspace["scores"].read_text().splitlines()]
+        for row in rows:
+            row["gt_voiced"] = None
+        scores = tmp_path / "s.jsonl"
+        scores.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["explain", "--scores", str(scores),
+                     "--report", str(tmp_path / "r.json"), "--ground-truth"]) == 2
+        err = capsys.readouterr().err
+        assert rows[0]["utt_id"] in err and "eval with --cache" in err
+        assert sorted(tmp_path.iterdir()) == [scores]
+
     def test_eval_chunks_match_per_utterance_predict(self, workspace, tmp_path):
         # a sidecar batch size of 5 scores the 16 files in chunks 5, 5, 5, 1
         import shutil

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN, LOG_FLOOR,
                           MIN_SAMPLE_RATE, NUM_BINS, NUM_FRAMES, SAMPLE_RATE,
+                          SILENCE_THRESHOLD_DB,
                           FixedWaveform, fix_length, frame_signal, hann_window,
                           ingest, peak_normalize, preprocess, read_wav,
                           stft_features, trim_silence, write_wav)
@@ -65,14 +66,55 @@ class TestIngest:
         assert w.size == 16000
 
 
+def padded_block_span(x: np.ndarray) -> tuple[int, int]:
+    """The (start, end) that trim_silence keeps, by the rule written out:
+    |x| zero-padded to whole 320-sample blocks, each block's peak against
+    the global peak, and the span from the first block at or above
+    SILENCE_THRESHOLD_DB to the end of the last, cut at x's end."""
+    block = 320
+    n_blocks = -(-x.size // block)
+    padded = np.zeros(n_blocks * block)
+    padded[:x.size] = np.abs(x)
+    peaks = padded.reshape(n_blocks, block).max(axis=1)
+    with np.errstate(divide="ignore"):
+        block_db = 20.0 * np.log10(peaks / np.abs(x).max())
+    active = np.flatnonzero(block_db >= SILENCE_THRESHOLD_DB)
+    return int(active[0]) * block, min((int(active[-1]) + 1) * block, x.size)
+
+
+class TestTrimSilence:
+    @pytest.mark.parametrize("n", [1, 319, 321, 4801, 16001, FIXED_NUM_SAMPLES + 1])
+    def test_span_is_the_padded_block_rule(self, n):
+        # a -60 dB floor under a few loud bursts, at lengths that are not
+        # whole blocks, so the last block is partial
+        rng = np.random.default_rng(n)
+        x = 1e-3 * rng.uniform(-1, 1, n)
+        for at in rng.integers(0, n, 3):
+            burst = x[at:at + 200]
+            burst[:] = rng.uniform(-1, 1, burst.size)
+        start, end = padded_block_span(x)
+        np.testing.assert_array_equal(trim_silence(x), x[start:end])
+
+    @pytest.mark.parametrize("n", [321, 16001, 33023])
+    def test_only_the_partial_last_block_is_loud(self, n):
+        x = 1e-3 * np.random.default_rng(n).uniform(-1, 1, n)
+        x[-1] = 0.8
+        start, end = padded_block_span(x)
+        assert (start, end) == (n - n % 320, n)
+        np.testing.assert_array_equal(trim_silence(x), x[start:end])
+
+
 class TestPreprocess:
-    def test_short_signal_tiled_by_repetition(self):
+    # around the fixed length tiling turns into truncation: s[idx % n] covers both
+    @pytest.mark.parametrize("n", [16000, FIXED_NUM_SAMPLES - 1, FIXED_NUM_SAMPLES,
+                                   FIXED_NUM_SAMPLES + 1])
+    def test_short_signal_tiled_by_repetition(self, n):
         rng = np.random.default_rng(1)
-        s = rng.uniform(-1, 1, 16000)
+        s = rng.uniform(-1, 1, n)
         s[np.argmax(np.abs(s))] = 1.0  # peak exactly 1 so scaling is identity
         out = preprocess(s).samples
         idx = np.arange(FIXED_NUM_SAMPLES)
-        np.testing.assert_allclose(out, s[idx % 16000], atol=0)
+        np.testing.assert_allclose(out, s[idx % n], atol=0)
 
     def test_peak_normalization_scales_by_4(self):
         t = np.arange(20000) / SAMPLE_RATE
@@ -81,9 +123,10 @@ class TestPreprocess:
         np.testing.assert_allclose(out[:20000], 4.0 * quiet, rtol=1e-12)
         assert np.max(np.abs(out)) == pytest.approx(1.0, abs=1e-6)
 
-    def test_long_signal_truncated_to_head(self):
+    @pytest.mark.parametrize("n", [FIXED_NUM_SAMPLES, FIXED_NUM_SAMPLES + 1, 50000])
+    def test_long_signal_truncated_to_head(self, n):
         rng = np.random.default_rng(2)
-        s = rng.uniform(-1, 1, 50000)
+        s = rng.uniform(-1, 1, n)
         s[np.argmax(np.abs(s[:FIXED_NUM_SAMPLES]))] = 1.0
         s[FIXED_NUM_SAMPLES:] *= 0.5  # peak lives in the kept region
         out = preprocess(s).samples

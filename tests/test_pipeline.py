@@ -80,6 +80,15 @@ class TestLoadManifest:
         with pytest.raises(ParseError, match="line 3"):
             load_manifest(p)
 
+    def test_error_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
+        # u1's quoted path holds a line break, so u2 is on line 4, not record 3
+        p = write_manifest(tmp_path / "m.csv", [
+            'u1,"a\nb.wav",real,ds,,\n',
+            "u2,c.wav,bonafide,ds,,\n",
+        ])
+        with pytest.raises(ParseError, match="^line 4: label"):
+            load_manifest(p)
+
     def test_duplicate_id_named(self, tmp_path):
         p = write_manifest(tmp_path / "m.csv", [
             "dup,a.wav,real,ds,,\n",
@@ -383,6 +392,9 @@ RECORD_DAMAGE = {
     "bad_hex": lambda row: row.update(f1="zz" + row["f1"][2:]),
     "partial_float": lambda row: row.update(f1=row["f1"][:-2]),
     "unequal_lengths": lambda row: row.update(f2=row["f2"][:-16]),
+    # 16 hex digits: one float64 from each track, so the three agree on 127
+    "every_track_short": lambda row: row.update(
+        {name: row[name][:-16] for name in ("f0", "f1", "f2")}),
     "f0_inf": _set_frame("f0", np.inf),
     "f0_minus_inf": _set_frame("f0", -np.inf),
     "f1_nan": _set_frame("f1", np.nan),
@@ -602,7 +614,8 @@ class TestTokenStore:
             assert np.load(path).dtype == dtype
 
     @pytest.mark.parametrize("damage", ["empty", "torn_header", "torn_data", "not_npy",
-                                        "other_shape", "other_dtype", "oversized_header"])
+                                        "other_shape", "other_dtype", "oversized_header",
+                                        "version_2_0"])
     def test_damaged_file_is_a_miss_and_rewritten(self, tmp_path, corpus, computed, damage):
         from spoofnet.cache import token_path
         from spoofnet.features import token_grids
@@ -622,6 +635,10 @@ class TestTokenStore:
                 np.lib.format.write_array_header_1_0(
                     fh, {"descr": "<f4", "fortran_order": False, "shape": (200000, 128, 256)})
                 fh.write(want.tobytes())
+        elif damage == "version_2_0":
+            # the same grids, but write_tokens writes format version 1.0 only
+            with open(path, "wb") as fh:
+                np.lib.format.write_array(fh, want, version=(2, 0))
         else:
             path.write_bytes({"empty": b"", "torn_header": good[:40],
                               "torn_data": good[:len(good) // 2],
