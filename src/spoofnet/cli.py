@@ -261,10 +261,11 @@ def _cmd_explain(args) -> int:
             f"{len(missing)} records lack frame weights or voicing "
             f"(e.g. {missing[0]}); re-run eval to produce full records"
         )
-    if args.ground_truth and all(r.gt_voiced is None for r in records):
+    lacking = [r.utt_id for r in records if r.gt_voiced is None]
+    if args.ground_truth and lacking:
         raise DataError(
-            f"no record holds ground-truth voicing (e.g. {records[0].utt_id}); "
-            "re-run eval with --cache to produce it"
+            f"{len(lacking)} records hold no ground-truth voicing "
+            f"(e.g. {lacking[0]}); re-run eval with --cache to produce it"
         )
     _, threshold = compute_eer(records)
     report = aggregate(records, threshold, use_ground_truth=args.ground_truth)

@@ -31,8 +31,8 @@ SILENCE_THRESHOLD_DB = -40.0
 # Part of every token-store key (cache.py). The text is a label, not a
 # full description: the resampler, the window and the grid formulas are
 # not in it, so edit it by hand with any change that alters the tokens.
-# tests/test_frontend_golden.py pins this text and the token bytes of
-# fixed inputs, so such a change fails there until the text is edited.
+# tests/pins.json pins this text and the token bytes of fixed inputs, so
+# such a change fails tests/test_frontend_golden.py until both are edited.
 FRONTEND_KEY = (f"stft:{SAMPLE_RATE}:trim{TRIM_BLOCK_SECONDS}:{SILENCE_THRESHOLD_DB}:"
                 f"{FIXED_NUM_SAMPLES}:{FRAME_LEN}:{HOP_LEN}:{NUM_BINS}:{LOG_FLOOR}")
 

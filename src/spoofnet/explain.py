@@ -91,7 +91,9 @@ def aggregate(
 
     Classification at the threshold assigns score >= threshold to fake.
     Groups are (dataset_tag, class); empty groups appear with n=0 and
-    undefined shares so report consumers see the full grid.
+    undefined shares so report consumers see the full grid. With
+    use_ground_truth, voicing is each record's gt_voiced, which every
+    record must hold.
     """
     per_utt: list[UtteranceReliance] = []
     tags = sorted({r.dataset_tag for r in records})
@@ -99,12 +101,7 @@ def aggregate(
         predicted_fake = r.score >= eer_threshold
         if predicted_fake != (r.label == 1):
             continue  # misclassified: excluded from the analysis
-        if use_ground_truth:
-            if r.gt_voiced is None:
-                continue
-            voicing = r.gt_voiced
-        else:
-            voicing = r.voicing_prob >= VOICING_THRESHOLD
+        voicing = r.gt_voiced if use_ground_truth else r.voicing_prob >= VOICING_THRESHOLD
         voiced_share, unvoiced_share = utterance_reliance(r.frame_weights, voicing)
         per_utt.append(UtteranceReliance(
             utt_id=r.utt_id, dataset_tag=r.dataset_tag, label=r.label,

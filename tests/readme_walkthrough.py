@@ -1,16 +1,12 @@
-"""Run the README's command-line walkthrough and print its digests.
+"""Run the README's command-line walkthrough and digest what it writes.
 
-    python -m tests.readme_walkthrough
-
-Run from the root of a checkout; the package is imported from its
-``src/``. The ``spoofnet`` commands of the README's walkthrough (steps
-1-6) run in a temporary directory through ``spoofnet.cli.main``, with
-``corpus.cfg`` and ``run.cfg`` taken from its heredocs. The commands'
-output is swallowed; what is printed is the first line of ``infer``, the
-sha256 of each file the walkthrough writes and the sha256 of the corpus
-WAVs, read in manifest order, so that two checkouts whose outputs should
-be byte-identical can be compared line by line, and a difference on the
-synthesis side shows on its own line.
+The ``spoofnet`` commands of the README's walkthrough (steps 1-6) run in
+a given directory through ``spoofnet.cli.main``, with ``corpus.cfg`` and
+``run.cfg`` taken from its heredocs. The commands' output is swallowed;
+``run`` returns the first line of ``infer``, the sha256 of each file the
+walkthrough writes and the sha256 of the corpus WAVs, read in manifest
+order, so that a difference on the synthesis side shows on its own.
+These are the "walkthrough" pins of ``tests/pins.json``.
 """
 
 from __future__ import annotations
@@ -21,12 +17,13 @@ import io
 import os
 import re
 import shlex
-import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-README = ROOT / "README.md"
+from spoofnet.cli import main
+from spoofnet.manifest import load_manifest
+from tests.pins import corpus_digest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 # the files each digest is taken of, relative to the walkthrough directory
 DIGESTS = ("model.ckpt", "scores.jsonl", "report.json", "model.ckpt.history.jsonl",
            "cache/annotations.jsonl")
@@ -54,11 +51,9 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("spoofnet ")]
 
 
-def run(workdir: Path) -> list[str]:
-    """Run the walkthrough in workdir; returns the lines to print."""
-    from spoofnet.cli import main
-    from spoofnet.manifest import load_manifest
-
+def run(workdir: Path) -> dict[str, str]:
+    """Run the walkthrough in workdir, made if need be; its pins by name."""
+    workdir.mkdir(exist_ok=True)
     for name, body in readme_heredocs().items():
         (workdir / name).write_text(body, encoding="utf-8")
     here = os.getcwd()
@@ -72,18 +67,8 @@ def run(workdir: Path) -> list[str]:
                 raise SystemExit(f"spoofnet {argv[0]} exited {code}")
     finally:
         os.chdir(here)
-    lines = [out.getvalue().splitlines()[0]]
+    pins = {"infer": out.getvalue().splitlines()[0]}
     for name in DIGESTS:
-        digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-        lines.append(f"{digest}  {name}")
-    wavs = hashlib.sha256()
-    for e in load_manifest(workdir / CORPUS_MANIFEST):
-        wavs.update(e.audio_path.read_bytes())
-    lines.append(f"{wavs.hexdigest()}  corpus WAVs in manifest order")
-    return lines
-
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    with tempfile.TemporaryDirectory(prefix="spoofnet-walkthrough-") as tmp:
-        print("\n".join(run(Path(tmp))))
+        pins[name] = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+    pins["corpus WAVs"] = corpus_digest(load_manifest(workdir / CORPUS_MANIFEST))
+    return pins

@@ -1,13 +1,16 @@
-"""Line and code-line counts of the package's modules in two checkouts.
+"""Line and code-line counts of the package's and the tests' modules in
+two checkouts.
 
     python -m tests.src_lines OLD_ROOT NEW_ROOT
 
-Each root is a checkout of this repository. One row is printed for each
-module of ``src/spoofnet`` whose bytes differ between the two, then the
-totals over every module. A code line is a line that holds a token of
-code: blank lines, comment-only lines and the lines of docstrings (of
-the module, its classes and its functions) are not counted, so deleting
-a comment or a docstring line reduces the line count only.
+Each root is a checkout of this repository. Two tables are printed, one
+for ``src/spoofnet`` and one for ``tests``: one row for each module of
+the directory whose bytes differ between the two, then the totals over
+every module of it. Data files such as ``tests/pins.json`` are not
+counted. A code line is a line that holds a token of code: blank lines,
+comment-only lines and the lines of docstrings (of the module, its
+classes and its functions) are not counted, so deleting a comment or a
+docstring line reduces the line count only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path("src") / "spoofnet"
+DIRECTORIES = (Path("src") / "spoofnet", Path("tests"))
 # tokens that are no code on their own line
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -55,14 +58,15 @@ def counts(path: Path) -> tuple[int, int]:
     return source.count("\n"), code_lines(source)
 
 
-def rows(old_root: Path, new_root: Path) -> list[str]:
-    """The table: one row per changed module, then the totals."""
+def rows(old_root: Path, new_root: Path, directory: Path) -> list[str]:
+    """The table of one directory: its name, one row per changed module,
+    then the totals."""
     names = sorted({p.name for root in (old_root, new_root)
-                    for p in (root / PACKAGE).glob("*.py")})
-    out = [f"{'module':<16} {'lines':>18} {'code lines':>18}"]
+                    for p in (root / directory).glob("*.py")})
+    out = [f"{directory.as_posix() + '/':<26} {'lines':>18} {'code lines':>18}"]
     totals = [0, 0, 0, 0]
     for name in names:
-        old, new = (root / PACKAGE / name for root in (old_root, new_root))
+        old, new = (root / directory / name for root in (old_root, new_root))
         (old_lines, old_code), (new_lines, new_code) = counts(old), counts(new)
         for i, n in enumerate((old_lines, new_lines, old_code, new_code)):
             totals[i] += n
@@ -78,11 +82,12 @@ def _row(name: str, old_lines: int, new_lines: int, old_code: int, new_code: int
     def change(old: int, new: int) -> str:
         return f"{old} -> {new} ({new - old:+d})"
 
-    return (f"{name:<16} {change(old_lines, new_lines):>18} "
+    return (f"{name:<26} {change(old_lines, new_lines):>18} "
             f"{change(old_code, new_code):>18}")
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         raise SystemExit("usage: python -m tests.src_lines OLD_ROOT NEW_ROOT")
-    print("\n".join(rows(Path(sys.argv[1]), Path(sys.argv[2]))))
+    print("\n\n".join("\n".join(rows(Path(sys.argv[1]), Path(sys.argv[2]), directory))
+                      for directory in DIRECTORIES))

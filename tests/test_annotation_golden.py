@@ -1,17 +1,14 @@
 """Bit-identity of the annotation trackers.
 
-The digests pin the float64 bytes of the f0, F1 and F2 tracks
-(`annotate_waveform`) for a fixed set of inputs, independently of how a
-cache record stores them; one more test pins the exact cache line for one
-input. The digests were computed on a tree whose cache lines still
-matched those of the per-frame loop trackers, so they pin the loops'
-output (numpy 2.4, OpenBLAS 0.3, x86-64). A tracker change that alters
-any of them changes cached annotations, so it must also bump the
-`pyin:`/`burg:` key (`PITCH_KEY`, `FORMANT_KEY`) that invalidates them. Another FFT, BLAS or LAPACK
-build may differ in the last bit. To print the digests of the current
-tree:
-
-    PYTHONPATH=src python -m tests.test_annotation_golden
+The "annotation" group of `tests/pins.json` pins the float64 bytes of
+the f0, F1 and F2 tracks (`annotate_waveform`) for a fixed set of inputs,
+independently of how a cache record stores them, and the exact cache
+line for one input. Its "keys" group pins the `pyin:`/`burg:` key texts
+(`PITCH_KEY`, `FORMANT_KEY`) that invalidate cached annotations. The
+digests were computed on a tree whose cache lines still matched those of
+the per-frame loop trackers, so they pin the loops' output. A tracker
+change that alters any of them changes cached annotations, so it must
+also bump the key; `python -m tests.pins --write` then re-pins both.
 
 The loop trackers themselves are kept below as references for the
 batched Viterbi, Burg and root-finding code.
@@ -23,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from spoofnet.annotate import annotate_waveform, annotation_to_record
+from spoofnet.annotate import FrameAnnotation, annotate_waveform, annotation_to_record
 from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform,
                           frame_signal, preprocess)
 from spoofnet.formants import (FORMANT_KEY, LPC_ORDER, PREEMPHASIS, WINDOW_STD_FRACTION,
@@ -32,6 +29,7 @@ from spoofnet.pitch import (CENTS_PER_BIN, FMAX_HZ, FMIN_HZ, JUMP_COST_PER_BIN, 
                             PITCH_KEY, SWITCH_PROB, viterbi_track)
 from spoofnet.synth import SyntheticCorpusSpec, synth_utterance
 from tests.conftest import synth_vowel
+from tests.pins import PINS, float64_digest
 
 N_SYNTH = 24
 
@@ -57,69 +55,36 @@ def golden_inputs() -> dict[str, FixedWaveform]:
     return inputs
 
 
-GOLDEN_SHA256 = {
-    "synth_00": "e806f190296e3a209cd4b937a7a889d8dc02ae1036f170d1ea0de6280c2f098a",
-    "synth_01": "eb1dd2c0f2546700734da3c491d839bb160750a68cc12a928be269401f1578a0",
-    "synth_02": "e009079bf732055371509e77e44690017876f6bea8acc4d98d766c55e4a34fdf",
-    "synth_03": "9e0293a78bd683c41fd92694000c41c2c03df1200323f314508d0b39b89231f6",
-    "synth_04": "a78b6204a6e1cca7b13d322a332e908b7069588888131f96d0e6a1746450e1f8",
-    "synth_05": "e8b5e7dd3561b6d576fa92b03b25c3e7ce087319b7908ea2b6478759f4b556a8",
-    "synth_06": "08ded8d074b09d581ab567a7c69009292e4e2d48146b13cc7d3482335bcd8ced",
-    "synth_07": "425d334c3ff2e171837b24f7f71c926a907676a1c79a748824726ad84255241f",
-    "synth_08": "b66363c20b740fda627a786d4de84c1424f1cd34cb0f19774343bee8f874983e",
-    "synth_09": "4efdea7370a85b19d7acc5dd27c86742f1480d97818eb57f42c0a3aa0283d251",
-    "synth_10": "38570ba2244e0778e641799f2e3b973934bc9cce3decc13dcccd4e932717959b",
-    "synth_11": "ff2ed6a81ba5037656f5db3498c89a204eb39cfbd9e7feff58802ebbe6da5b57",
-    "synth_12": "90bdf6a9aa6e5e5f05481fcb721e6a97d94379f973858d48ea7c4cc81c238b0c",
-    "synth_13": "95a7e5dd7e6092c8553e5a538930e56473c8f1b1131318abcfb9a46385582edd",
-    "synth_14": "59158bc61c196844e9e3cdd22fd7bf796ba8e3916fe38565800c2471e3b18837",
-    "synth_15": "ef09f142f75c0a288486c049c61aab52da50d06df6a2673fe689009b4a167e29",
-    "synth_16": "b5c86840be3ef3bffc1748518a0c7e54be89191b6e0ecff58ce18587c9460ba3",
-    "synth_17": "b7edb38c2f375f741766161ca3945a88d9e358e78b64baa19ec110b095e0d953",
-    "synth_18": "f66f5f569b83b66fad501859820791af96dba2fd3779e6b18496a08686da38c9",
-    "synth_19": "3ea84b1b91aae1442d9ea427e524992a753274620658cf6043218f9bc3559f42",
-    "synth_20": "ae3d4a1ee7b0a4185540eef94e65a1eebf9bcce3efa423509c22407390c90e51",
-    "synth_21": "7bb9e74fc9eaa01108ecde3b6043116b784abfe7dfde2f72ea6d851a52288629",
-    "synth_22": "a44e69541b50c7493b0bac5a1cbc62a9f919aa1359843d634599e86c4242496a",
-    "synth_23": "2773feccaaf74490a94fb0222e8d7512c13aacc7834875a421b7d1d2ff00750d",
-    "sine_220": "f2c9fbe251a7a211d4db5800543ba5585b78fd17ef0aa7095c9a5e572230a159",
-    "sawtooth_100": "71cbd8ca748827b2e636777fc691e945c22f60242647366d615b9d8bf246be3d",
-    "silence": "6f5a451528c9a32c8c5f66a54649e2a6651399481d991c63ee342880522e671a",
-    "vowel": "505a60588bf35481718f2e3dd7a30c5a8000e269a9af0094c0abc379bfa6c2ca",
-    "vowel_gap": "46f6e853e56857a10c723bc12de6e7cb54e5caab80d83b485ebd5f7b249bf3f3",
-    "noise": "6f5a451528c9a32c8c5f66a54649e2a6651399481d991c63ee342880522e671a",
-}
+def track_digests() -> dict[str, str]:
+    """The float64 digest of each golden input's f0, F1 and F2 tracks."""
+    digests = {}
+    for name, x in golden_inputs().items():
+        ann = annotate_waveform(x)
+        digests[name] = float64_digest((ann.f0_hz, ann.f1_hz, ann.f2_hz))
+    return digests
 
 
-# sha256 of json.dumps(annotation_to_record("vowel", ...)), the cache line
-# of the "vowel" input without its key
-VOWEL_LINE_SHA256 = "7e42ad45f91260ca98ac60fea862d936e4cefee7c6f271656a5435c9c001febe"
-
-
-def track_digest(x: FixedWaveform) -> str:
-    """sha256 over the little-endian float64 bytes of f0, F1 and F2."""
-    ann = annotate_waveform(x)
-    h = hashlib.sha256()
-    for track in (ann.f0_hz, ann.f1_hz, ann.f2_hz):
-        h.update(np.asarray(track, dtype="<f8").tobytes())
-    return h.hexdigest()
+def vowel_cache_line() -> tuple[FrameAnnotation, str, str]:
+    """The "vowel" input's annotation, its cache line without the key and
+    the line's sha256."""
+    ann = annotate_waveform(golden_inputs()["vowel"])
+    line = json.dumps(annotation_to_record("vowel", ann))
+    return ann, line, hashlib.sha256(line.encode("utf-8")).hexdigest()
 
 
 def test_tracker_keys_unchanged():
     # any change to these strings invalidates every cached annotation
-    assert PITCH_KEY == "pyin:60.0:400.0:512:256:0.35:100:10.0:0.1:0.01"
-    assert FORMANT_KEY == "burg:10:0.97:512:256:50.0:5500.0:400.0:0.16666666666666666"
+    assert PITCH_KEY == PINS["keys"]["PITCH_KEY"]
+    assert FORMANT_KEY == PINS["keys"]["FORMANT_KEY"]
 
 
 def test_tracks_bit_identical():
-    got = {name: track_digest(x) for name, x in golden_inputs().items()}
-    assert got == GOLDEN_SHA256
+    assert track_digests() == PINS["annotation"]["tracks"]
 
 
 def test_cache_line_format():
-    ann = annotate_waveform(golden_inputs()["vowel"])
-    line = json.dumps(annotation_to_record("vowel", ann))
-    assert hashlib.sha256(line.encode("utf-8")).hexdigest() == VOWEL_LINE_SHA256
+    ann, line, digest = vowel_cache_line()
+    assert digest == PINS["annotation"]["vowel_line"]
     record = json.loads(line)
     assert list(record) == ["utt_id", "f0", "f1", "f2"]
     for name in ("f0", "f1", "f2"):
@@ -298,9 +263,3 @@ def test_resonances_of_mixed_degrees_match_np_roots():
             got, np.array(reference_resonances(a)).reshape(-1, 2))
         np.testing.assert_array_equal(lpc_resonances(a[None])[0], got)
 
-
-if __name__ == "__main__":
-    print("GOLDEN_SHA256 = {")
-    for name, x in golden_inputs().items():
-        print(f'    "{name}": "{track_digest(x)}",')
-    print("}")

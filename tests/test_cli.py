@@ -120,18 +120,21 @@ class TestPipelineCommands:
         for g in populated:
             assert 0.0 <= g["voiced_share"] <= 1.0
 
-    def test_explain_with_ground_truth_of_scores_without_it_is_2(self, workspace,
+    # an eval without --cache writes every gt_voiced as null; a record
+    # without it must not be left out of the report in silence either
+    @pytest.mark.parametrize("nulled", [slice(None), slice(1, None, 2)],
+                             ids=["every_record", "every_other_record"])
+    def test_explain_with_ground_truth_of_scores_without_it_is_2(self, workspace, nulled,
                                                                  tmp_path, capsys):
-        # an eval without --cache writes every gt_voiced as null
         rows = [json.loads(line) for line in workspace["scores"].read_text().splitlines()]
-        for row in rows:
+        for row in rows[nulled]:
             row["gt_voiced"] = None
         scores = tmp_path / "s.jsonl"
         scores.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert main(["explain", "--scores", str(scores),
                      "--report", str(tmp_path / "r.json"), "--ground-truth"]) == 2
         err = capsys.readouterr().err
-        assert rows[0]["utt_id"] in err and "eval with --cache" in err
+        assert rows[nulled][0]["utt_id"] in err and "eval with --cache" in err
         assert sorted(tmp_path.iterdir()) == [scores]
 
     def test_eval_chunks_match_per_utterance_predict(self, workspace, tmp_path):

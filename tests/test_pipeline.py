@@ -21,22 +21,13 @@ from spoofnet.synth import (MIN_DURATION_S, SyntheticCorpusSpec, _resonate,
                             _resonate_lanes, _resonator_coeffs,
                             generate_synthetic_corpus, synth_utterance)
 from spoofnet.train import TrainConfig
+from tests.pins import PINS, corpus_digest
 
 HEADER = "utt_id,audio_path,label,dataset_tag,codec_tag,split\n"
 
-# a corpus whose resonators run as one block of lanes, and the sha256 of
-# its WAV bytes in manifest order; to print the digest of the current
-# tree after a deliberate change to synth's output:
-#     PYTHONPATH=src python -m tests.test_pipeline
+# a corpus whose resonators run as one block of lanes; the "corpus" pin
+# of tests/pins.json is its corpus_digest
 PINNED_CORPUS = SyntheticCorpusSpec(n_real=12, n_fake=12, seed=5, duration_s=MIN_DURATION_S)
-PINNED_CORPUS_SHA256 = "ab7c0ec521bb59d0a823546b482ba48a9eed5425ee39020978f8250b26cf6266"
-
-
-def corpus_digest(manifest) -> str:
-    h = hashlib.sha256()
-    for e in manifest:
-        h.update(e.audio_path.read_bytes())
-    return h.hexdigest()
 
 
 def record_lane_loops(monkeypatch) -> list:
@@ -175,14 +166,7 @@ class TestSyntheticCorpus:
         spec = SyntheticCorpusSpec(n_real=3, n_fake=3, seed=7, duration_s=1.2)
         m1 = generate_synthetic_corpus(spec, tmp_path / "a")
         m2 = generate_synthetic_corpus(spec, tmp_path / "b")
-
-        def digest(manifest):
-            h = hashlib.sha256()
-            for e in manifest:
-                h.update(e.audio_path.read_bytes())
-            return h.hexdigest()
-
-        assert digest(m1) == digest(m2)
+        assert corpus_digest(m1) == corpus_digest(m2)
 
     def test_row_count_and_labels(self, tmp_path):
         spec = SyntheticCorpusSpec(n_real=4, n_fake=2, seed=1, duration_s=1.0)
@@ -247,8 +231,7 @@ class TestSyntheticCorpus:
 
     def test_pinned_corpus_bytes(self, tmp_path):
         # computed when every resonator ran _resonate lane by lane
-        assert corpus_digest(generate_synthetic_corpus(PINNED_CORPUS, tmp_path)) == \
-            PINNED_CORPUS_SHA256
+        assert corpus_digest(generate_synthetic_corpus(PINNED_CORPUS, tmp_path)) == PINS["corpus"]
 
     def test_empty_corpus(self, tmp_path, lane_rule):
         spec = SyntheticCorpusSpec(n_real=0, n_fake=0)
@@ -871,9 +854,3 @@ class TestByteOrderMark:
         with pytest.raises(ParseError, match="^line 2: not UTF-8 text"):
             parse_kv(p)
 
-
-if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        print(f'PINNED_CORPUS_SHA256 = "{corpus_digest(generate_synthetic_corpus(PINNED_CORPUS, tmp))}"')

@@ -1,4 +1,6 @@
-from tests.src_lines import code_lines, rows
+import pytest
+
+from tests.src_lines import DIRECTORIES, code_lines, rows
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -24,13 +26,14 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     assert code_lines(SOURCE) == 6
 
 
-def test_rows_name_changed_modules_and_total_every_module(tmp_path):
+@pytest.mark.parametrize("directory", DIRECTORIES, ids=str)
+def test_rows_name_changed_modules_and_total_every_module(tmp_path, directory):
     for root, extra in (("old", ""), ("new", "x = 1\n")):
-        package = tmp_path / root / "src" / "spoofnet"
-        package.mkdir(parents=True)
-        (package / "same.py").write_text("y = 2\n")
-        (package / "edited.py").write_text(SOURCE + extra)
-    table = rows(tmp_path / "old", tmp_path / "new")
-    assert [line.split()[0] for line in table] == ["module", "edited.py", "total"]
+        modules = tmp_path / root / directory
+        modules.mkdir(parents=True)
+        (modules / "same.py").write_text("y = 2\n")
+        (modules / "edited.py").write_text(SOURCE + extra)
+    table = rows(tmp_path / "old", tmp_path / "new", directory)
+    assert [line.split()[0] for line in table] == [f"{directory.as_posix()}/", "edited.py", "total"]
     assert table[1].split()[1:] == ["16", "->", "17", "(+1)", "6", "->", "7", "(+1)"]
     assert table[2].split()[1:] == ["17", "->", "18", "(+1)", "7", "->", "8", "(+1)"]
