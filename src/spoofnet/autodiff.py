@@ -637,8 +637,7 @@ def backward(loss: Tensor) -> None:
         node.grad, node._backward_fn, node._parents = None, None, ()
 
 
-def zero_grads(params) -> None:
-    """Clear gradients on an iterable or dict of tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
+def zero_grads(params: dict[str, Tensor]) -> None:
+    """Clear the gradients of a dict of tensors by name."""
+    for p in params.values():
         p.grad = None

@@ -87,7 +87,8 @@ def read_tokens(path, dtype) -> np.ndarray | None:
     """The (2, L, M) token grids stored at path, or None, a miss, when
     there is no such file or it is torn, not .npy version 1.0 (write_tokens'
     one), or of another shape, dtype or order. The header is checked first,
-    so a header that declares another array, however large, allocates nothing."""
+    so a header that declares another array, however large, allocates
+    nothing; the payload is then read once, straight into the grids."""
     fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
@@ -95,8 +96,10 @@ def read_tokens(path, dtype) -> np.ndarray | None:
                 return None
             if fmt.read_array_header_1_0(fh) != (TOKEN_SHAPE, False, np.dtype(dtype)):
                 return None
-            fh.seek(0)
-            return fmt.read_array(fh, allow_pickle=False)
+            grids = np.empty(TOKEN_SHAPE, dtype)
+            if fh.readinto(grids.data) != grids.nbytes:
+                return None  # a payload cut short
+            return grids
     except (OSError, ValueError):
         return None
 

@@ -284,8 +284,7 @@ def _cmd_infer(args) -> int:
     lines = [f"{args.wav}: score {out.score:.4f} ({verdict}), "
              f"{100 * voiced_frac:.1f}% frames voiced",
              "most attended frames (index, weight, voiced):"]
-    for idx, weight, voiced in top_frames(out.frame_weights, out.v_mask,
-                                          k=min(5, out.frame_weights.size)):
+    for idx, weight, voiced in top_frames(out.frame_weights, out.v_mask):
         lines.append(f"  {idx:4d}  {weight:.4f}  {'voiced' if voiced else 'unvoiced'}")
     _write_stdout(lines)
     return 0

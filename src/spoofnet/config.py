@@ -104,7 +104,8 @@ def load_corpus_spec(path) -> SyntheticCorpusSpec:
 
 def write_config(path, *configs, header: str | None = None) -> None:
     """Serialize dataclass configs; later sections may not repeat keys, and
-    no value may hold a '#' or a line break, which would not read back."""
+    no value may hold a '#' or a line break, or start or end with
+    whitespace, which would not read back."""
     lines = []
     if header:
         lines.append(f"# {header}")
@@ -116,9 +117,9 @@ def write_config(path, *configs, header: str | None = None) -> None:
                 raise ValueError(f"duplicate config key {f.name!r}")
             seen.add(f.name)
             text = str(getattr(cfg, f.name))
-            if any(c in text for c in "#\n\r"):
-                raise ValueError(f"config value {f.name} = {text!r} holds a '#' "
-                                 f"or a line break")
+            if any(c in text for c in "#\n\r") or text != text.strip():
+                raise ValueError(f"config value {f.name} = {text!r} holds a '#', "
+                                 f"a line break or outer whitespace")
             lines.append(f"{f.name} = {text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -248,11 +248,10 @@ _HANN = hann_window(FRAME_LEN)
 _HANN.flags.writeable = False
 
 
-def frame_signal(x: np.ndarray, frame_len: int = FRAME_LEN,
-                 hop: int = HOP_LEN) -> np.ndarray:
-    """Slice a 1-D signal into (n_frames, frame_len) without padding, as a
-    read-only view of x."""
-    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+def frame_signal(x: np.ndarray) -> np.ndarray:
+    """Slice a 1-D signal into (n_frames, FRAME_LEN) frames HOP_LEN apart,
+    without padding, as a read-only view of x."""
+    return np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP_LEN]
 
 
 def stft_features(x: FixedWaveform) -> FeatureGrid:

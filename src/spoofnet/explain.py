@@ -22,6 +22,8 @@ from .metrics import ScoreRecord
 from .model import VOICING_THRESHOLD
 
 WEIGHT_SUM_TOL = 1e-5
+# how many of an utterance's most-attended frames infer lists
+TOP_FRAMES = 5
 # the per-group CSV's columns: keys of the JSON report's group rows
 CSV_COLUMNS = ("dataset_tag", "class", "n_utterances", "voiced_share", "unvoiced_share")
 
@@ -70,15 +72,13 @@ class RelianceReport:
     threshold: float
 
 
-def top_frames(frame_weights: np.ndarray, v_mask: np.ndarray,
-               k: int) -> list[tuple[int, float, bool]]:
-    """The k most-attended frames as (index, weight, voiced) triples,
-    sorted by descending weight with ties broken by earlier index;
+def top_frames(frame_weights: np.ndarray,
+               v_mask: np.ndarray) -> list[tuple[int, float, bool]]:
+    """The TOP_FRAMES most-attended frames as (index, weight, voiced)
+    triples, sorted by descending weight with ties broken by earlier index;
     v_mask marks the voiced frames."""
     w = np.asarray(frame_weights)
-    if k > w.size:
-        raise InvalidWeights(f"k={k} exceeds {w.size} frames")
-    order = np.argsort(-w, kind="stable")[:k]
+    order = np.argsort(-w, kind="stable")[:TOP_FRAMES]
     return [(int(i), float(w[i]), bool(v_mask[i])) for i in order]
 
 

@@ -47,9 +47,9 @@ FORMANT_KEY = (f"burg:{LPC_ORDER}:{PREEMPHASIS}:{FRAME_LEN}:{HOP_LEN}:{MIN_FREQ_
                f"{MAX_FREQ_HZ}:{MAX_BANDWIDTH_HZ}:{WINDOW_STD_FRACTION}")
 
 
-def burg(rows: np.ndarray, order: int) -> np.ndarray:
-    """Burg-method LPC coefficients [1, a1, ..., a_order] of each row of a
-    float64 (rows, n) stack, as (rows, order + 1).
+def burg(rows: np.ndarray) -> np.ndarray:
+    """Burg-method LPC coefficients [1, a1, ..., a_LPC_ORDER] of each row
+    of a float64 (rows, n) stack, as (rows, LPC_ORDER + 1).
 
     Minimizes the summed forward and backward prediction error through a
     lattice recursion, one lattice per row; reflection coefficients stay
@@ -57,12 +57,12 @@ def burg(rows: np.ndarray, order: int) -> np.ndarray:
     unit circle). A row whose error energy reaches zero keeps the
     coefficients it had at that point.
     """
-    a = np.zeros((rows.shape[0], order + 1))
+    a = np.zeros((rows.shape[0], LPC_ORDER + 1))
     a[:, 0] = 1.0
     f = rows[:, 1:]
     b = rows[:, :-1]
     running = np.ones(rows.shape[0], dtype=bool)
-    for m in range(min(order, f.shape[1])):
+    for m in range(min(LPC_ORDER, f.shape[1])):
         den = np.vecdot(f, f) + np.vecdot(b, b)
         running &= ~(den <= 0.0)
         # k = 0 leaves a stopped row's coefficients and errors as they are
@@ -107,26 +107,23 @@ def lpc_resonances(stack: np.ndarray) -> np.ndarray:
                      np.take_along_axis(bandwidth, idx, -1)], axis=-1)
 
 
-def gaussian_window(n: int, std_fraction: float) -> np.ndarray:
-    half = (n - 1) / 2.0
-    idx = np.arange(n) - half
-    return np.exp(-0.5 * (idx / (std_fraction * n)) ** 2)
-
-
-_TAPER = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
+# the Gaussian taper, centred on the frame
+_TAPER = np.exp(-0.5 * ((np.arange(FRAME_LEN) - (FRAME_LEN - 1) / 2.0)
+                        / (WINDOW_STD_FRACTION * FRAME_LEN)) ** 2)
 _TAPER.flags.writeable = False
 
 
-def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
+def preemphasize(x: np.ndarray) -> np.ndarray:
+    """x as float64 with PREEMPHASIS times each previous sample subtracted."""
     y = x.astype(np.float64).copy()
-    y[1:] -= coeff * x[:-1]
+    y[1:] -= PREEMPHASIS * x[:-1]
     return y
 
 
 def track_formants(x: FixedWaveform) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f1, f2) arrays aligned with the STFT framing."""
-    frames = frame_signal(preemphasize(x.samples, PREEMPHASIS))
-    resonances = lpc_resonances(burg(frames * _TAPER, LPC_ORDER))
+    frames = frame_signal(preemphasize(x.samples))
+    resonances = lpc_resonances(burg(frames * _TAPER))
     freq, bandwidth = resonances[..., 0], resonances[..., 1]
     qualifies = (MIN_FREQ_HZ < freq) & (freq < MAX_FREQ_HZ) & (bandwidth < MAX_BANDWIDTH_HZ)
     # the two lowest qualifying frequencies per frame; NaN marks a shortfall

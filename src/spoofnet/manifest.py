@@ -78,6 +78,8 @@ def load_manifest(path) -> Manifest:
         )
         if not utt_id:
             raise ParseError("empty utt_id", line=line_no)
+        if not audio_path:
+            raise ParseError(f"empty audio_path for {utt_id!r}", line=line_no)
         if label not in VALID_LABELS:
             raise ParseError(
                 f"label must be one of {VALID_LABELS}, got {label!r}", line=line_no

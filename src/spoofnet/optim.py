@@ -11,17 +11,17 @@ from .errors import ShapeError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# the decoupled weight decay, as a fraction of the learning rate
+WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    """Bias-corrected Adam moments plus weight decay applied directly to
-    the parameter (never folded into the gradient)."""
+    """Bias-corrected Adam moments plus weight decay by WEIGHT_DECAY
+    applied directly to the parameter (never folded into the gradient)."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -61,9 +61,8 @@ class AdamW:
             np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
             v += a
-            if self.weight_decay:
-                np.multiply(p.data, self.lr * self.weight_decay, out=a)
-                p.data -= a
+            np.multiply(p.data, self.lr * WEIGHT_DECAY, out=a)
+            p.data -= a
             np.divide(m, bc1, out=a)
             np.divide(v, bc2, out=b)
             a *= self.lr

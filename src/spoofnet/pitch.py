@@ -78,14 +78,16 @@ _THRESHOLDS.flags.writeable = False
 _WIN_MASS.flags.writeable = False
 
 
-def difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
-    """YIN squared-difference function d(tau) for tau in [0, tau_max],
-    along the last axis of one frame or a stack of frames.
+def difference_function(frames: np.ndarray) -> np.ndarray:
+    """YIN squared-difference function d(tau) for tau in [0, TAU_MAX + 1],
+    along the last axis of one frame or a stack of frames: the lag range
+    plus the right neighbour of its last lag.
 
     Computed exactly via the autocorrelation identity
     d(tau) = e[N-tau] + (e[N] - e[tau]) - 2 r(tau), with r obtained by
     FFT, so the cost is O(N log N) rather than O(N * tau_max).
     """
+    tau_max = TAU_MAX + 1
     n = frames.shape[-1]
     fft_size = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(frames, n=fft_size)
@@ -117,7 +119,7 @@ def frame_troughs(frames: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     each FRAME_LEN-sample frame of a (n_frames, FRAME_LEN) stack: one
     (lags, depths) pair per frame, in lag order. A frame below the energy
     floor has none."""
-    d = difference_function(frames, TAU_MAX + 1)
+    d = difference_function(frames)
     nd = cmndf(d)
     nd[np.vecdot(frames, frames) < ENERGY_FLOOR] = 1.0  # flat: no trough
     inner = nd[:, TAU_MIN : TAU_MAX + 1]

@@ -77,17 +77,17 @@ class SyntheticCorpusSpec:
                            "duration_s": MIN_DURATION_S})
 
 
-def _resonator_coeffs(freq_hz: float, bandwidth_hz: float, sr: int):
-    """a1, a2 of the all-pole resonator 1 / (1 + a1 z^-1 + a2 z^-2), as
-    Python floats: _resonate's loop runs about twice as fast on them as
-    on numpy scalars."""
-    r = np.exp(-np.pi * bandwidth_hz / sr)
-    theta = 2.0 * np.pi * freq_hz / sr
+def _resonator_coeffs(freq_hz: float, bandwidth_hz: float):
+    """a1, a2 of the all-pole resonator 1 / (1 + a1 z^-1 + a2 z^-2) at
+    SAMPLE_RATE, as Python floats: _resonate's loop runs about twice as
+    fast on them as on numpy scalars."""
+    r = np.exp(-np.pi * bandwidth_hz / SAMPLE_RATE)
+    theta = 2.0 * np.pi * freq_hz / SAMPLE_RATE
     return float(-2.0 * r * np.cos(theta)), float(r * r)
 
 
 N_EDGE = int(EDGE_S * SAMPLE_RATE)
-BURST_RESONATOR = _resonator_coeffs(4500.0, 2000.0, SAMPLE_RATE)
+BURST_RESONATOR = _resonator_coeffs(4500.0, 2000.0)
 
 
 def _resonate(x: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -179,8 +179,7 @@ def _draw_voiced(rng: np.random.Generator, n: int) -> _Voiced:
     f1 = rng.uniform(350.0, 750.0)
     f2 = rng.uniform(1100.0, 2200.0)
     return _Voiced(n, f0_base, vib_rate, vib_depth, tuple(phases),
-                   (_resonator_coeffs(f1, 80.0, SAMPLE_RATE),
-                    _resonator_coeffs(f2, 120.0, SAMPLE_RATE)))
+                   (_resonator_coeffs(f1, 80.0), _resonator_coeffs(f2, 120.0)))
 
 
 @dataclass(frozen=True)

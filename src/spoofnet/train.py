@@ -8,7 +8,7 @@ training scaler. The loop multiplies the learning rate by DECAY_FACTOR
 (0.5) after PLATEAU_PATIENCE (10) epochs without a validation
 improvement of more than IMPROVE_TOL (1e-5) and stops after
 EARLY_STOP_PATIENCE (20), keeping the best checkpoint; AdamW decays the
-weights by WEIGHT_DECAY (0.01).
+weights by optim.WEIGHT_DECAY (0.01).
 
 A TrainConfig checks its own values when it is built, from a file or in
 code: a batch size and epoch count of at least 1, a non-negative seed, a
@@ -34,12 +34,11 @@ BCE_EPS = 1e-7
 STD_FLOOR = 1e-6
 # (score BCE, voicing BCE, formant MSE)
 LOSS_WEIGHTS = (1.0, 0.3, 0.3)
-# the plateau schedule and AdamW's decoupled weight decay
+# the plateau schedule
 PLATEAU_PATIENCE = 10
 DECAY_FACTOR = 0.5
 EARLY_STOP_PATIENCE = 20
 IMPROVE_TOL = 1e-5
-WEIGHT_DECAY = 0.01
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ def train_loop(
         raise InsufficientData("no validation samples to choose the best epoch by")
     weights = (cfg.weight_score, cfg.weight_voicing, cfg.weight_formant)
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.params, lr=cfg.lr, weight_decay=WEIGHT_DECAY)
+    opt = AdamW(model.params, lr=cfg.lr)
     sched = PlateauScheduler(cfg.lr)
     best_state = model.state_dict()
     best_epoch = 0

@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 from spoofnet.annotate import FrameAnnotation, annotate_waveform, annotation_to_record
-from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform,
-                          frame_signal, preprocess)
-from spoofnet.formants import (FORMANT_KEY, LPC_ORDER, PREEMPHASIS, WINDOW_STD_FRACTION,
-                               burg, gaussian_window, lpc_resonances, preemphasize)
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform, frame_signal,
+                          preprocess)
+from spoofnet.formants import (_TAPER, FORMANT_KEY, LPC_ORDER, burg, lpc_resonances,
+                               preemphasize)
 from spoofnet.pitch import (CENTS_PER_BIN, FMAX_HZ, FMIN_HZ, JUMP_COST_PER_BIN, N_BINS,
                             PITCH_KEY, SWITCH_PROB, viterbi_track)
 from spoofnet.synth import SyntheticCorpusSpec, synth_utterance
@@ -232,13 +232,12 @@ def reference_resonances(a: np.ndarray) -> list[tuple[float, float]]:
 
 
 def test_burg_and_resonances_match_per_frame_reference():
-    window = gaussian_window(FRAME_LEN, WINDOW_STD_FRACTION)
     for name, x in golden_inputs().items():
-        frames = frame_signal(preemphasize(x.samples, PREEMPHASIS)) * window
+        frames = frame_signal(preemphasize(x.samples)) * _TAPER
         if name == "sine_220":
             frames[5] = 0.0
             frames[5, 7] = 1.0  # an impulse: every reflection coefficient is 0
-        coeffs = burg(frames, LPC_ORDER)
+        coeffs = burg(frames)
         resonances = lpc_resonances(coeffs)
         for t, frame in enumerate(frames):
             expected = reference_burg(frame, LPC_ORDER)

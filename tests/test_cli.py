@@ -959,7 +959,7 @@ class TestHashInValues:
                         "dataset_tag = asv19\t#tab\n")
         assert config.parse_kv(path) == {"n_real": "3", "dataset_tag": "asv19"}
 
-    @pytest.mark.parametrize("tag", ["asv#19", "asv\n19", "asv\r19"])
+    @pytest.mark.parametrize("tag", ["asv#19", "asv\n19", "asv\r19", " asv19", "asv19 "])
     def test_write_config_refuses_a_value_that_would_not_read_back(self, tmp_path, tag):
         path = tmp_path / "corpus.cfg"
         with pytest.raises(ValueError, match="dataset_tag"):

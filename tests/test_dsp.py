@@ -225,14 +225,12 @@ def test_frame_count_formula():
     assert frame_signal(np.zeros(FIXED_NUM_SAMPLES)).shape == (128, FRAME_LEN)
 
 
-@pytest.mark.parametrize("n, frame_len, hop", [(FIXED_NUM_SAMPLES, FRAME_LEN, HOP_LEN),
-                                               (1000, 512, 256), (512, 512, 256),
-                                               (1001, 100, 7)])
-def test_frame_signal_is_a_read_only_view_of_the_gathered_frames(n, frame_len, hop):
+@pytest.mark.parametrize("n", [FIXED_NUM_SAMPLES, 1000, FRAME_LEN])
+def test_frame_signal_is_a_read_only_view_of_the_gathered_frames(n):
     x = np.random.default_rng(n).standard_normal(n)
-    frames = frame_signal(x, frame_len, hop)
-    starts = hop * np.arange((n - frame_len) // hop + 1)
-    np.testing.assert_array_equal(frames, x[starts[:, None] + np.arange(frame_len)])
+    frames = frame_signal(x)
+    starts = HOP_LEN * np.arange((n - FRAME_LEN) // HOP_LEN + 1)
+    np.testing.assert_array_equal(frames, x[starts[:, None] + np.arange(FRAME_LEN)])
     assert np.shares_memory(frames, x)
     assert not frames.flags.writeable
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoofnet.errors import InvalidWeights
-from spoofnet.explain import (GroupReliance, RelianceReport, UtteranceReliance,
+from spoofnet.explain import (TOP_FRAMES, GroupReliance, RelianceReport, UtteranceReliance,
                               aggregate, format_report, top_frames,
                               utterance_reliance, write_report)
 from spoofnet.metrics import ScoreRecord
@@ -123,19 +123,22 @@ class TestAggregate:
 
 class TestTopFrames:
     def test_uniform_weights_tie_break_by_index(self):
-        top = top_frames(np.full(6, 1.0 / 6), np.linspace(0, 1, 6) >= 0.5, 3)
-        assert [i for i, _, _ in top] == [0, 1, 2]
+        top = top_frames(np.full(8, 1.0 / 8), np.linspace(0, 1, 8) >= 0.5)
+        assert [i for i, _, _ in top] == list(range(TOP_FRAMES))
 
     def test_dominant_frame_ranks_first(self):
         w = np.full(6, 0.1)
         w[4] = 0.5
-        assert top_frames(w, np.zeros(6, dtype=bool), 1)[0][0] == 4
+        assert top_frames(w, np.zeros(6, dtype=bool))[0][0] == 4
 
-    def test_full_k_is_sorted_permutation(self):
+    def test_the_heaviest_frames_in_descending_order(self):
         rng = np.random.default_rng(2)
         w = rng.dirichlet(np.ones(10))
-        top = top_frames(w, rng.uniform(0, 1, 10) >= 0.5, 10)
-        assert sorted(i for i, _, _ in top) == list(range(10))
+        voiced = rng.uniform(0, 1, 10) >= 0.5
+        top = top_frames(w, voiced)
+        heaviest = np.flatnonzero(w >= np.sort(w)[-TOP_FRAMES])
+        assert sorted(i for i, _, _ in top) == heaviest.tolist()
+        assert all(wt == w[i] and v == voiced[i] for i, wt, v in top)
         weights = [wt for _, wt, _ in top]
         assert all(a >= b for a, b in zip(weights, weights[1:]))
 

@@ -71,6 +71,13 @@ class TestLoadManifest:
         with pytest.raises(ParseError, match="line 3"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("row", ["a,,real,,,\n", "a, ,fake,,,\n"], ids=["empty", "blank"])
+    def test_empty_audio_path_rejected_with_line(self, tmp_path, row):
+        # an empty path would resolve to the manifest's own directory
+        p = write_manifest(tmp_path / "m.csv", ["u1,a.wav,real,ds,,\n", row])
+        with pytest.raises(ParseError, match="^line 3: empty audio_path for 'a'"):
+            load_manifest(p)
+
     def test_error_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
         # u1's quoted path holds a line break, so u2 is on line 4, not record 3
         p = write_manifest(tmp_path / "m.csv", [
@@ -270,8 +277,7 @@ class TestResonator:
     def test_seeded_random_resonators(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            a = _resonator_coeffs(rng.uniform(50.0, 7950.0), rng.uniform(10.0, 3000.0),
-                                  SAMPLE_RATE)
+            a = _resonator_coeffs(rng.uniform(50.0, 7950.0), rng.uniform(10.0, 3000.0))
             x = rng.standard_normal(int(rng.integers(1, 5000)))
             assert _resonate(x, *a).tobytes() == lfilter_resonate(x, *a).tobytes()
 
@@ -279,7 +285,7 @@ class TestResonator:
     def test_synth_resonators(self, lo, hi, bandwidth):
         rng = np.random.default_rng(1)
         for freq in [lo, hi, *rng.uniform(lo, hi, 8)]:
-            a = _resonator_coeffs(freq, bandwidth, SAMPLE_RATE)
+            a = _resonator_coeffs(freq, bandwidth)
             x = rng.standard_normal(2000)
             assert _resonate(x, *a).tobytes() == lfilter_resonate(x, *a).tobytes()
 
@@ -291,8 +297,8 @@ class TestResonator:
     ], ids=["one", "one_negative", "negative_zero", "zeros", "negative_zeros",
             "leading_zeros", "impulse_after_negative_zeros"])
     def test_cascaded_pair(self, x):
-        a1 = _resonator_coeffs(500.0, 80.0, SAMPLE_RATE)
-        a2 = _resonator_coeffs(1500.0, 120.0, SAMPLE_RATE)
+        a1 = _resonator_coeffs(500.0, 80.0)
+        a2 = _resonator_coeffs(1500.0, 120.0)
         own = _resonate(_resonate(x, *a1), *a2)
         assert own.tobytes() == lfilter_resonate(lfilter_resonate(x, *a1), *a2).tobytes()
         assert _resonate(x, *a1).tobytes() == lfilter_resonate(x, *a1).tobytes()
@@ -303,8 +309,8 @@ class TestResonator:
         rng = np.random.default_rng(0)
         xs, chains = [], []
         for _ in range(100):
-            chains.append((_resonator_coeffs(rng.uniform(50.0, 7950.0), rng.uniform(10.0, 3000.0),
-                                             SAMPLE_RATE),))
+            chains.append((_resonator_coeffs(rng.uniform(50.0, 7950.0),
+                                             rng.uniform(10.0, 3000.0)),))
             xs.append(rng.standard_normal(int(rng.integers(1, 5000))))
         got = list(_resonate_lanes([x.size for x in xs], chains, iter(xs)))
         side, calls = lane_rule
@@ -317,8 +323,8 @@ class TestResonator:
         # test_cascaded_pair's inputs, signed zeros included, as lanes of
         # three blocks with one chain each: the pair, the first resonator
         # alone and the burst's, whose a1 > 0 keeps negative zeros
-        a1 = _resonator_coeffs(500.0, 80.0, SAMPLE_RATE)
-        a2 = _resonator_coeffs(1500.0, 120.0, SAMPLE_RATE)
+        a1 = _resonator_coeffs(500.0, 80.0)
+        a2 = _resonator_coeffs(1500.0, 120.0)
         xs = [np.array([0.7]), np.array([-0.7]), np.array([-0.0]),
               np.zeros(64), -np.zeros(64),
               np.concatenate([np.zeros(100), np.random.default_rng(2).standard_normal(400)]),

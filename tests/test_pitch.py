@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spoofnet.dsp import (FIXED_NUM_SAMPLES, SAMPLE_RATE, FixedWaveform,
+from spoofnet.dsp import (FIXED_NUM_SAMPLES, FRAME_LEN, SAMPLE_RATE, FixedWaveform,
                           frame_signal, preprocess)
 from spoofnet.pitch import (TAU_MAX, cmndf, difference_function, frame_candidates,
                             frame_troughs, track_pitch, viterbi_track)
@@ -59,15 +59,15 @@ class TestTrackPitch:
 class TestYinPieces:
     def test_difference_function_matches_direct_sum(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(256)
-        tau_max = 64
-        d = difference_function(x, tau_max)
-        for tau in (0, 1, 13, 64):
+        x = rng.standard_normal(FRAME_LEN)
+        d = difference_function(x)
+        assert d.shape == (TAU_MAX + 2,)
+        for tau in (0, 1, 13, 64, TAU_MAX + 1):
             direct = np.sum((x[: x.size - tau] - x[tau:]) ** 2)
             np.testing.assert_allclose(d[tau], direct, rtol=1e-9, atol=1e-9)
 
     def test_cmndf_starts_at_one(self):
-        d = difference_function(np.sin(np.arange(512) * 0.1), 100)
+        d = difference_function(np.sin(np.arange(512) * 0.1))
         nd = cmndf(d)
         assert nd[0] == 1.0
         assert np.all(np.isfinite(nd))
@@ -105,16 +105,16 @@ class TestBatchedFrontEnd:
     # the tracks are pinned bit for bit, so a stack of frames must give
     # exactly the bytes of the single-frame calls, row by row
     def test_difference_function_stack_equals_rows(self, golden_frames):
-        stacked = difference_function(golden_frames, TAU_MAX + 1)
-        rows = np.stack([difference_function(f, TAU_MAX + 1) for f in golden_frames])
+        stacked = difference_function(golden_frames)
+        rows = np.stack([difference_function(f) for f in golden_frames])
         assert stacked.tobytes() == rows.tobytes()
 
     def test_cmndf_stack_equals_rows(self, golden_frames):
-        d = difference_function(golden_frames, TAU_MAX + 1)
+        d = difference_function(golden_frames)
         assert cmndf(d).tobytes() == np.stack([cmndf(row) for row in d]).tobytes()
 
     def test_all_zero_frame_has_flat_cmndf_and_no_trough(self, golden_frames):
-        nd = cmndf(difference_function(golden_frames[-1:], TAU_MAX + 1))
+        nd = cmndf(difference_function(golden_frames[-1:]))
         assert np.all(nd == 1.0)
         lag, depth = frame_troughs(golden_frames)[-1]
         assert lag.size == depth.size == 0
